@@ -298,9 +298,10 @@ def _cmd_dispatch(args) -> int:
             print(f"missing checkpoint {path}", file=sys.stderr)
             return EXIT_VALIDATION
         agents.append(load_checkpoint(path))
+    seed = args.seed if args.seed is not None else scenario.seed
     try:
         actions, verdict, rounds = select_actions_online(
-            world, agents, args.window, seed=args.seed or scenario.seed,
+            world, agents, args.window, seed=seed,
             backtracking=not args.no_backtracking)
     except EpisodeAborted as exc:
         print(f"dispatch refused: {exc}", file=sys.stderr)

@@ -22,18 +22,18 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg
 
-from .grid import GridModel, PowerFlowSolution, power_flow_system_matrix
+from .grid import GridModel, PowerFlowSolution, power_flow_system_csc
 from .microgrid import (
     CONSTRAINT_NETWORK_KINDS,
     DT_HOURS,
     MicrogridSpec,
-    find_pcc_branch,
     fuel_marginal,
     geometric_weights,
+    pcc_branches,
 )
-from .policy import PolicyEval, cov_chain_factor, mean_chain_factor
+from .policy import PolicyEval, cov_chain_factor
 
 __all__ = [
     "SensitivityError",
@@ -46,6 +46,7 @@ __all__ = [
     "reward_action_gradients",
     "constraint_action_gradients",
     "chain_sample_to_parameters",
+    "chain_reward_samples",
     "factorization_count",
     "reset_factorization_count",
 ]
@@ -122,9 +123,9 @@ def voltage_sensitivities(grid: GridModel, sol: PowerFlowSolution,
     """d(v_re)/da and d(v_im)/da for every agent control, per kW.
 
     Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
-    ...).  The 2n x 2n linearization is factorized once; slack rows are
-    identity with zero right-hand side, pinning slack sensitivities to
-    zero.
+    ...).  The 2n x 2n linearization is factorized once (sparse LU);
+    slack rows are identity with zero right-hand side, pinning slack
+    sensitivities to zero.
     """
     n = grid.n_bus
     cols = 6 * len(specs)
@@ -138,23 +139,25 @@ def voltage_sensitivities(grid: GridModel, sol: PowerFlowSolution,
             col = 6 * a + c
             rhs[bus, col] = dire[bus] * kw
             rhs[n + bus, col] = diim[bus] * kw
-    J = power_flow_system_matrix(grid, sol.p_load_pu, sol.q_load_pu,
-                                 sol.v_re, sol.v_im)
+    J = power_flow_system_csc(grid, sol.p_load_pu, sol.q_load_pu,
+                              sol.v_re, sol.v_im)
     s = grid.slack
     rhs[s, :] = 0.0
     rhs[n + s, :] = 0.0
     try:
-        lu = scipy.linalg.lu_factor(J)
-        _count_factorization()
-        dv = scipy.linalg.lu_solve(lu, -rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SensitivityError(
-            f"singular sensitivity system (cond={np.linalg.cond(J):.3e})"
-        ) from exc
+        lu = scipy.sparse.linalg.splu(J)
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        raise SensitivityError(_singular_message(J)) from exc
+    _count_factorization()
+    dv = lu.solve(-rhs)
     if not np.all(np.isfinite(dv)):
-        raise SensitivityError(
-            f"singular sensitivity system (cond={np.linalg.cond(J):.3e})")
+        raise SensitivityError(_singular_message(J))
     return dv[:n, :], dv[n:, :]
+
+
+def _singular_message(J) -> str:
+    cond = np.linalg.cond(J.toarray())
+    return f"singular sensitivity system (cond={cond:.3e})"
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +190,13 @@ def branch_and_pcc_sensitivities(grid: GridModel, sol: PowerFlowSolution,
     Branch currents follow i_br = y_ij (v_i - v_j); magnitude gradients
     of branches carrying |I| < 1e-9 p.u. are defined as zero.
     """
-    nbr = grid.n_branch
-    C = dv_re.shape[1]
-    dibr_re = np.empty((nbr, C))
-    dibr_im = np.empty((nbr, C))
-    for k, br in enumerate(grid.branches):
-        ddr = dv_re[br.from_bus] - dv_re[br.to_bus]
-        ddi = dv_im[br.from_bus] - dv_im[br.to_bus]
-        dibr_re[k] = br.y_re * ddr - br.y_im * ddi
-        dibr_im[k] = br.y_im * ddr + br.y_re * ddi
+    f, t = grid.branch_from, grid.branch_to
+    y_re = grid.branch_y.real[:, None]
+    y_im = grid.branch_y.imag[:, None]
+    ddr = dv_re[f] - dv_re[t]
+    ddi = dv_im[f] - dv_im[t]
+    dibr_re = y_re * ddr - y_im * ddi
+    dibr_im = y_im * ddr + y_re * ddi
 
     v_mag = np.maximum(sol.v_mag, 1e-12)
     dv_mag = (sol.v_re[:, None] * dv_re + sol.v_im[:, None] * dv_im) / v_mag[:, None]
@@ -206,21 +207,18 @@ def branch_and_pcc_sensitivities(grid: GridModel, sol: PowerFlowSolution,
                   + sol.i_br_im[:, None] * dibr_im) / i_mag[:, None]
     di_mag[i_mag < 1e-9, :] = 0.0
 
-    n_mg = len(specs)
-    dpcc_p = np.empty((n_mg, C))
-    dpcc_q = np.empty((n_mg, C))
+    k, sign, r = pcc_branches(grid, specs)
     base = grid.base_power_kva
-    for m, spec in enumerate(specs):
-        k, sign = find_pcc_branch(grid, spec)
-        r = spec.bus_map.pcc_mg
-        ire = sign * sol.i_br_re[k]
-        iim = sign * sol.i_br_im[k]
-        dire = sign * dibr_re[k]
-        diim = sign * dibr_im[k]
-        dpcc_p[m] = base * (dv_re[r] * ire + sol.v_re[r] * dire
-                            + dv_im[r] * iim + sol.v_im[r] * diim)
-        dpcc_q[m] = base * (dv_im[r] * ire + sol.v_im[r] * dire
-                            - dv_re[r] * iim - sol.v_re[r] * diim)
+    ire = (sign * sol.i_br_re[k])[:, None]
+    iim = (sign * sol.i_br_im[k])[:, None]
+    dire = sign[:, None] * dibr_re[k]
+    diim = sign[:, None] * dibr_im[k]
+    v_re = sol.v_re[r][:, None]
+    v_im = sol.v_im[r][:, None]
+    dpcc_p = base * (dv_re[r] * ire + v_re * dire
+                     + dv_im[r] * iim + v_im * diim)
+    dpcc_q = base * (dv_im[r] * ire + v_im * dire
+                     - dv_re[r] * iim - v_re * diim)
     return StepSensitivities(dv_re, dv_im, dibr_re, dibr_im,
                              dv_mag, di_mag, dpcc_p, dpcc_q)
 
@@ -376,18 +374,36 @@ def constraint_action_gradients(table, sens_steps, actions, specs,
 # Chain into parameter space
 # ---------------------------------------------------------------------------
 
-def chain_sample_to_parameters(ev: PolicyEval, action: np.ndarray,
+def chain_sample_to_parameters(ev: PolicyEval, actions: np.ndarray,
                                dj_cols: np.ndarray) -> np.ndarray:
-    """Chain (6T, K) action gradients into parameter space, shape (P, K).
+    """Batch mean of the chained action gradients, shape (P, K).
 
-    Columns pass through the sampled-action policy factors and the
-    network Jacobians: the mean part composes with the unit level-set
-    factor, the covariance part with (delta^2 - sigma^2)/(2 sigma^2
-    delta) at the sampled action, then through d(mu)/d(theta) and
-    d(Sigma)/d(theta).
+    actions: (S, 6T) sampled actions (or one (6T,) action); dj_cols:
+    (S, 6T, K) action gradients at them (or one (6T, K)).  Per sample,
+    columns pass through the level-set policy factors and the network
+    Jacobians: the mean part composes with the unit factor, the
+    covariance part with u = (delta^2 - sigma^2)/(2 sigma^2 delta) at
+    the sampled action, then through d(mu)/d(theta) and
+    d(Sigma)/d(theta).  All samples share the Jacobians, so the samples
+    are summed in action space and chained once:
+    J_mu^T sum_s dj_s and J_Sigma^T sum_s (dj_s * u_s), divided by S.
     """
-    u_mu = mean_chain_factor(action, ev.mu, ev.sigma2)
-    u_sig = cov_chain_factor(action, ev.mu, ev.sigma2)
-    g_mu = ev.jac_mu.T @ (dj_cols * u_mu[:, None])
-    g_sig = ev.jac_sigma2.T @ (dj_cols * u_sig[:, None])
+    actions = np.reshape(actions, (-1, ev.mu.shape[0]))
+    n = actions.shape[0]
+    dj = np.reshape(dj_cols, (n, actions.shape[1], -1))
+    u_sig = cov_chain_factor(actions, ev.mu, ev.sigma2)
+    g_mu = ev.jac_mu.T @ (dj.sum(axis=0) / n)
+    g_sig = ev.jac_sigma2.T @ (np.einsum("sd,sdk->dk", u_sig, dj) / n)
     return np.vstack([g_mu, g_sig])
+
+
+def chain_reward_samples(ev: PolicyEval, actions: np.ndarray,
+                         dj: np.ndarray) -> np.ndarray:
+    """Per-sample chain of one action-gradient column, shape (P, S).
+
+    actions and dj are (S, 6T); column s is what chain_sample_to_parameters
+    gives for sample s alone.  Used for the standard error of the
+    reward gradient.
+    """
+    u_sig = cov_chain_factor(actions, ev.mu, ev.sigma2)
+    return np.vstack([ev.jac_mu.T @ dj.T, ev.jac_sigma2.T @ (dj * u_sig).T])

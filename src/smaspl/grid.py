@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 import yaml
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "power_mismatch",
     "load_current_voltage_jacobian",
     "power_flow_system_matrix",
+    "power_flow_system_csc",
     "load_grid_file",
     "grid_from_dict",
 ]
@@ -158,12 +161,46 @@ def build_admittance(branches, n_bus: int) -> tuple[np.ndarray, np.ndarray]:
     return y_re, y_im
 
 
+def _system_template(n: int, slack: int, nonslack: np.ndarray, branches,
+                     y_re: np.ndarray, y_im: np.ndarray) -> tuple:
+    """power_flow_system_matrix at zero load, slack pinned, as a CSC
+    matrix that also stores every non-slack diagonal entry, and the
+    positions in its data of the four block diagonals (re-re, re-im,
+    im-re, im-im), where the load partials add on."""
+    pairs = {(b, b) for b in nonslack.tolist()}
+    for br in branches:
+        if slack not in (br.from_bus, br.to_bus):
+            pairs |= {(br.from_bus, br.to_bus), (br.to_bus, br.from_bus)}
+    i, j = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
+    blocks = ((0, 0, y_re), (0, 1, -y_im), (1, 0, y_im), (1, 1, y_re))
+    pinned = [slack, n + slack]
+    rows = np.concatenate([r * n + i for r, _, _ in blocks] + [pinned])
+    cols = np.concatenate([c * n + j for _, c, _ in blocks] + [pinned])
+    vals = np.concatenate([y[i, j] for _, _, y in blocks] + [[1.0, 1.0]])
+    order = np.lexsort((rows, cols))        # by column, rows ascending
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    slot = np.full((2 * n, 2 * n), -1)
+    slot[rows, cols] = np.arange(rows.size)
+    diag = tuple(slot[r * n + nonslack, c * n + nonslack]
+                 for r, c, _ in blocks)
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(cols, minlength=2 * n))])
+    template = scipy.sparse.csc_matrix((vals, rows, indptr),
+                                       shape=(2 * n, 2 * n))
+    return template, diag
+
+
 @dataclass(frozen=True)
 class GridModel:
     """Immutable network: buses, branches, admittance, and per-unit bases.
 
     base_kv holds the voltage base of each bus's zone; base_power_kva is
-    the common power base.
+    the common power base.  The remaining attributes are topology facts
+    derived once from the branch list: the complex admittance y_bus, the
+    branch-bus incidence as (branch_from, branch_to) bus indices with the
+    branch admittances branch_y, branch_lookup mapping an ordered bus
+    pair to (branch index, +1 along / -1 against the branch direction),
+    and the sparse template of the power-flow system matrix.
     """
 
     buses: tuple[Bus, ...]
@@ -172,6 +209,13 @@ class GridModel:
     y_im: np.ndarray
     base_power_kva: float
     base_kv: np.ndarray
+    y_bus: np.ndarray = field(init=False, repr=False, compare=False)
+    branch_from: np.ndarray = field(init=False, repr=False, compare=False)
+    branch_to: np.ndarray = field(init=False, repr=False, compare=False)
+    branch_y: np.ndarray = field(init=False, repr=False, compare=False)
+    branch_lookup: dict = field(init=False, repr=False, compare=False)
+    nonslack: np.ndarray = field(init=False, repr=False, compare=False)
+    system_template: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.buses)
@@ -191,6 +235,28 @@ class GridModel:
         if (np.max(np.abs(self.y_re - self.y_re.T), initial=0.0) > 1e-12
                 or np.max(np.abs(self.y_im - self.y_im.T), initial=0.0) > 1e-12):
             raise GridError("admittance matrix must be symmetric")
+        s = slack[0]
+        nonslack = np.array([i for i in range(n) if i != s], dtype=int)
+        lookup: dict = {}
+        for k, br in enumerate(self.branches):
+            lookup.setdefault((br.from_bus, br.to_bus), (k, +1.0))
+            lookup.setdefault((br.to_bus, br.from_bus), (k, -1.0))
+        derived = {
+            "y_bus": self.y_re + 1j * self.y_im,
+            "branch_from": np.array([br.from_bus for br in self.branches],
+                                    dtype=int),
+            "branch_to": np.array([br.to_bus for br in self.branches],
+                                  dtype=int),
+            "branch_y": np.array([br.y for br in self.branches],
+                                 dtype=complex),
+            "branch_lookup": lookup,
+            "nonslack": nonslack,
+            "system_template": _system_template(n, s, nonslack,
+                                                self.branches, self.y_re,
+                                                self.y_im),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_branches(cls, buses, branches, base_power_kva=100.0, base_kv=None):
@@ -290,17 +356,35 @@ def power_flow_system_matrix(grid: GridModel, p, q, v_re, v_im,
     return J
 
 
-def _branch_currents(grid: GridModel, v):
-    i_br = np.empty(grid.n_branch, dtype=complex)
-    for k, br in enumerate(grid.branches):
-        i_br[k] = br.y * (v[br.from_bus] - v[br.to_bus])
-    return i_br
+def power_flow_system_csc(grid: GridModel, p, q, v_re,
+                          v_im) -> scipy.sparse.csc_matrix:
+    """power_flow_system_matrix with slack pinning, as a sparse CSC matrix.
+
+    Only the load partials are computed per call and added onto a copy
+    of the grid's precomputed system_template; toarray() equals the
+    dense matrix exactly.
+    """
+    template, diag = grid.system_template
+    J = template.copy()
+    partials = load_current_voltage_jacobian(p, q, v_re, v_im)
+    for pos, d in zip(diag, partials):
+        J.data[pos] += d[grid.nonslack]
+    return J
+
+
+def _branch_currents(grid: GridModel, v_re, v_im):
+    """(re, im) of y_ij (v_i - v_j) for every branch, in real arithmetic."""
+    f, t = grid.branch_from, grid.branch_to
+    y_re, y_im = grid.branch_y.real, grid.branch_y.imag
+    d_re = v_re[f] - v_re[t]
+    d_im = v_im[f] - v_im[t]
+    return y_re * d_re - y_im * d_im, y_re * d_im + y_im * d_re
 
 
 def power_mismatch(grid: GridModel, sol: PowerFlowSolution) -> np.ndarray:
     """Per-bus complex power-balance residual V*conj(Y V) + (p + jq)."""
     v = sol.v_re + 1j * sol.v_im
-    yv = (grid.y_re + 1j * grid.y_im) @ v
+    yv = grid.y_bus @ v
     return v * np.conj(yv) + (sol.p_load_pu + 1j * sol.q_load_pu)
 
 
@@ -312,7 +396,8 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
     generation, in kW/kvar); slack entries are ignored.  Converged means
     the power-balance infinity norm over non-slack buses is <= tol (p.u.).
     Non-convergence is reported through the returned solution's failure
-    field together with the residual history, never by raising.
+    field together with the residual history, never by raising.  Each
+    Newton step is a sparse LU (SuperLU) solve of the system matrix.
     """
     n = grid.n_bus
     s = grid.slack
@@ -330,14 +415,14 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
     failure: str | None = None
     iterations = 0
 
-    nonslack = np.array([i for i in range(n) if i != s])
+    nonslack = grid.nonslack
     for it in range(max_iter + 1):
         v2 = v_re ** 2 + v_im ** 2
         if np.min(v2) < 0.04:
             failure = "voltage_collapse"
             break
         v = v_re + 1j * v_im
-        yv = (grid.y_re + 1j * grid.y_im) @ v
+        yv = grid.y_bus @ v
         s_miss = v * np.conj(yv) + (p + 1j * q)
         resid = float(np.max(np.abs(s_miss[nonslack]))) if n > 1 else 0.0
         history.append(resid)
@@ -354,10 +439,10 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
         F = np.concatenate([f_re, f_im])
         F[s] = 0.0
         F[n + s] = 0.0
-        J = power_flow_system_matrix(grid, p, q, v_re, v_im)
+        J = power_flow_system_csc(grid, p, q, v_re, v_im)
         try:
-            dx = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
+            dx = scipy.sparse.linalg.splu(J).solve(-F)
+        except RuntimeError:  # SuperLU: factor is exactly singular
             failure = "singular_jacobian"
             break
         v_re = v_re + dx[:n]
@@ -365,12 +450,12 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
         iterations = it + 1
 
     v = v_re + 1j * v_im
-    i_inj = (grid.y_re + 1j * grid.y_im) @ v
-    i_br = _branch_currents(grid, v)
+    i_inj = grid.y_bus @ v
+    i_br_re, i_br_im = _branch_currents(grid, v_re, v_im)
     return PowerFlowSolution(
         v_re=v_re, v_im=v_im,
         i_inj_re=i_inj.real, i_inj_im=i_inj.imag,
-        i_br_re=i_br.real, i_br_im=i_br.imag,
+        i_br_re=i_br_re, i_br_im=i_br_im,
         converged=converged, iterations=iterations,
         residual_history=history, failure=failure,
         p_load_pu=p, q_load_pu=q,

@@ -51,6 +51,7 @@ __all__ = [
     "actions_to_injections",
     "network_observables",
     "find_pcc_branch",
+    "pcc_branches",
     "geometric_weights",
     "write_constraint_report",
 ]
@@ -360,13 +361,21 @@ def find_pcc_branch(grid: GridModel, spec: MicrogridSpec) -> tuple[int, float]:
     microgrid -> host, else -1.
     """
     bm = spec.bus_map
-    for k, br in enumerate(grid.branches):
-        if (br.from_bus, br.to_bus) == (bm.pcc_mg, bm.pcc_host):
-            return k, +1.0
-        if (br.from_bus, br.to_bus) == (bm.pcc_host, bm.pcc_mg):
-            return k, -1.0
-    raise ValueError(f"mg{spec.mg_id}: no branch between buses "
-                     f"{bm.pcc_mg} and {bm.pcc_host}")
+    try:
+        return grid.branch_lookup[(bm.pcc_mg, bm.pcc_host)]
+    except KeyError:
+        raise ValueError(f"mg{spec.mg_id}: no branch between buses "
+                         f"{bm.pcc_mg} and {bm.pcc_host}") from None
+
+
+def pcc_branches(grid: GridModel,
+                 specs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coupling-branch index, export sign and microgrid-side bus per MG."""
+    pairs = [find_pcc_branch(grid, spec) for spec in specs]
+    k = np.array([kk for kk, _ in pairs], dtype=int)
+    sign = np.array([sg for _, sg in pairs], dtype=float)
+    r = np.array([spec.bus_map.pcc_mg for spec in specs], dtype=int)
+    return k, sign, r
 
 
 def pcc_flow(grid: GridModel, sol: PowerFlowSolution,
@@ -387,11 +396,17 @@ def network_observables(grid: GridModel, solutions, specs) -> Observables:
     i_mag = np.empty((horizon, grid.n_branch))
     pcc_p = np.empty((horizon, len(specs)))
     pcc_q = np.empty((horizon, len(specs)))
+    k, sign, r = pcc_branches(grid, specs)
     for t, sol in enumerate(solutions):
         v_mag[t] = sol.v_mag
         i_mag[t] = np.hypot(sol.i_br_re, sol.i_br_im)
-        for j, spec in enumerate(specs):
-            pcc_p[t, j], pcc_q[t, j] = pcc_flow(grid, sol, spec)
+        # pcc_flow for every microgrid at once
+        i_re = sign * sol.i_br_re[k]
+        i_im = sign * sol.i_br_im[k]
+        p = sol.v_re[r] * i_re + sol.v_im[r] * i_im
+        q = sol.v_im[r] * i_re - sol.v_re[r] * i_im
+        pcc_p[t] = p * grid.base_power_kva
+        pcc_q[t] = q * grid.base_power_kva
     return Observables(v_mag, i_mag, pcc_p, pcc_q)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_pdf_grad_point",
     "fisher_information",
     "action_policy_reciprocal",
-    "mean_chain_factor",
     "cov_chain_factor",
     "save_checkpoint",
     "load_checkpoint",
@@ -212,17 +211,6 @@ def action_policy_reciprocal(a, mu, sigma2, *, rel_clamp=1e-6) -> np.ndarray:
                            np.asarray(sigma2, float), rel_clamp)
     f = gaussian_pdf(a, mu, np.asarray(sigma2, float))
     return -np.asarray(sigma2, float) / (f * delta)
-
-
-def mean_chain_factor(a, mu, sigma2) -> np.ndarray:
-    """Composed factor (da/d pi)(d pi/d mu) along a density level set.
-
-    Holding the density value fixed while shifting the mean moves the
-    action one-for-one, so the composed diagonal factor is exactly +1 in
-    every dimension; returned explicitly to keep the chain assembly
-    uniform with the covariance factor.
-    """
-    return np.ones(np.asarray(mu, float).shape)
 
 
 def cov_chain_factor(a, mu, sigma2, *, rel_clamp=1e-6) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .grid import GridModel, solve_power_flow
 from .gradients import (
+    chain_reward_samples,
     chain_sample_to_parameters,
     compute_step_sensitivities,
     constraint_action_gradients,
@@ -446,13 +447,13 @@ def resolve_removed_rows(table, tokens) -> set[str]:
 class _SampleResult:
     rewards: np.ndarray          # (N,)
     j_values: np.ndarray         # (M,) in table order
-    contributions: list          # per agent (P_n, M+1)
+    cols: np.ndarray             # (N, 6T, M+1) action gradients: reward, rows
+    actions: np.ndarray          # (N, 6T) the joint draw
 
 
 def _evaluate_sample(world: World, actions: np.ndarray, irr_truth,
-                     load_truth, evals: list[PolicyEval],
-                     prev_dg) -> _SampleResult | None:
-    """Physics, returns, and chained gradient columns for one joint draw."""
+                     load_truth, prev_dg) -> _SampleResult | None:
+    """Physics, returns, and action-space gradient columns for one draw."""
     p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
                                  world.grid.n_bus, world.host_loads)
     sols = []
@@ -476,12 +477,8 @@ def _evaluate_sample(world: World, actions: np.ndarray, irr_truth,
     djc = constraint_action_gradients(world.table, sens, actions,
                                       world.specs, gamma, prev_dg=prev_dg,
                                       dt=dt)
-    contributions = []
-    for n in range(world.n_agents):
-        cols = np.concatenate([djr[n][:, None], djc[:, n, :].T], axis=1)
-        contributions.append(
-            chain_sample_to_parameters(evals[n], actions[n], cols))
-    return _SampleResult(rewards, j_values, contributions)
+    cols = np.concatenate([djr[:, :, None], djc.transpose(1, 2, 0)], axis=2)
+    return _SampleResult(rewards, j_values, cols, actions)
 
 
 @dataclass
@@ -502,6 +499,7 @@ def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
     results: list[_SampleResult] = []
     discards = 0
+    limit = max(4, cfg.batch)
     while len(results) < cfg.batch:
         need = cfg.batch - len(results)
         draws = np.empty((need, n, 6 * world.horizon))
@@ -511,35 +509,37 @@ def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
                 rng.standard_normal((need, 6 * world.horizon))
         outs = pool.map(
             lambda s: _evaluate_sample(world, s, irr_truth, load_truth,
-                                       evals, prev_dg), list(draws))
+                                       prev_dg), list(draws))
         for r in outs:
             if r is None:
                 discards += 1
-                if discards > max(4, cfg.batch):
+                if discards > limit:
                     raise EpisodeAborted(
                         f"update {tag}: {discards} power-flow failures "
-                        f"exceed half the sampling budget")
+                        f"exceed the limit of max(4, batch) = {limit}")
             else:
                 results.append(r)
-    m = len(world.table)
-    g = []
-    b = []
-    g_se = []
-    for a in range(n):
-        acc = np.zeros_like(results[0].contributions[a])
-        sq = np.zeros(acc.shape[0])
-        for r in results:
-            acc += r.contributions[a]
-            sq += r.contributions[a][:, 0] ** 2
-        acc /= cfg.batch
-        g.append(acc[:, 0])
-        b.append(acc[:, 1:])
-        var = np.maximum(sq / cfg.batch - acc[:, 0] ** 2, 0.0)
-        g_se.append(np.sqrt(var / cfg.batch))
+    g, b, g_se = _batch_gradients(evals, results)
     j_values = np.mean(np.stack([r.j_values for r in results]), axis=0)
     rewards = np.mean(np.stack([r.rewards for r in results]), axis=0)
-    assert j_values.shape == (m,)
     return _BatchEval(g, b, j_values, rewards, discards, g_se)
+
+
+def _batch_gradients(evals: list[PolicyEval], results: list[_SampleResult]):
+    """Per agent: batch-mean reward gradient g (P,), row gradients b
+    (P, M), and the standard error of g, chained once per agent."""
+    g, b, g_se = [], [], []
+    for a, ev in enumerate(evals):
+        acts = np.stack([r.actions[a] for r in results])    # (S, 6T)
+        cols = np.stack([r.cols[a] for r in results])       # (S, 6T, M+1)
+        mean = chain_sample_to_parameters(ev, acts, cols)
+        per_sample = chain_reward_samples(ev, acts, cols[:, :, 0])
+        var = np.maximum(np.mean(per_sample ** 2, axis=1) - mean[:, 0] ** 2,
+                         0.0)
+        g.append(mean[:, 0])
+        b.append(mean[:, 1:])
+        g_se.append(np.sqrt(var / len(results)))
+    return g, b, g_se
 
 
 # ---------------------------------------------------------------------------

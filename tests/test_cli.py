@@ -102,6 +102,28 @@ class TestDispatch:
                      str(out), "--out", str(f2), "--seed", "9"]) == EXIT_OK
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_seed_zero_reaches_selection(self, tmp_path, monkeypatch):
+        # --seed 0 must not fall back to the scenario seed (777)
+        import smaspl.cli as cli
+        from smaspl.policy import save_checkpoint
+        from smaspl.training import EpisodeAborted, build_agents
+
+        world = build_world(load_scenario(TINY))
+        for a, ag in enumerate(build_agents(world)):
+            save_checkpoint(ag, tmp_path / f"agent_{a}.json")
+        seen = []
+
+        def fake_select(world, agents, window, *, seed, **kwargs):
+            seen.append(seed)
+            raise EpisodeAborted("stopped after recording the seed")
+
+        monkeypatch.setattr(cli, "select_actions_online", fake_select)
+        code = main(["dispatch", "--scenario", TINY, "--checkpoints",
+                     str(tmp_path), "--out", str(tmp_path / "a.csv"),
+                     "--seed", "0"])
+        assert seen == [0]
+        assert code == EXIT_NUMERICAL
+
     def test_missing_checkpoints(self, tmp_path):
         code = main(["dispatch", "--scenario", TINY,
                      "--checkpoints", str(tmp_path / "void"),

@@ -379,7 +379,8 @@ class TestBundleEndToEnd:
         from smaspl.microgrid import (constraint_returns, make_state_vector,
                                       network_observables, reward_return)
         from smaspl.scenario import load_scenario
-        from smaspl.training import _evaluate_sample, build_agents, build_world
+        from smaspl.training import (_batch_gradients, _evaluate_sample,
+                                     build_agents, build_world)
 
         sc = load_scenario("scenarios/tiny_oracle.yaml")
         sc.training["batch"] = 8
@@ -416,15 +417,12 @@ class TestBundleEndToEnd:
         ev0 = agent.evaluate(state)
         acts0 = ev0.mu[None, :] + np.sqrt(ev0.sigma2)[None, :] * eps
         p_mu = agent.mean_net.n_params
-        g = np.zeros(p_mu)
-        b = np.zeros(p_mu)
-        for a in acts0:
-            res = _evaluate_sample(world, a[None, :], irr, load, [ev0],
-                                   np.zeros(1))
-            g += res.contributions[0][:p_mu, 0]
-            b += res.contributions[0][:p_mu, 1 + m_row]
-        g /= 8
-        b /= 8
+        # the trainer's path: per-sample action columns, then one batch chain
+        results = [_evaluate_sample(world, a[None, :], irr, load, np.zeros(1))
+                   for a in acts0]
+        g_all, b_all, _ = _batch_gradients([ev0], results)
+        g = g_all[0][:p_mu]
+        b = b_all[0][:p_mu, m_row]
 
         h = 1e-5
         rng = np.random.default_rng(9)
@@ -439,6 +437,87 @@ class TestBundleEndToEnd:
             assert g[i] == pytest.approx(fd_r, rel=1e-3, abs=1e-8), i
             assert b[i] == pytest.approx(fd_j, rel=1e-5, abs=1e-9), i
         agent.mean_net.unflatten(theta0)
+
+
+class TestIncidenceAlgebra:
+    """Vectorised branch and PCC sensitivities against per-branch and
+    per-microgrid loop references, on the 98-bus, five-microgrid case."""
+
+    @staticmethod
+    def scan_pcc_branch(grid, spec):
+        bm = spec.bus_map
+        for k, br in enumerate(grid.branches):
+            if (br.from_bus, br.to_bus) == (bm.pcc_mg, bm.pcc_host):
+                return k, +1.0
+            if (br.from_bus, br.to_bus) == (bm.pcc_host, bm.pcc_mg):
+                return k, -1.0
+        raise AssertionError("no coupling branch")
+
+    def loop_reference(self, grid, sol, specs, dv_re, dv_im):
+        dibr_re = np.empty((grid.n_branch, dv_re.shape[1]))
+        dibr_im = np.empty_like(dibr_re)
+        for k, br in enumerate(grid.branches):
+            ddr = dv_re[br.from_bus] - dv_re[br.to_bus]
+            ddi = dv_im[br.from_bus] - dv_im[br.to_bus]
+            dibr_re[k] = br.y_re * ddr - br.y_im * ddi
+            dibr_im[k] = br.y_im * ddr + br.y_re * ddi
+        dpcc_p = np.empty((len(specs), dv_re.shape[1]))
+        dpcc_q = np.empty_like(dpcc_p)
+        base = grid.base_power_kva
+        for m, spec in enumerate(specs):
+            k, sign = self.scan_pcc_branch(grid, spec)
+            r = spec.bus_map.pcc_mg
+            ire, iim = sign * sol.i_br_re[k], sign * sol.i_br_im[k]
+            dire, diim = sign * dibr_re[k], sign * dibr_im[k]
+            dpcc_p[m] = base * (dv_re[r] * ire + sol.v_re[r] * dire
+                                + dv_im[r] * iim + sol.v_im[r] * diim)
+            dpcc_q[m] = base * (dv_im[r] * ire + sol.v_im[r] * dire
+                                - dv_re[r] * iim - sol.v_re[r] * diim)
+        return dibr_re, dibr_im, dpcc_p, dpcc_q
+
+    def test_branch_and_pcc_sensitivities_match_loop(self):
+        from smaspl.gradients import (branch_and_pcc_sensitivities,
+                                      voltage_sensitivities)
+        from smaspl.microgrid import (find_pcc_branch, network_observables,
+                                      pcc_flow)
+        from smaspl.scenario import load_scenario
+
+        sc = load_scenario("scenarios/paper98.yaml")
+        grid, specs = sc.grid, sc.specs
+        irr, load = sc.profiles.window(40, 1)
+        actions = np.random.default_rng(13).uniform(0.0, 5.0, (len(specs), 6))
+        p, q = actions_to_injections(actions, load, irr, specs, grid.n_bus,
+                                     sc.host_loads)
+        sol = solve_power_flow(grid, p[0], q[0])
+        assert sol.converged
+        dv_re, dv_im = voltage_sensitivities(grid, sol, specs)
+        sens = branch_and_pcc_sensitivities(grid, sol, specs, dv_re, dv_im)
+        ref = self.loop_reference(grid, sol, specs, dv_re, dv_im)
+        for got, want in zip((sens.dibr_re, sens.dibr_im, sens.dpcc_p,
+                              sens.dpcc_q), ref):
+            assert np.array_equal(got, want)
+        obs = network_observables(grid, [sol], specs)
+        for m, spec in enumerate(specs):
+            assert find_pcc_branch(grid, spec) == \
+                self.scan_pcc_branch(grid, spec)
+            assert (obs.pcc_p[0, m], obs.pcc_q[0, m]) == \
+                pcc_flow(grid, sol, spec)
+
+    def test_exactly_singular_system_raises(self):
+        from smaspl.gradients import SensitivityError
+        # bus 1 hangs on a zero-admittance branch and carries no load, so
+        # the power flow converges at the flat start while its rows of
+        # the sensitivity system are exactly zero
+        grid = GridModel.from_branches(
+            [Bus(0, "slack"), Bus(1, "load")], [Branch(0, 1, 0.0, 0.0, 1.0)])
+        _, spec = tiny_mg_case()
+        spec = MicrogridSpec(
+            mg_id=0, dg=spec.dg, ess=spec.ess, pv=spec.pv, pcc=spec.pcc,
+            bus_map=BusMap(dg=1, ess=1, pv=1, load=1, pcc_mg=1, pcc_host=0))
+        sol = solve_power_flow(grid, [0.0, 0.0], [0.0, 0.0])
+        assert sol.converged
+        with pytest.raises(SensitivityError, match="singular"):
+            compute_step_sensitivities(grid, sol, [spec])
 
 
 class TestLocality:

@@ -14,6 +14,7 @@ from smaspl.grid import (
     build_admittance,
     grid_from_dict,
     load_grid_file,
+    power_flow_system_csc,
     power_flow_system_matrix,
     power_mismatch,
     solve_power_flow,
@@ -252,3 +253,55 @@ branches:
         }
         with pytest.raises(GridError, match="units"):
             grid_from_dict(data)
+
+
+class TestSparsePaths:
+    """The sparse system matrix and incidence algebra against dense and
+    per-branch loop references."""
+
+    @staticmethod
+    def grid98():
+        return load_grid_file("scenarios/grids/networked_98.yaml")
+
+    @pytest.mark.parametrize("which", ["98-bus", "two-bus"])
+    def test_csc_equals_dense_system_matrix(self, which):
+        g = self.grid98() if which == "98-bus" else two_bus()
+        rng = np.random.default_rng(11)
+        n = g.n_bus
+        points = [
+            (np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n)),
+            (rng.normal(size=n), rng.normal(size=n),
+             1.0 + 0.05 * rng.normal(size=n), 0.05 * rng.normal(size=n)),
+        ]
+        for p, q, v_re, v_im in points:
+            dense = power_flow_system_matrix(g, p, q, v_re, v_im)
+            sparse = power_flow_system_csc(g, p, q, v_re, v_im)
+            assert sparse.format == "csc"
+            assert np.array_equal(sparse.toarray(), dense)
+            s = g.slack
+            for k in (s, n + s):
+                assert sparse[k, k] == 1.0
+                assert sparse[[k], :].count_nonzero() == 1
+
+    def test_incidence_branch_currents_match_loop(self):
+        g = self.grid98()
+        rng = np.random.default_rng(12)
+        p_kw = np.abs(rng.normal(20.0, 5.0, g.n_bus))
+        sol = solve_power_flow(g, p_kw, 0.3 * p_kw)
+        assert sol.converged
+        v = sol.v_re + 1j * sol.v_im
+        loop = np.array([br.y * (v[br.from_bus] - v[br.to_bus])
+                         for br in g.branches])
+        assert np.array_equal(sol.i_br_re, loop.real)
+        assert np.array_equal(sol.i_br_im, loop.imag)
+
+    def test_exactly_singular_newton_step(self):
+        # bus 1 hangs on a zero-admittance branch: its rows of the system
+        # matrix are exactly zero, which SuperLU reports as singular
+        buses = [Bus(0, "slack"), Bus(1, "load"), Bus(2, "load")]
+        branches = (Branch(0, 1, 0.0, 0.0, 1.0),
+                    Branch.from_impedance(0, 2, 0.01, 0.01, 10.0))
+        g = GridModel.from_branches(buses, branches)
+        sol = solve_power_flow(g, [0.0, 0.0, 50.0], [0.0, 0.0, 20.0])
+        assert not sol.converged
+        assert sol.failure == "singular_jacobian"

@@ -19,7 +19,6 @@ from smaspl.policy import (
     gaussian_pdf_grad_mean,
     gaussian_pdf_grad_point,
     load_checkpoint,
-    mean_chain_factor,
     save_checkpoint,
 )
 
@@ -220,7 +219,6 @@ class TestChainFactors:
         # the composed level-set product -(df/da)^-1 (df/dmu), elementwise
         composed = -action_policy_reciprocal(a, mu, var) * \
             gaussian_pdf_grad_mean(a, mu, var)
-        assert np.allclose(composed, mean_chain_factor(a, mu, var), rtol=1e-12)
         assert np.allclose(composed, 1.0, rtol=1e-12)
 
     def test_cov_factor_matches_composition(self):

@@ -359,6 +359,78 @@ class TestEpisodeInvariants:
         assert factorization_count() == 4 * 4  # batch x window steps
 
 
+class TestBatchChain:
+    def test_batch_chain_matches_per_sample_loop(self):
+        from smaspl.microgrid import make_state_vector
+        from smaspl.policy import cov_chain_factor
+        from smaspl.training import _batch_gradients, _evaluate_sample
+        world = small_world(batch=6)
+        agents = build_agents(world)
+        irr, load = world.profiles.window(0, world.horizon)
+        states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
+        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+        rng = np.random.default_rng(21)
+        results = []
+        for _ in range(6):
+            draw = np.stack([ev.mu + np.sqrt(ev.sigma2)
+                             * rng.standard_normal(ev.mu.size)
+                             for ev in evals])
+            res = _evaluate_sample(world, draw, irr, load, np.zeros(2))
+            assert res is not None
+            results.append(res)
+        g, b, g_se = _batch_gradients(evals, results)
+        s = len(results)
+        for a, ev in enumerate(evals):
+            # reference: chain every sample, then average (unit mean
+            # factor).  Summing before chaining reorders the arithmetic, so
+            # entries agree to 1e-12 relative to the magnitude sum
+            # |J|^T |columns| they are computed from.
+            acc = 0.0
+            mag = 0.0
+            sq = 0.0
+            for res in results:
+                u = cov_chain_factor(res.actions[a], ev.mu, ev.sigma2)
+                cols_sig = res.cols[a] * u[:, None]
+                contrib = np.vstack([ev.jac_mu.T @ res.cols[a],
+                                     ev.jac_sigma2.T @ cols_sig])
+                acc = acc + contrib
+                mag = mag + np.vstack([
+                    np.abs(ev.jac_mu.T) @ np.abs(res.cols[a]),
+                    np.abs(ev.jac_sigma2.T) @ np.abs(cols_sig)])
+                sq = sq + contrib[:, 0] ** 2
+            acc = acc / s
+            mag = mag / s
+            var = np.maximum(sq / s - acc[:, 0] ** 2, 0.0)
+            assert np.all(np.abs(g[a] - acc[:, 0]) <= 1e-12 * mag[:, 0])
+            assert np.all(np.abs(b[a] - acc[:, 1:]) <= 1e-12 * mag[:, 1:])
+            # g_se^2 * S is the variance E[c^2] - E[c]^2, whose cancellation
+            # scales the error by E[c^2]
+            assert np.all(np.abs(g_se[a] ** 2 * s - var) <= 1e-12 * sq / s)
+
+    def test_abort_message_states_the_limit(self, monkeypatch):
+        import smaspl.training as training
+        from smaspl.grid import PowerFlowSolution
+        from smaspl.microgrid import make_state_vector
+        world = small_world(batch=2)
+        agents = build_agents(world)
+        irr, load = world.profiles.window(0, world.horizon)
+        states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
+        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+        n = world.grid.n_bus
+
+        def never_converges(grid, p, q, **kwargs):
+            z = np.zeros(n)
+            return PowerFlowSolution(z, z, z, z, z, z, converged=False,
+                                     iterations=50, failure="max_iterations")
+
+        monkeypatch.setattr(training, "solve_power_flow", never_converges)
+        with pytest.raises(training.EpisodeAborted,
+                           match=r"5 power-flow failures exceed the limit "
+                                 r"of max\(4, batch\) = 4"):
+            training._evaluate_batch(world, agents, evals, [0], irr, load,
+                                     np.zeros(2), training._Pool(0))
+
+
 class TestOnlineSelection:
     def test_fixed_seed_deterministic(self):
         world = small_world("tiny_oracle.yaml", batch=16)
