@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 validation failure
 (bad arguments, files, or scenario contents), 2 numerical failure
-(non-convergence, tolerance breach, refused dispatch).
+(non-convergence, tolerance breach, refused dispatch).  `main` maps
+the exception classes in VALIDATION_FAILURES and NUMERICAL_FAILURES
+to a one-line message and the matching code.
 
 Artifacts written by ``train``:
 
@@ -27,7 +29,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import yaml
 
+from .gradients import SensitivityError
 from .grid import GridError, solve_power_flow
 from .microgrid import (
     actions_to_injections,
@@ -42,6 +46,7 @@ from .scenario import ScenarioError, load_scenario
 from .training import (
     EpisodeAborted,
     EpisodeRecord,
+    ProjectionInfeasible,
     World,
     build_world,
     select_actions_online,
@@ -63,6 +68,12 @@ __all__ = [
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+# exception classes `main` maps to each nonzero exit code
+NUMERICAL_FAILURES = (EpisodeAborted, ProjectionInfeasible, SensitivityError,
+                      np.linalg.LinAlgError)
+VALIDATION_FAILURES = (ScenarioError, GridError, FileNotFoundError,
+                       ValueError, yaml.YAMLError)
 
 # serialized field order of one episodes.jsonl record
 EPISODE_FIELDS = (
@@ -424,12 +435,17 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ScenarioError, GridError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EpisodeAborted as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    # numerical classes first: LinAlgError is a ValueError subclass
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {_one_line(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except VALIDATION_FAILURES as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

@@ -263,6 +263,18 @@ class PolicyEval:
     jac_mu: np.ndarray       # (D, P_mu)
     jac_sigma2: np.ndarray   # (D, P_sigma)
 
+    def fisher_factor(self) -> np.ndarray:
+        """Rows F, (2D, P_mu + P_sigma), with F^T F the Fisher information.
+
+        The metric has rank at most 2D, so the trust region is evaluated
+        from these rows and the dense (P, P) matrix is never formed.
+        """
+        d, p_mu = self.jac_mu.shape
+        f = np.zeros((2 * d, p_mu + self.jac_sigma2.shape[1]))
+        f[:d, :p_mu] = np.sqrt(2.0 / self.sigma2)[:, None] * self.jac_mu
+        f[d:, p_mu:] = (np.sqrt(0.5) / self.sigma2)[:, None] * self.jac_sigma2
+        return f
+
 
 class GaussianPolicy:
     """Diagonal-covariance Gaussian policy over one agent's actions."""

@@ -18,7 +18,9 @@ seed because every reduction is carried out in agent/sample index order.
 
 from __future__ import annotations
 
+import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,6 +59,7 @@ __all__ = [
     "ProjectionInfeasible",
     "consensus_average",
     "primal_step",
+    "trust_quadratic",
     "project_local",
     "dual_step",
     "backtrack_bounds",
@@ -230,30 +233,46 @@ def primal_step(theta: np.ndarray, g: np.ndarray, b_global: np.ndarray,
     return theta - rho1 * (-g + b_global @ lam_bar)
 
 
+def trust_quadratic(factor: np.ndarray, d: np.ndarray) -> float:
+    """(1/2) d^T (F^T F + 1e-8 I) d from the metric's rows F, (k, P).
+
+    The ridge keeps the trust-region metric positive definite off the
+    (at most k-dimensional) span of the Fisher rows.
+    """
+    r = factor @ d
+    return 0.5 * float(r @ r + 1e-8 * (d @ d))
+
+
 def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
                   rows_b: np.ndarray, rows_c: np.ndarray,
-                  H: np.ndarray, delta: float, *, tol: float = 1e-6,
+                  factor: np.ndarray, delta: float, *, tol: float = 1e-6,
                   max_iter: int = 500, nu0: np.ndarray | None = None,
                   return_nu: bool = False):
-    """Project onto {b_m^T theta <= c_m} inside the H-metric trust region.
+    """Project onto {b_m^T theta <= c_m} inside the Fisher trust region.
 
+    The region is trust_quadratic(factor, theta - theta0) <= delta, i.e.
+    the metric H = F^T F + 1e-8 I given by its rows F = `factor`.
     Cyclic row corrections with multiplier memory (warm-startable via
-    nu0), followed by radial scaling into the ball
-    (1/2)(theta-theta0)^T H (theta-theta0) <= delta after each sweep.
+    nu0), followed by radial scaling into the ball after each sweep.
     Exact on a single halfspace, on a ball-only instance, and the
-    identity on already-feasible input.
+    identity on already-feasible input.  The sweeps read the rows of
+    `rows_b.T`; passing the transpose of a C-contiguous (m, P) array
+    spares the copy.
 
     Rows unreachable inside the trust region yield the stationary
     compromise on the ball boundary (the outer loop keeps shrinking the
     residual episode over episode); a violated row with a zero gradient
     is genuinely inconsistent and raises so the caller can escalate.
+    Running out of max_iter sweeps before either stopping rule fires
+    emits a RuntimeWarning.
     """
     theta = theta_bar.copy()
     m = rows_b.shape[1] if rows_b.size else 0
-    nu = np.zeros(m) if nu0 is None else nu0.copy()
+    rows = np.ascontiguousarray(rows_b.T)
+    nu = np.zeros(m) if nu0 is None else np.asarray(nu0, dtype=float)
     if nu.shape != (m,):
         raise ValueError("nu0 shape mismatch")
-    norms = np.einsum("pm,pm->m", rows_b, rows_b) if m else np.zeros(0)
+    norms = np.einsum("mp,mp->m", rows, rows) if m else np.zeros(0)
     scale = max(1.0, float(np.abs(rows_c).max())) if m else 1.0
     if m:
         dead = (norms < 1e-30) & (rows_c < -tol * scale)
@@ -261,37 +280,41 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
             raise ProjectionInfeasible(
                 f"{int(dead.sum())} local row(s) violated with zero gradient")
     if nu0 is not None and m:
-        theta = theta - rows_b @ nu
+        theta = theta - nu @ rows
 
-    def ball_excess(th):
-        d = th - theta0
-        return 0.5 * float(d @ (H @ d)) - delta
-
+    # the row sweep is sequential, so it runs on Python floats
+    live = [j for j in range(m) if norms[j] >= 1e-30]
+    row_list, norm_list, c_list = list(rows), norms.tolist(), rows_c.tolist()
+    nu_list = nu.tolist()
     prev = None
     for _ in range(max_iter):
         moved = 0.0
-        for j in range(m):
-            if norms[j] < 1e-30:
-                continue
-            r = float(rows_b[:, j] @ theta - rows_c[j])
-            step = max(-nu[j], r / norms[j])
+        for j in live:
+            r = float(row_list[j] @ theta) - c_list[j]
+            step = max(-nu_list[j], r / norm_list[j])
             if step != 0.0:
-                nu[j] += step
-                theta = theta - step * rows_b[:, j]
-                moved = max(moved, abs(step) * np.sqrt(norms[j]))
-        q = ball_excess(theta)
+                nu_list[j] += step
+                theta -= step * row_list[j]
+                moved = max(moved, abs(step) * math.sqrt(norm_list[j]))
+        d = theta - theta0
+        q = trust_quadratic(factor, d) - delta
         if q > 0:
-            d = theta - theta0
             shrink = np.sqrt(delta / (q + delta))
             theta = theta0 + d * shrink
             moved = max(moved, float(np.linalg.norm(d) * (1 - shrink)))
-        viol = float((rows_b.T @ theta - rows_c).max()) if m else 0.0
-        if moved <= tol and viol <= tol * scale and ball_excess(theta) <= tol:
+        # the scaling leaves theta on the ball up to rounding, so only the
+        # rows and the step size decide convergence
+        viol = float((rows @ theta - rows_c).max()) if m else 0.0
+        if moved <= tol and viol <= tol * scale:
             break
         if prev is not None and float(np.linalg.norm(theta - prev)) <= tol:
             break  # stationary compromise between rows and trust region
         prev = theta.copy()
-    return (theta, nu) if return_nu else theta
+    else:
+        warnings.warn(f"project_local: {max_iter} sweeps ended before "
+                      "either stopping rule fired", RuntimeWarning,
+                      stacklevel=2)
+    return (theta, np.array(nu_list)) if return_nu else theta
 
 
 def dual_step(lam_bar: np.ndarray, j0: np.ndarray, b_global: np.ndarray,
@@ -615,9 +638,14 @@ def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
-                fims, d_vec, global_idx, local_idx_per_agent, removed_mask,
+                factors, d_vec, global_idx, local_idx_per_agent, removed_mask,
                 pool: _Pool, log_lambda: bool):
-    """Stages II-V iterated to the parameter-change stopping rule."""
+    """Stages II-V iterated to the parameter-change stopping rule.
+
+    factors[a] holds the Fisher rows of agent a at the anchor (see
+    PolicyEval.fisher_factor).  The row algebra that stays fixed over
+    the iterations is formed once per agent here.
+    """
     cfg = world.cfg
     n = world.n_agents
     bus = LambdaBus(n)
@@ -625,6 +653,12 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     lambdas = lambdas0.copy()
     d_global = d_vec[global_idx]
     j0_global = batch.j_values[global_idx]
+    b_glob = [b[:, global_idx] for b in batch.b]
+    # local rows as C-contiguous (m, P) so the projection sweeps read rows
+    rows = [np.ascontiguousarray(b.T[li])
+            for b, li in zip(batch.b, local_idx_per_agent)]
+    rows_c = [d_vec[li] - batch.j_values[li] + r @ t0
+              for r, li, t0 in zip(rows, local_idx_per_agent, thetas0)]
     traj: list[np.ndarray] = []
     converged = False
     iterations = 0
@@ -637,18 +671,12 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
         lam_bar[:, removed_mask] = 0.0
 
         def agent_update(a):
-            g = batch.g[a]
-            b_glob = batch.b[a][:, global_idx]
-            theta_bar = primal_step(thetas[a], g, b_glob, lam_bar[a],
-                                    cfg.rho1)
-            li = local_idx_per_agent[a]
-            rows_b = batch.b[a][:, li]
-            rows_c = (d_vec[li] - batch.j_values[li]
-                      + rows_b.T @ thetas0[a])
-            theta_new, nu = project_local(theta_bar, thetas0[a], rows_b,
-                                          rows_c, fims[a], cfg.delta,
+            theta_bar = primal_step(thetas[a], batch.g[a], b_glob[a],
+                                    lam_bar[a], cfg.rho1)
+            theta_new, nu = project_local(theta_bar, thetas0[a], rows[a].T,
+                                          rows_c[a], factors[a], cfg.delta,
                                           nu0=nus[a], return_nu=True)
-            lam_new = dual_step(lam_bar[a], j0_global, b_glob, theta_new,
+            lam_new = dual_step(lam_bar[a], j0_global, b_glob[a], theta_new,
                                 thetas0[a], cfg.rho2, d_global)
             lam_new[removed_mask] = 0.0
             return theta_new, lam_new, nu
@@ -709,9 +737,8 @@ def train_episode(world: World, agents: list[GaussianPolicy],
             evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
             bat = _evaluate_batch(world, agents, evals, sample_tag,
                                   irr_truth, load_truth, prev_dg, pool)
-            fims = [ag.fisher(states[a]) + 1e-8 * np.eye(ag.n_params)
-                    for a, ag in enumerate(agents)]
-            out = _inner_loop(world, graph, anchor, lambdas0, bat, fims,
+            factors = [ev.fisher_factor() for ev in evals]
+            out = _inner_loop(world, graph, anchor, lambdas0, bat, factors,
                               d_work, global_idx, local_idx_per_agent,
                               removed_mask, pool, log_lambda)
             return bat, out
@@ -920,10 +947,9 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         batch = _evaluate_batch(world, agents, evals,
                                 [window_start, rounds], irr_truth,
                                 load_truth, prev_dg, pool)
-        fims = [ag.fisher(states[a]) + 1e-8 * np.eye(ag.n_params)
-                for a, ag in enumerate(agents)]
+        factors = [ev.fisher_factor() for ev in evals]
         thetas, lambdas, _, _, _ = _inner_loop(
-            world, graph, anchor, lambdas, batch, fims, d_work, global_idx,
+            world, graph, anchor, lambdas, batch, factors, d_work, global_idx,
             local_idx, removed_mask, pool, False)
         for a, ag in enumerate(agents):
             ag.set_theta(thetas[a])

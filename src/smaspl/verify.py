@@ -320,6 +320,7 @@ def audit_local_constraint_gradients(rng, trials=25, tol=1e-6,
                                            horizon, prev_dg=[0.0])
         base_vals = constraint_returns(actions, obs, [spec], table, gamma,
                                        prev_dg=[0.0])
+        trial_worst = (-1.0, None, 0.0, 0.0, 1.0)  # err, index, an, fd, scale
         for i in range(6 * horizon):
             up = actions.copy()
             up[0, i] += h
@@ -336,7 +337,9 @@ def audit_local_constraint_gradients(rng, trials=25, tol=1e-6,
                 scale = max(abs(fd), abs(base_vals[row.id]), 1.0)
                 err = abs(an - fd) / scale
                 worst = max(worst, err)
-        _record(dump, "local-constraint-gradients", done, 0.0, 0.0, 1.0)
+                if err > trial_worst[0]:
+                    trial_worst = (err, f"{row.id}:{i}", an, fd, scale)
+        _record(dump, "local-constraint-gradients", *trial_worst[1:])
     return AuditResult("local-constraint-gradients", tol, trials, worst)
 
 

@@ -3,8 +3,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from smaspl import cli
 from smaspl.cli import (
     EPISODE_FIELDS,
     EXIT_NUMERICAL,
@@ -14,8 +16,10 @@ from smaspl.cli import (
     main,
     read_episode_jsonl,
 )
+from smaspl.gradients import SensitivityError
 from smaspl.scenario import load_scenario
-from smaspl.training import build_world
+from smaspl.training import ProjectionInfeasible, build_world
+from smaspl.verify import run_all_audits
 
 TINY = "scenarios/tiny_oracle.yaml"
 
@@ -157,6 +161,15 @@ class TestVerify:
                            "finite_difference", "rel_error"]
         assert len(rows) > 6
 
+    def test_local_row_dump_is_the_worst_entry(self):
+        dump = []
+        results = run_all_audits(seed=0, trials_network=2, dump=dump)
+        family = "local-constraint-gradients"
+        worst = next(r.max_rel_err for r in results if r.family == family)
+        rows = [row for row in dump if row[0] == family]
+        assert len(rows) == 25  # one per trial
+        assert max(row[4] for row in rows) == worst
+
     def test_fault_injection_fails_audit(self):
         code = main(["verify-gradients", "--trials", "4",
                      "--inject-fault", "table3-qdg-sign"])
@@ -204,3 +217,29 @@ class TestBruteForce:
         world = self.world()
         with pytest.raises(ValueError, match="1..9"):
             brute_force_opf(world, grid_points={"p_dg": 12})
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc", [
+        ProjectionInfeasible("local rows admit no point"),
+        SensitivityError("singular sensitivity system"),
+        np.linalg.LinAlgError("singular\nmatrix"),
+    ], ids=lambda e: type(e).__name__)
+    def test_numerical_failure_exits_two(self, monkeypatch, capsys, exc):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_verify", fail)
+        assert main(["verify-gradients"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
+    def test_malformed_yaml_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("window: 4\nmgs: [1, 2\n")
+        code = main(["train", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

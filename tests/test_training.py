@@ -1,6 +1,7 @@
 """Consensus primal-dual stage tests and small training-loop contracts."""
 
 import json
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -22,6 +23,7 @@ from smaspl.training import (
     resolve_removed_rows,
     select_actions_online,
     train,
+    trust_quadratic,
 )
 
 
@@ -154,7 +156,53 @@ class TestPrimalStep:
                         np.zeros((2, 1)), np.zeros(1), 0.01)
 
 
+def dense_project_local(theta_bar, theta0, rows_b, rows_c, H, delta, *,
+                        tol=1e-6, max_iter=500, nu0=None):
+    """Projection with a dense (P, P) metric H: the reference that the
+    factored metric of `project_local` must reproduce."""
+    theta = theta_bar.copy()
+    m = rows_b.shape[1] if rows_b.size else 0
+    nu = np.zeros(m) if nu0 is None else nu0.copy()
+    norms = np.einsum("pm,pm->m", rows_b, rows_b) if m else np.zeros(0)
+    scale = max(1.0, float(np.abs(rows_c).max())) if m else 1.0
+    if nu0 is not None and m:
+        theta = theta - rows_b @ nu
+
+    def ball_excess(th):
+        d = th - theta0
+        return 0.5 * float(d @ (H @ d)) - delta
+
+    prev = None
+    for _ in range(max_iter):
+        moved = 0.0
+        for j in range(m):
+            if norms[j] < 1e-30:
+                continue
+            r = float(rows_b[:, j] @ theta - rows_c[j])
+            step = max(-nu[j], r / norms[j])
+            if step != 0.0:
+                nu[j] += step
+                theta = theta - step * rows_b[:, j]
+                moved = max(moved, abs(step) * np.sqrt(norms[j]))
+        q = ball_excess(theta)
+        if q > 0:
+            d = theta - theta0
+            shrink = np.sqrt(delta / (q + delta))
+            theta = theta0 + d * shrink
+            moved = max(moved, float(np.linalg.norm(d) * (1 - shrink)))
+        viol = float((rows_b.T @ theta - rows_c).max()) if m else 0.0
+        if moved <= tol and viol <= tol * scale and ball_excess(theta) <= tol:
+            break
+        if prev is not None and float(np.linalg.norm(theta - prev)) <= tol:
+            break
+        prev = theta.copy()
+    return theta, nu
+
+
 class TestProjection:
+    """The metric is passed by its rows F (H = F^T F); a diagonal H has
+    the factor diag(sqrt(h))."""
+
     def test_identity_when_feasible(self):
         theta_bar = np.array([0.1, 0.2])
         theta0 = np.zeros(2)
@@ -188,7 +236,7 @@ class TestProjection:
         theta0 = rng.normal(size=6)
         theta_bar = theta0 + rng.normal(size=6)
         out = project_local(theta_bar, theta0, rng.normal(size=(6, 3)),
-                            rng.normal(size=3), H, 0.01)
+                            rng.normal(size=3), np.sqrt(H), 0.01)
         q = 0.5 * (out - theta0) @ H @ (out - theta0)
         assert q <= 0.01 + 1e-8
 
@@ -196,6 +244,60 @@ class TestProjection:
         with pytest.raises(ProjectionInfeasible):
             project_local(np.zeros(2), np.zeros(2),
                           np.zeros((2, 1)), np.array([-1.0]), np.eye(2), 1.0)
+
+    def test_matches_dense_metric_oracle(self):
+        rng = np.random.default_rng(11)
+        p, m, k, delta = 60, 8, 12, 0.05
+        factor = rng.normal(size=(k, p))
+        H = factor.T @ factor + 1e-8 * np.eye(p)
+        theta0 = rng.normal(size=p)
+        theta_bar = theta0 + rng.normal(size=p)
+        rows_b = rng.normal(size=(p, m))
+        rows_c = rows_b.T @ theta_bar - rng.uniform(0.5, 2.0, m)
+        for nu0 in (None, rng.uniform(0.0, 0.05, m)):
+            out, nu = project_local(theta_bar, theta0, rows_b, rows_c, factor,
+                                    delta, nu0=nu0, return_nu=True)
+            ref, ref_nu = dense_project_local(theta_bar, theta0, rows_b,
+                                              rows_c, H, delta, nu0=nu0)
+            # both the ball and some rows bind at the oracle's answer
+            d = ref - theta0
+            assert 0.5 * d @ H @ d == pytest.approx(delta, rel=1e-9)
+            assert np.any(ref_nu > 0)
+            assert np.allclose(out, ref, rtol=0, atol=1e-10)
+            assert np.allclose(nu, ref_nu, rtol=0, atol=1e-10)
+
+    def test_sweep_cap_warns(self):
+        # two violated rows at 45 degrees: cyclic projection needs many
+        # sweeps, so one sweep ends with neither stopping rule met
+        rows_b = np.array([[1.0, 1.0], [0.0, 1.0]])
+        rows_c = np.array([-1.0, -1.0])
+        with pytest.warns(RuntimeWarning, match="1 sweeps"):
+            project_local(np.zeros(2), np.zeros(2), rows_b, rows_c,
+                          np.eye(2), 1e9, max_iter=1)
+
+    def test_closed_form_cases_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.test_identity_when_feasible()
+            self.test_single_halfspace_closed_form()
+            self.test_ball_only_closed_form()
+
+
+class TestTrustQuadratic:
+    def test_factored_form_equals_dense_fisher(self):
+        from smaspl.microgrid import make_state_vector
+        world = small_world()
+        ag = build_agents(world)[0]
+        assert ag.n_params == 1148
+        irr, load = world.profiles.window(0, world.horizon)
+        s = make_state_vector(irr[:, 0], load[:, 0])
+        factor = ag.evaluate(s).fisher_factor()
+        H = ag.fisher(s) + 1e-8 * np.eye(ag.n_params)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            d = rng.normal(scale=1e-2, size=ag.n_params)
+            assert trust_quadratic(factor, d) == pytest.approx(
+                0.5 * d @ H @ d, rel=1e-12, abs=0)
 
 
 class TestDualStep:
