@@ -12,10 +12,12 @@ from .grid import (
     Bus,
     GridModel,
     PowerFlowSolution,
+    PowerFlowStack,
     branch_current_magnitudes,
     build_admittance,
     load_grid_file,
     solve_power_flow,
+    solve_power_flow_stack,
 )
 from .microgrid import (
     BusMap,
@@ -61,9 +63,9 @@ from .verify import run_all_audits
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "Bus", "GridModel", "PowerFlowSolution",
+    "Branch", "Bus", "GridModel", "PowerFlowSolution", "PowerFlowStack",
     "branch_current_magnitudes", "build_admittance", "load_grid_file",
-    "solve_power_flow",
+    "solve_power_flow", "solve_power_flow_stack",
     "BusMap", "ConstraintSpec", "DGSpec", "ESSSpec", "MicrogridSpec",
     "PCCSpec", "PVSpec", "build_constraint_table", "constraint_returns",
     "fuel_consumption", "reward_return", "soc_trajectory",

@@ -19,19 +19,26 @@ shared by every constraint row and every agent.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .grid import GridModel, PowerFlowSolution, power_flow_system_csc
+from .grid import (
+    GridModel,
+    PowerFlowSolution,
+    PowerFlowStack,
+    power_flow_system_values,
+    solve_system_stack,
+    system_block_diagonal,
+)
 from .microgrid import (
     CONSTRAINT_NETWORK_KINDS,
     DT_HOURS,
+    ConstraintIndex,
     MicrogridSpec,
-    fuel_marginal,
     geometric_weights,
     pcc_branches,
+    spec_column,
 )
 from .policy import PolicyEval, cov_chain_factor
 
@@ -42,9 +49,12 @@ __all__ = [
     "voltage_sensitivities",
     "branch_and_pcc_sensitivities",
     "compute_step_sensitivities",
+    "step_sensitivity_stack",
     "local_constraint_gradients",
     "reward_action_gradients",
+    "reward_gradient_stack",
     "constraint_action_gradients",
+    "row_gradient_stack",
     "chain_sample_to_parameters",
     "chain_reward_samples",
     "factorization_count",
@@ -60,10 +70,10 @@ _fact_lock = threading.Lock()
 _fact_count = 0
 
 
-def _count_factorization():
+def _count_factorization(points: int = 1):
     global _fact_count
     with _fact_lock:
-        _fact_count += 1
+        _fact_count += points
 
 
 def factorization_count() -> int:
@@ -80,6 +90,23 @@ def reset_factorization_count() -> None:
 # Step 1: load-current partials per control
 # ---------------------------------------------------------------------------
 
+# each control's load-current partial is a sign times one of two bases
+# at its bus: "p" = (v_re, v_im) / |v|^2 and "q" = (v_im, -v_re) / |v|^2
+_CONTROL_PARTIAL = {
+    "p_dg": ("p", -1.0), "p_ch": ("p", 1.0), "p_dis": ("p", -1.0),
+    "q_dg": ("q", 1.0), "q_pv": ("q", 1.0), "q_ess": ("q", -1.0),
+}
+
+
+def _partial_bases(sol) -> dict:
+    v2 = sol.v_re ** 2 + sol.v_im ** 2
+    if np.any(v2 < 1e-8):
+        raise SensitivityError("zero-voltage bus in converged solution")
+    re_p = sol.v_re / v2
+    im_p = sol.v_im / v2
+    return {"p": (re_p, im_p), "q": (im_p, -re_p)}
+
+
 def injection_current_jacobian(sol: PowerFlowSolution) -> dict:
     """Per-bus partials of the load current w.r.t. each control (p.u./p.u.).
 
@@ -87,19 +114,9 @@ def injection_current_jacobian(sol: PowerFlowSolution) -> dict:
     the solution voltages.  At a flat bus (V = 1 + j0) the p_dg column is
     (-1, 0) and the q_dg column is (0, -1).
     """
-    v2 = sol.v_re ** 2 + sol.v_im ** 2
-    if np.any(v2 < 1e-8):
-        raise SensitivityError("zero-voltage bus in converged solution")
-    re_p = sol.v_re / v2
-    im_p = sol.v_im / v2
-    return {
-        "p_dg": (-re_p, -im_p),
-        "p_ch": (re_p, im_p),
-        "p_dis": (-re_p, -im_p),
-        "q_dg": (im_p, -re_p),
-        "q_pv": (im_p, -re_p),
-        "q_ess": (-im_p, re_p),
-    }
+    base = _partial_bases(sol)
+    return {control: (sign * base[kind][0], sign * base[kind][1])
+            for control, (kind, sign) in _CONTROL_PARTIAL.items()}
 
 
 _CONTROL_BUS = {
@@ -125,38 +142,52 @@ def voltage_sensitivities(grid: GridModel, sol: PowerFlowSolution,
     Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
     ...).  The 2n x 2n linearization is factorized once (sparse LU);
     slack rows are identity with zero right-hand side, pinning slack
-    sensitivities to zero.
+    sensitivities to zero.  The one-point case of
+    _voltage_sensitivity_stack.
     """
+    dv_re, dv_im = _voltage_sensitivity_stack(grid, PowerFlowStack.of([sol]),
+                                              specs)
+    return dv_re[0], dv_im[0]
+
+
+def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
+                               specs) -> tuple[np.ndarray, np.ndarray]:
+    """voltage_sensitivities of every point of pf, (B, n_bus, C) each:
+    one block-diagonal factorization, one multi-column solve.  Controls
+    whose partials share a basis and a bus share a right-hand side; the
+    solve is exactly odd, so their columns are signed copies."""
     n = grid.n_bus
-    cols = 6 * len(specs)
-    dI = injection_current_jacobian(sol)
-    rhs = np.zeros((2 * n, cols))
+    base = _partial_bases(pf)
+    shared: dict = {}           # (basis, bus) -> right-hand-side column
+    cols, signs = [], []
+    for spec in specs:
+        for control in CONTROL_ORDER:
+            kind, sign = _CONTROL_PARTIAL[control]
+            key = (kind, _control_bus(spec, control))
+            cols.append(shared.setdefault(key, len(shared)))
+            signs.append(sign)
+    rhs = np.zeros((len(pf), 2 * n, len(shared)))
     kw = 1.0 / grid.base_power_kva
-    for a, spec in enumerate(specs):
-        for c, control in enumerate(CONTROL_ORDER):
-            bus = _control_bus(spec, control)
-            dire, diim = dI[control]
-            col = 6 * a + c
-            rhs[bus, col] = dire[bus] * kw
-            rhs[n + bus, col] = diim[bus] * kw
-    J = power_flow_system_csc(grid, sol.p_load_pu, sol.q_load_pu,
-                              sol.v_re, sol.v_im)
+    for (kind, bus), col in shared.items():
+        d_re, d_im = base[kind]
+        rhs[:, bus, col] = d_re[:, bus] * kw
+        rhs[:, n + bus, col] = d_im[:, bus] * kw
     s = grid.slack
-    rhs[s, :] = 0.0
-    rhs[n + s, :] = 0.0
-    try:
-        lu = scipy.sparse.linalg.splu(J)
-    except RuntimeError as exc:  # SuperLU: factor is exactly singular
-        raise SensitivityError(_singular_message(J)) from exc
-    _count_factorization()
-    dv = lu.solve(-rhs)
-    if not np.all(np.isfinite(dv)):
-        raise SensitivityError(_singular_message(J))
-    return dv[:n, :], dv[n:, :]
+    rhs[:, s, :] = 0.0
+    rhs[:, n + s, :] = 0.0
+    values = power_flow_system_values(grid, pf.p_load_pu, pf.q_load_pu,
+                                      pf.v_re, pf.v_im)
+    x, solved = solve_system_stack(grid, values, -rhs)
+    _count_factorization(int(solved.sum()))
+    bad = ~solved | ~np.isfinite(x).all(axis=(1, 2))
+    if bad.any():
+        raise SensitivityError(_singular_message(grid, values[bad][:1]))
+    dv = x[:, :, cols] * np.array(signs)
+    return dv[:, :n], dv[:, n:]
 
 
-def _singular_message(J) -> str:
-    cond = np.linalg.cond(J.toarray())
+def _singular_message(grid: GridModel, values: np.ndarray) -> str:
+    cond = np.linalg.cond(system_block_diagonal(grid, values).toarray())
     return f"singular sensitivity system (cond={cond:.3e})"
 
 
@@ -169,7 +200,8 @@ class StepSensitivities:
     """All per-kW sensitivities at one operating point.
 
     Column c = 6*agent + control (CONTROL_ORDER).  dv_* are p.u./kW,
-    d_pcc_* are kW/kW (dimensionless).
+    d_pcc_* are kW/kW (dimensionless).  For a stack of operating points
+    every field carries the stack's leading axes.
     """
 
     dv_re: np.ndarray       # (n_bus, C)
@@ -181,6 +213,17 @@ class StepSensitivities:
     dpcc_p: np.ndarray      # (n_mg, C)
     dpcc_q: np.ndarray      # (n_mg, C)
 
+    def map(self, fn) -> "StepSensitivities":
+        """fn applied to every field."""
+        return StepSensitivities(*(fn(getattr(self, f.name))
+                                   for f in fields(self)))
+
+    @classmethod
+    def stack(cls, steps) -> "StepSensitivities":
+        """Per-step sensitivities as one stack with a leading step axis."""
+        return cls(*(np.stack([getattr(s, f.name) for s in steps])
+                     for f in fields(cls)))
+
 
 def branch_and_pcc_sensitivities(grid: GridModel, sol: PowerFlowSolution,
                                  specs, dv_re: np.ndarray,
@@ -188,61 +231,73 @@ def branch_and_pcc_sensitivities(grid: GridModel, sol: PowerFlowSolution,
     """Compose branch-current, magnitude, and PCC-flow sensitivities.
 
     Branch currents follow i_br = y_ij (v_i - v_j); magnitude gradients
-    of branches carrying |I| < 1e-9 p.u. are defined as zero.
+    of branches carrying |I| < 1e-9 p.u. are defined as zero.  The
+    one-point case of _branch_and_pcc_stack.
     """
+    sens = _branch_and_pcc_stack(grid, PowerFlowStack.of([sol]), specs,
+                                 dv_re[None], dv_im[None])
+    return sens.map(lambda x: x[0])
+
+
+def _branch_and_pcc_stack(grid: GridModel, pf: PowerFlowStack, specs,
+                          dv_re: np.ndarray,
+                          dv_im: np.ndarray) -> StepSensitivities:
+    """branch_and_pcc_sensitivities of every point of pf; dv_* are
+    (B, n_bus, C)."""
     f, t = grid.branch_from, grid.branch_to
     y_re = grid.branch_y.real[:, None]
     y_im = grid.branch_y.imag[:, None]
-    ddr = dv_re[f] - dv_re[t]
-    ddi = dv_im[f] - dv_im[t]
+    ddr = dv_re[:, f] - dv_re[:, t]
+    ddi = dv_im[:, f] - dv_im[:, t]
     dibr_re = y_re * ddr - y_im * ddi
     dibr_im = y_im * ddr + y_re * ddi
 
-    v_mag = np.maximum(sol.v_mag, 1e-12)
-    dv_mag = (sol.v_re[:, None] * dv_re + sol.v_im[:, None] * dv_im) / v_mag[:, None]
+    v_mag = np.maximum(pf.v_mag, 1e-12)
+    dv_mag = (pf.v_re[:, :, None] * dv_re
+              + pf.v_im[:, :, None] * dv_im) / v_mag[:, :, None]
 
-    i_mag = np.hypot(sol.i_br_re, sol.i_br_im)
+    i_mag = np.hypot(pf.i_br_re, pf.i_br_im)
     with np.errstate(invalid="ignore", divide="ignore"):
-        di_mag = (sol.i_br_re[:, None] * dibr_re
-                  + sol.i_br_im[:, None] * dibr_im) / i_mag[:, None]
-    di_mag[i_mag < 1e-9, :] = 0.0
+        di_mag = (pf.i_br_re[:, :, None] * dibr_re
+                  + pf.i_br_im[:, :, None] * dibr_im) / i_mag[:, :, None]
+    di_mag[i_mag < 1e-9] = 0.0
 
     k, sign, r = pcc_branches(grid, specs)
     base = grid.base_power_kva
-    ire = (sign * sol.i_br_re[k])[:, None]
-    iim = (sign * sol.i_br_im[k])[:, None]
-    dire = sign[:, None] * dibr_re[k]
-    diim = sign[:, None] * dibr_im[k]
-    v_re = sol.v_re[r][:, None]
-    v_im = sol.v_im[r][:, None]
-    dpcc_p = base * (dv_re[r] * ire + v_re * dire
-                     + dv_im[r] * iim + v_im * diim)
-    dpcc_q = base * (dv_im[r] * ire + v_im * dire
-                     - dv_re[r] * iim - v_re * diim)
+    ire = (sign * pf.i_br_re[:, k])[:, :, None]
+    iim = (sign * pf.i_br_im[:, k])[:, :, None]
+    dire = sign[:, None] * dibr_re[:, k]
+    diim = sign[:, None] * dibr_im[:, k]
+    v_re = pf.v_re[:, r][:, :, None]
+    v_im = pf.v_im[:, r][:, :, None]
+    dpcc_p = base * (dv_re[:, r] * ire + v_re * dire
+                     + dv_im[:, r] * iim + v_im * diim)
+    dpcc_q = base * (dv_im[:, r] * ire + v_im * dire
+                     - dv_re[:, r] * iim - v_re * diim)
     return StepSensitivities(dv_re, dv_im, dibr_re, dibr_im,
                              dv_mag, di_mag, dpcc_p, dpcc_q)
 
 
 def compute_step_sensitivities(grid: GridModel, sol: PowerFlowSolution,
                                specs) -> StepSensitivities:
-    """One factorization covering every control of every agent."""
-    dv_re, dv_im = voltage_sensitivities(grid, sol, specs)
-    return branch_and_pcc_sensitivities(grid, sol, specs, dv_re, dv_im)
+    """One factorization covering every control of every agent; the
+    one-point case of step_sensitivity_stack."""
+    return step_sensitivity_stack(grid, PowerFlowStack.of([sol]),
+                                  specs).map(lambda x: x[0])
+
+
+def step_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
+                           specs) -> StepSensitivities:
+    """Sensitivities of every (converged) point of pf, fields (B, ...),
+    from one block-diagonal factorization; counts one factorization per
+    point."""
+    dv_re, dv_im = _voltage_sensitivity_stack(grid, pf, specs)
+    return _branch_and_pcc_stack(grid, pf, specs, dv_re, dv_im)
 
 
 # ---------------------------------------------------------------------------
 # Action gradients of reward and constraint returns
 # ---------------------------------------------------------------------------
-
-def _per_agent_layout(vals_tc: np.ndarray, w: np.ndarray, n_mg: int,
-                      horizon: int) -> np.ndarray:
-    """(T, 6*n_mg) per-step column values -> (n_mg, 6T) control-major."""
-    scaled = vals_tc * w[:, None]
-    out = np.empty((n_mg, 6 * horizon))
-    for n in range(n_mg):
-        out[n] = scaled[:, 6 * n:6 * n + 6].T.reshape(-1)
-    return out
-
 
 def reward_action_gradients(sens_steps, actions, specs, gamma: float,
                             dt: float = DT_HOURS) -> np.ndarray:
@@ -250,20 +305,31 @@ def reward_action_gradients(sens_steps, actions, specs, gamma: float,
 
     Per step: discounted export income through the PCC-flow sensitivity
     minus the discounted marginal fuel cost on the own DG coordinate.
+    The one-sample case of reward_gradient_stack.
     """
-    n_mg = len(specs)
-    horizon = len(sens_steps)
+    sens = StepSensitivities.stack(sens_steps).map(lambda x: x[None])
+    return reward_gradient_stack(sens, np.asarray(actions)[None], specs,
+                                 gamma, dt)[0]
+
+
+def reward_gradient_stack(sens: StepSensitivities, actions, specs,
+                          gamma: float, dt: float = DT_HOURS) -> np.ndarray:
+    """reward_action_gradients of S samples at once: sens fields
+    (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T)."""
+    samples, horizon, n_mg = sens.dpcc_p.shape[:3]
     w = geometric_weights(gamma, horizon)
-    out = np.zeros((n_mg, 6 * horizon))
-    for n, spec in enumerate(specs):
-        pcc_tc = np.stack([s.dpcc_p[n] for s in sens_steps])  # (T, C)
-        own = _per_agent_layout(pcc_tc, w, n_mg, horizon)[n]
-        grad = spec.pcc.price_per_kwh * dt * own
-        p_dg = np.asarray(actions[n]).reshape(6, horizon)[0]
-        marg = np.array([fuel_marginal(p, spec) for p in p_dg])
-        grad[0:horizon] -= w * spec.dg.fuel_price * dt * marg
-        out[n] = grad
-    return out
+    agents = np.arange(n_mg)
+    # each agent's own PCC flow against its own six controls
+    own = sens.dpcc_p.reshape(samples, horizon, n_mg, n_mg, 6)[
+        :, :, agents, agents]                            # (S, T, N, 6)
+    laid = (own * w[:, None, None]).transpose(0, 2, 3, 1).reshape(
+        samples, n_mg, 6 * horizon)
+    grad = spec_column(specs, "pcc.price_per_kwh") * dt * laid
+    p_dg = np.asarray(actions, dtype=float)[..., :horizon]
+    marg = np.where(p_dg > 0, 2.0 * spec_column(specs, "dg.a_f") * p_dg
+                    + spec_column(specs, "dg.b_f"), 0.0)
+    grad[..., :horizon] -= w * spec_column(specs, "dg.fuel_price") * dt * marg
+    return grad
 
 
 def local_constraint_gradients(table, actions, specs, gamma: float,
@@ -275,58 +341,96 @@ def local_constraint_gradients(table, actions, specs, gamma: float,
     PCC rows are network quantities and are handled with the
     sensitivity-based rows instead.
     """
-    w = geometric_weights(gamma, horizon)
-    out = {}
-    specs_by_id = {s.mg_id: s for s in specs}
-    n_mg = len(specs)
-    for row in table:
-        if row.scope != "local" or row.kind in CONSTRAINT_NETWORK_KINDS:
+    rows = [r for r in table
+            if r.scope == "local" and r.kind not in CONSTRAINT_NETWORK_KINDS]
+    index = ConstraintIndex.of(rows)
+    actions = np.asarray(actions, dtype=float)[None]
+    out = np.empty((*actions.shape, index.n_rows))
+    _local_row_gradients(index, actions, specs,
+                         geometric_weights(gamma, horizon), dt, out)
+    return {rid: out[0, :, :, m] for m, rid in enumerate(index.ids)}
+
+
+def _local_row_gradients(index: ConstraintIndex, actions: np.ndarray, specs,
+                         w: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """Write the analytic gradients of index's action-driven local rows
+    into out (S, n_mg, 6T, M) at their table positions; each row is zero
+    off its own agent's controls."""
+    horizon = w.size
+    steps = np.arange(horizon)
+    direct = {"dg-p": 0, "ess-ch": 1, "ess-dis": 2, "dg-q": 3, "pv-q": 4,
+              "ess-q": 5}
+    ramp = w.copy()
+    ramp[:-1] -= w[1:]                       # d/dp_j sum_k w_k (p_k - p_k-1)
+    tail = np.cumsum(w[::-1])[::-1]          # sum_{k>=j} w_k
+    a = actions.reshape(actions.shape[0], actions.shape[1], 6, horizon)
+    for kind, (pos, mg, orient) in index.groups.items():
+        if kind in CONSTRAINT_NETWORK_KINDS:
             continue
-        g = np.zeros((n_mg, 6 * horizon))
-        m = row.mg_id
-        spec = specs_by_id[m]
-        o = float(row.orientation)
-        blk = np.asarray(actions[m]).reshape(6, horizon)
-        if row.kind == "dg-p":
-            g[m, 0:horizon] = o * w
-        elif row.kind == "dg-q":
-            g[m, 3 * horizon:4 * horizon] = o * w
-        elif row.kind == "dg-ramp":
-            # J = sum_k w_k (p_k - p_{k-1}); d/dp_j = w_j - w_{j+1}
-            grad = w.copy()
-            grad[:-1] -= w[1:]
-            g[m, 0:horizon] = o * grad
-        elif row.kind == "pv-q":
-            g[m, 4 * horizon:5 * horizon] = o * w
-        elif row.kind == "ess-ch":
-            g[m, horizon:2 * horizon] = o * w
-        elif row.kind == "ess-dis":
-            g[m, 2 * horizon:3 * horizon] = o * w
-        elif row.kind == "ess-q":
-            g[m, 5 * horizon:6 * horizon] = o * w
-        elif row.kind == "soc":
-            e = spec.ess
-            tail = np.cumsum(w[::-1])[::-1]  # sum_{k>=j} w_k
-            g[m, horizon:2 * horizon] = o * tail * dt * e.eta_ch / e.e_cap_kwh
-            g[m, 2 * horizon:3 * horizon] = -o * tail * dt / (e.eta_dis * e.e_cap_kwh)
-        elif row.kind == "ess-complementarity":
-            g[m, horizon:2 * horizon] = o * w * blk[2]
-            g[m, 2 * horizon:3 * horizon] = o * w * blk[1]
-        else:
-            raise ValueError(f"unhandled local constraint kind {row.kind!r}")
-        out[row.id] = g
-    return out
+        o = orient[:, None]
+        if kind in direct:
+            terms = [(direct[kind], o * w)]
+        elif kind == "dg-ramp":
+            terms = [(0, o * ramp)]
+        elif kind == "soc":
+            owners = [specs[m] for m in mg]
+            eta_ch, eta_dis, cap = (
+                spec_column(owners, path)
+                for path in ("ess.eta_ch", "ess.eta_dis", "ess.e_cap_kwh"))
+            terms = [(1, o * tail * dt * eta_ch / cap),
+                     (2, -o * tail * dt / (eta_dis * cap))]
+        else:                                # ess-complementarity
+            terms = [(1, o * w * a[:, mg, 2]), (2, o * w * a[:, mg, 1])]
+        out[..., pos] = 0.0
+        for control, value in terms:
+            out[:, mg[:, None], control * horizon + steps,
+                pos[:, None]] = value
 
 
-def _rows_layout(vals_rtc: np.ndarray, w: np.ndarray, n_mg: int,
-                 horizon: int) -> np.ndarray:
-    """(R, T, 6*n_mg) stacked row values -> (R, n_mg, 6T) control-major."""
-    scaled = vals_rtc * w[None, :, None]
-    r = scaled.shape[0]
-    out = np.empty((r, n_mg, 6 * horizon))
-    for n in range(n_mg):
-        blk = scaled[:, :, 6 * n:6 * n + 6]
-        out[:, n] = blk.transpose(0, 2, 1).reshape(r, -1)
+def _network_row_gradients(index: ConstraintIndex, sens: StepSensitivities,
+                           w: np.ndarray, out: np.ndarray) -> None:
+    """Write the gradients of index's voltage, branch-current and PCC rows
+    into out (S, n_mg, 6T, M): the sensitivity of each row's target at
+    each step, discounted and oriented, in control-major layout."""
+    sources = {"voltage": sens.dv_mag, "branch-current": sens.di_mag,
+               "pcc-p": sens.dpcc_p, "pcc-q": sens.dpcc_q}
+    samples, horizon = sens.dv_mag.shape[:2]
+    n_mg = out.shape[1]
+    for kind, (pos, target, orient) in index.groups.items():
+        if kind not in sources:
+            continue
+        src = sources[kind]
+        # (S, T, X, agent, control) -> (S, agent, control, T, X), then
+        # gather the rows' targets
+        by_control = src.reshape(samples, horizon, src.shape[2], n_mg,
+                                 6).transpose(0, 3, 4, 1, 2)
+        laid = np.take(by_control, target, axis=-1)
+        laid *= w[:, None] * orient
+        out[..., _span(pos)] = laid.reshape(samples, n_mg, 6 * horizon,
+                                            pos.size)
+
+
+def _span(pos: np.ndarray):
+    """pos as a slice when it is a run of consecutive positions (a plain
+    copy instead of a scatter), else pos itself."""
+    if pos.size and np.all(np.diff(pos) == 1):
+        return slice(int(pos[0]), int(pos[-1]) + 1)
+    return pos
+
+
+def row_gradient_stack(index: ConstraintIndex, sens: StepSensitivities,
+                       actions, specs, gamma: float, *,
+                       dt: float = DT_HOURS,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Action gradients of every row of index for S samples at once:
+    sens fields (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T, M),
+    written into out when given."""
+    actions = np.asarray(actions, dtype=float)
+    w = geometric_weights(gamma, sens.dv_mag.shape[1])
+    if out is None:
+        out = np.empty((*actions.shape, index.n_rows))
+    _network_row_gradients(index, sens, w, out)
+    _local_row_gradients(index, actions, specs, w, dt, out)
     return out
 
 
@@ -337,37 +441,13 @@ def constraint_action_gradients(table, sens_steps, actions, specs,
 
     Rows follow the table order.  Network rows (voltage, branch current,
     PCC transfer) come from the per-step sensitivities; the remaining
-    local rows are analytic in the actions.
+    local rows are analytic in the actions.  The one-sample case of
+    row_gradient_stack.
     """
-    horizon = len(sens_steps)
-    n_mg = len(specs)
-    w = geometric_weights(gamma, horizon)
-    local = local_constraint_gradients(table, actions, specs, gamma, horizon,
-                                       prev_dg=prev_dg, dt=dt)
-    v_mag = np.stack([s.dv_mag for s in sens_steps])    # (T, n_bus, C)
-    i_mag = np.stack([s.di_mag for s in sens_steps])    # (T, n_branch, C)
-    pcc_p = np.stack([s.dpcc_p for s in sens_steps])    # (T, n_mg, C)
-    pcc_q = np.stack([s.dpcc_q for s in sens_steps])
-    sources = {"voltage": v_mag, "branch-current": i_mag,
-               "pcc-p": pcc_p, "pcc-q": pcc_q}
-    out = np.empty((len(table), n_mg, 6 * horizon))
-    net_rows = [(m, row) for m, row in enumerate(table)
-                if row.id not in local]
-    if net_rows:
-        sel = np.stack([
-            sources[row.kind][:, row.target if row.target is not None
-                              else row.mg_id, :]
-            for _, row in net_rows
-        ])  # (R, T, C)
-        orient = np.array([row.orientation for _, row in net_rows],
-                          dtype=float)
-        laid = _rows_layout(sel, w, n_mg, horizon) * orient[:, None, None]
-        for j, (m, _) in enumerate(net_rows):
-            out[m] = laid[j]
-    for m, row in enumerate(table):
-        if row.id in local:
-            out[m] = local[row.id]
-    return out
+    sens = StepSensitivities.stack(sens_steps).map(lambda x: x[None])
+    out = row_gradient_stack(ConstraintIndex.of(table), sens,
+                             np.asarray(actions)[None], specs, gamma, dt=dt)
+    return np.moveaxis(out[0], -1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse
@@ -29,14 +29,19 @@ __all__ = [
     "Branch",
     "GridModel",
     "PowerFlowSolution",
+    "PowerFlowStack",
     "GridError",
     "build_admittance",
     "solve_power_flow",
+    "solve_power_flow_stack",
     "branch_current_magnitudes",
     "power_mismatch",
     "load_current_voltage_jacobian",
     "power_flow_system_matrix",
     "power_flow_system_csc",
+    "power_flow_system_values",
+    "system_block_diagonal",
+    "solve_system_stack",
     "load_grid_file",
     "grid_from_dict",
 ]
@@ -316,6 +321,75 @@ class PowerFlowSolution:
         return np.hypot(self.v_re, self.v_im)
 
 
+@dataclass
+class PowerFlowStack:
+    """Power-flow results of B operating points, point on the first axis.
+
+    Voltages, nodal currents and net loads are (B, n_bus), branch
+    currents (B, n_branch), converged and iterations (B,).
+    residuals[k, b] is point b's residual at Newton iterate k for
+    k < n_residuals[b] (NaN beyond); failure[b] is as in
+    PowerFlowSolution.
+    """
+
+    v_re: np.ndarray
+    v_im: np.ndarray
+    i_inj_re: np.ndarray
+    i_inj_im: np.ndarray
+    i_br_re: np.ndarray
+    i_br_im: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
+    n_residuals: np.ndarray
+    failure: list
+    p_load_pu: np.ndarray
+    q_load_pu: np.ndarray
+
+    def __len__(self) -> int:
+        return self.v_re.shape[0]
+
+    @property
+    def v_mag(self) -> np.ndarray:
+        return np.hypot(self.v_re, self.v_im)
+
+    def point(self, b: int) -> PowerFlowSolution:
+        """Point b as a PowerFlowSolution."""
+        return PowerFlowSolution(
+            v_re=self.v_re[b], v_im=self.v_im[b],
+            i_inj_re=self.i_inj_re[b], i_inj_im=self.i_inj_im[b],
+            i_br_re=self.i_br_re[b], i_br_im=self.i_br_im[b],
+            converged=bool(self.converged[b]),
+            iterations=int(self.iterations[b]),
+            residual_history=self.residuals[:self.n_residuals[b], b].tolist(),
+            failure=self.failure[b],
+            p_load_pu=self.p_load_pu[b], q_load_pu=self.q_load_pu[b],
+        )
+
+    def take(self, idx) -> "PowerFlowStack":
+        """The points idx, in that order, as a new stack."""
+        idx = np.asarray(idx, dtype=int)
+        per_point = {f.name: getattr(self, f.name)[idx] for f in fields(self)
+                     if f.name not in ("residuals", "failure")}
+        return PowerFlowStack(**per_point, residuals=self.residuals[:, idx],
+                              failure=[self.failure[b] for b in idx])
+
+    @classmethod
+    def of(cls, solutions) -> "PowerFlowStack":
+        """PowerFlowSolution objects, in order, as one stack."""
+        sols = list(solutions)
+        n_res = np.array([len(s.residual_history) for s in sols], dtype=int)
+        residuals = np.full((max(n_res, default=0), len(sols)), np.nan)
+        for b, s in enumerate(sols):
+            residuals[:n_res[b], b] = s.residual_history
+        per_point = {name: np.array([getattr(s, name) for s in sols])
+                     for name in ("v_re", "v_im", "i_inj_re", "i_inj_im",
+                                  "i_br_re", "i_br_im", "converged",
+                                  "iterations", "p_load_pu", "q_load_pu")}
+        return cls(**per_point, residuals=residuals, n_residuals=n_res,
+                   failure=[s.failure for s in sols])
+
+
 def load_current_voltage_jacobian(p, q, v_re, v_im):
     """Derivatives of the load current w.r.t. rectangular voltage, per bus.
 
@@ -356,28 +430,94 @@ def power_flow_system_matrix(grid: GridModel, p, q, v_re, v_im,
     return J
 
 
+def power_flow_system_values(grid: GridModel, p, q, v_re,
+                             v_im) -> np.ndarray:
+    """Values of B slack-pinned system matrices on the template pattern.
+
+    p, q, v_re, v_im are (B, n_bus); row b of the (B, nnz) result holds
+    the data of point b's matrix in the order of grid.system_template:
+    the template's values with the load partials added on the diagonals.
+    """
+    template, diag = grid.system_template
+    data = np.tile(template.data, (np.shape(p)[0], 1))
+    partials = load_current_voltage_jacobian(p, q, v_re, v_im)
+    for pos, d in zip(diag, partials):
+        data[:, pos] += d[:, grid.nonslack]
+    return data
+
+
+def system_block_diagonal(grid: GridModel,
+                          values: np.ndarray) -> scipy.sparse.csc_matrix:
+    """Block-diagonal CSC matrix of the (B, nnz) template values, block b
+    holding row b, built by tiling the template's pattern."""
+    template, _ = grid.system_template
+    blocks, nnz = values.shape
+    size = template.shape[0]
+    offset = np.arange(blocks)[:, None]
+    indices = (template.indices + size * offset).ravel()
+    indptr = np.append((template.indptr[:-1] + nnz * offset).ravel(),
+                       blocks * nnz)
+    return scipy.sparse.csc_matrix((values.ravel(), indices, indptr),
+                                   shape=(blocks * size, blocks * size))
+
+
 def power_flow_system_csc(grid: GridModel, p, q, v_re,
                           v_im) -> scipy.sparse.csc_matrix:
     """power_flow_system_matrix with slack pinning, as a sparse CSC matrix.
 
-    Only the load partials are computed per call and added onto a copy
-    of the grid's precomputed system_template; toarray() equals the
-    dense matrix exactly.
+    Only the load partials are computed per call and added onto the
+    grid's precomputed system_template; toarray() equals the dense
+    matrix exactly.
     """
-    template, diag = grid.system_template
-    J = template.copy()
-    partials = load_current_voltage_jacobian(p, q, v_re, v_im)
-    for pos, d in zip(diag, partials):
-        J.data[pos] += d[grid.nonslack]
-    return J
+    points = (np.asarray(x, dtype=float)[None] for x in (p, q, v_re, v_im))
+    return system_block_diagonal(grid, power_flow_system_values(grid,
+                                                                *points))
+
+
+def _splu(matrix):
+    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0.1)
+
+
+def solve_system_stack(grid: GridModel, values: np.ndarray,
+                       rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve B system matrices, given by their (B, nnz) template values,
+    with one SuperLU factorization of their block-diagonal matrix.
+
+    rhs is (B, 2n) or (B, 2n, k).  Returns the solutions, shaped like
+    rhs, and a (B,) mask of the solved blocks.  Only when SuperLU reports
+    the block-diagonal matrix exactly singular is every block factorized
+    on its own; the singular ones stay unsolved, with NaN solutions.
+    The matrices are structurally symmetric: minimum-degree ordering on
+    A^T + A with threshold pivoting (0.1, preferring the diagonal) keeps
+    about a third less fill than the column ordering.
+    """
+    blocks = values.shape[0]
+    size = grid.system_template[0].shape[0]
+    flat = rhs.reshape(blocks * size, -1)
+    solved = np.ones(blocks, dtype=bool)
+    try:
+        x = _splu(system_block_diagonal(grid, values)).solve(flat)
+    except RuntimeError:  # SuperLU: factor is exactly singular
+        x = np.full(flat.shape, np.nan)
+        for b in range(blocks):
+            rows = slice(b * size, (b + 1) * size)
+            try:
+                lu = _splu(system_block_diagonal(grid, values[b:b + 1]))
+            except RuntimeError:
+                solved[b] = False
+                continue
+            x[rows] = lu.solve(flat[rows])
+    return x.reshape(rhs.shape), solved
 
 
 def _branch_currents(grid: GridModel, v_re, v_im):
-    """(re, im) of y_ij (v_i - v_j) for every branch, in real arithmetic."""
+    """(re, im) of y_ij (v_i - v_j) for every branch, in real arithmetic;
+    the bus axis is the last one."""
     f, t = grid.branch_from, grid.branch_to
     y_re, y_im = grid.branch_y.real, grid.branch_y.imag
-    d_re = v_re[f] - v_re[t]
-    d_im = v_im[f] - v_im[t]
+    d_re = v_re[..., f] - v_re[..., t]
+    d_im = v_im[..., f] - v_im[..., t]
     return y_re * d_re - y_im * d_im, y_re * d_im + y_im * d_re
 
 
@@ -396,69 +536,101 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
     generation, in kW/kvar); slack entries are ignored.  Converged means
     the power-balance infinity norm over non-slack buses is <= tol (p.u.).
     Non-convergence is reported through the returned solution's failure
-    field together with the residual history, never by raising.  Each
-    Newton step is a sparse LU (SuperLU) solve of the system matrix.
+    field together with the residual history, never by raising.  This is
+    the one-point case of solve_power_flow_stack.
+    """
+    n = grid.n_bus
+    p = np.asarray(p_net_kw, dtype=float)
+    q = np.asarray(q_net_kvar, dtype=float)
+    if p.shape != (n,) or q.shape != (n,):
+        raise GridError(f"injection arrays must have shape ({n},)")
+    return solve_power_flow_stack(grid, p[None], q[None], tol=tol,
+                                  max_iter=max_iter).point(0)
+
+
+def _keep(mask, *arrays):
+    """The rows of each array where mask holds (the arrays themselves when
+    it holds everywhere)."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
+                           tol: float = 1e-8,
+                           max_iter: int = 50) -> PowerFlowStack:
+    """Newton solves of B operating points at once, each as in
+    solve_power_flow; p_net_kw/q_net_kvar are (B, n_bus).
+
+    Every iteration factorizes the system matrices of the points still
+    iterating as one block-diagonal sparse LU (SuperLU).  A point stops
+    on its own convergence or failure, so it takes the iterates it takes
+    alone; a point whose own matrix is exactly singular fails with
+    "singular_jacobian" and leaves the others iterating.
     """
     n = grid.n_bus
     s = grid.slack
-    p = grid.kw_to_pu(p_net_kw).copy()
-    q = grid.kw_to_pu(q_net_kvar).copy()
-    if p.shape != (n,) or q.shape != (n,):
-        raise GridError(f"injection arrays must have shape ({n},)")
-    p[s] = 0.0
-    q[s] = 0.0
+    p = grid.kw_to_pu(p_net_kw)
+    q = grid.kw_to_pu(q_net_kvar)
+    if p.ndim != 2 or p.shape[1] != n or q.shape != p.shape:
+        raise GridError(f"injection arrays must have shape (B, {n})")
+    p[:, s] = 0.0
+    q[:, s] = 0.0
 
-    v_re = np.ones(n)
-    v_im = np.zeros(n)
-    history: list[float] = []
-    converged = False
-    failure: str | None = None
-    iterations = 0
+    points = p.shape[0]
+    v_re = np.ones((points, n))
+    v_im = np.zeros((points, n))
+    residuals = np.full((max_iter + 1, points), np.nan)
+    n_residuals = np.zeros(points, dtype=int)
+    converged = np.zeros(points, dtype=bool)
+    iterations = np.zeros(points, dtype=int)
+    failure: list[str | None] = [None] * points
 
-    nonslack = grid.nonslack
+    def stop(idx, reason):
+        for b in idx:
+            failure[b] = reason
+
+    live = np.arange(points)    # points still iterating
     for it in range(max_iter + 1):
-        v2 = v_re ** 2 + v_im ** 2
-        if np.min(v2) < 0.04:
-            failure = "voltage_collapse"
-            break
-        v = v_re + 1j * v_im
-        yv = grid.y_bus @ v
-        s_miss = v * np.conj(yv) + (p + 1j * q)
-        resid = float(np.max(np.abs(s_miss[nonslack]))) if n > 1 else 0.0
-        history.append(resid)
-        if resid <= tol:
-            converged = True
-            break
+        rows = live if live.size < points else slice(None)
+        vr, vi, pl, ql = v_re[rows], v_im[rows], p[rows], q[rows]
+        v2 = vr ** 2 + vi ** 2
+        collapsed = v2.min(axis=1, initial=np.inf) < 0.04
+        stop(live[collapsed], "voltage_collapse")
+        live, vr, vi, pl, ql, v2 = _keep(~collapsed, live, vr, vi, pl, ql, v2)
+        v = vr + 1j * vi
+        yv = v @ grid.y_bus.T
+        s_miss = v * np.conj(yv) + (pl + 1j * ql)
+        resid = np.abs(s_miss[:, grid.nonslack]).max(axis=1, initial=0.0)
+        residuals[it, live] = resid
+        n_residuals[live] = it + 1
+        done = resid <= tol
+        converged[live[done]] = True
         if it == max_iter:
-            failure = "max_iterations"
+            stop(live[~done], "max_iterations")
             break
-        i_load_re = (p * v_re + q * v_im) / v2
-        i_load_im = (p * v_im - q * v_re) / v2
-        f_re = grid.y_re @ v_re - grid.y_im @ v_im + i_load_re
-        f_im = grid.y_im @ v_re + grid.y_re @ v_im + i_load_im
-        F = np.concatenate([f_re, f_im])
-        F[s] = 0.0
-        F[n + s] = 0.0
-        J = power_flow_system_csc(grid, p, q, v_re, v_im)
-        try:
-            dx = scipy.sparse.linalg.splu(J).solve(-F)
-        except RuntimeError:  # SuperLU: factor is exactly singular
-            failure = "singular_jacobian"
+        live, vr, vi, pl, ql, v2, yv = _keep(~done, live, vr, vi, pl, ql, v2,
+                                             yv)
+        if not live.size:
             break
-        v_re = v_re + dx[:n]
-        v_im = v_im + dx[n:]
-        iterations = it + 1
+        i_load_re = (pl * vr + ql * vi) / v2
+        i_load_im = (pl * vi - ql * vr) / v2
+        F = np.concatenate([yv.real + i_load_re, yv.imag + i_load_im], axis=1)
+        F[:, s] = 0.0
+        F[:, n + s] = 0.0
+        dx, solved = solve_system_stack(
+            grid, power_flow_system_values(grid, pl, ql, vr, vi), -F)
+        stop(live[~solved], "singular_jacobian")
+        live, vr, vi, dx = _keep(solved, live, vr, vi, dx)
+        v_re[live] = vr + dx[:, :n]
+        v_im[live] = vi + dx[:, n:]
+        iterations[live] = it + 1
 
-    v = v_re + 1j * v_im
-    i_inj = grid.y_bus @ v
+    i_inj = (v_re + 1j * v_im) @ grid.y_bus.T
     i_br_re, i_br_im = _branch_currents(grid, v_re, v_im)
-    return PowerFlowSolution(
-        v_re=v_re, v_im=v_im,
-        i_inj_re=i_inj.real, i_inj_im=i_inj.imag,
-        i_br_re=i_br_re, i_br_im=i_br_im,
-        converged=converged, iterations=iterations,
-        residual_history=history, failure=failure,
-        p_load_pu=p, q_load_pu=q,
+    return PowerFlowStack(
+        v_re=v_re, v_im=v_im, i_inj_re=i_inj.real, i_inj_im=i_inj.imag,
+        i_br_re=i_br_re, i_br_im=i_br_im, converged=converged,
+        iterations=iterations, residuals=residuals, n_residuals=n_residuals,
+        failure=failure, p_load_pu=p, q_load_pu=q,
     )
 
 

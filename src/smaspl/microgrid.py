@@ -19,11 +19,12 @@ Sign conventions (fixed across the package):
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridModel, PowerFlowSolution
+from .grid import GridModel, PowerFlowSolution, PowerFlowStack
 
 __all__ = [
     "CONTROLS",
@@ -34,6 +35,7 @@ __all__ = [
     "BusMap",
     "MicrogridSpec",
     "ConstraintSpec",
+    "ConstraintIndex",
     "Observables",
     "DT_HOURS",
     "action_index",
@@ -42,17 +44,18 @@ __all__ = [
     "make_state_vector",
     "check_action_vector",
     "fuel_consumption",
-    "running_fuel",
-    "fuel_marginal",
     "reward_return",
+    "reward_return_stack",
     "soc_trajectory",
     "build_constraint_table",
     "constraint_returns",
+    "constraint_return_stack",
     "actions_to_injections",
     "network_observables",
     "find_pcc_branch",
     "pcc_branches",
     "geometric_weights",
+    "spec_column",
     "write_constraint_report",
 ]
 
@@ -64,6 +67,12 @@ CONTROLS = ("p_dg", "p_ch", "p_dis", "q_dg", "q_pv", "q_ess")
 # directly from the owning agent's action vector
 CONSTRAINT_NETWORK_KINDS = frozenset(
     {"voltage", "branch-current", "pcc-p", "pcc-q"})
+
+# row kinds by scope; global rows target a bus or a branch, local rows
+# their microgrid
+GLOBAL_KINDS = ("voltage", "branch-current")
+LOCAL_KINDS = ("dg-p", "dg-q", "dg-ramp", "pv-q", "pcc-p", "pcc-q", "soc",
+               "ess-ch", "ess-dis", "ess-q", "ess-complementarity")
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,13 @@ def geometric_weights(gamma: float, horizon: int) -> np.ndarray:
     return gamma ** np.arange(horizon, dtype=float)
 
 
+def spec_column(specs, path: str) -> np.ndarray:
+    """One spec attribute (dotted path, e.g. "dg.a_f") of every
+    microgrid, as an (n_mg, 1) column."""
+    get = operator.attrgetter(path)
+    return np.array([get(s) for s in specs])[:, None]
+
+
 # ---------------------------------------------------------------------------
 # Costs and storage dynamics
 # ---------------------------------------------------------------------------
@@ -218,43 +234,44 @@ def fuel_consumption(p_dg: float, spec: MicrogridSpec) -> float:
     return d.a_f * p_dg ** 2 + d.b_f * p_dg + d.c_f
 
 
-def running_fuel(p_dg: float, spec: MicrogridSpec) -> float:
-    """Fuel burned in one step: zero when the unit is off (p <= 0)."""
-    if p_dg <= 0:
-        return 0.0
-    return fuel_consumption(p_dg, spec)
-
-
-def fuel_marginal(p_dg: float, spec: MicrogridSpec) -> float:
-    """d(running fuel)/dP; zero on the off side of the origin."""
-    if p_dg <= 0:
-        return 0.0
-    return 2.0 * spec.dg.a_f * p_dg + spec.dg.b_f
-
-
 def reward_return(actions: np.ndarray, pcc_power_kw, spec: MicrogridSpec,
                   gamma: float, dt: float = DT_HOURS) -> float:
     """Discounted net operating income over the window for one microgrid.
 
     Per step: export income price*P_pcc*dt minus fuel cost
-    fuel_price*F(P_dg)*dt, discounted by gamma^k.  Export positive.
+    fuel_price*F(P_dg)*dt, discounted by gamma^k.  Export positive.  The
+    one-microgrid case of reward_return_stack.
     """
     pcc = np.asarray(pcc_power_kw, dtype=float)
-    horizon = pcc.shape[0]
-    a = check_action_vector(actions, horizon)
-    p_dg = a[:horizon]
-    w = geometric_weights(gamma, horizon)
-    total = 0.0
-    for k in range(horizon):
-        income = spec.pcc.price_per_kwh * pcc[k] * dt
-        cost = spec.dg.fuel_price * running_fuel(p_dg[k], spec) * dt
-        total += w[k] * (income - cost)
-    return total
+    a = check_action_vector(actions, pcc.shape[0])
+    return float(reward_return_stack(a[None], pcc[:, None], [spec], gamma,
+                                     dt)[0])
+
+
+def reward_return_stack(actions, pcc_p, specs, gamma: float,
+                        dt: float = DT_HOURS) -> np.ndarray:
+    """reward_return of every microgrid at once.
+
+    actions (..., n_mg, 6T) and PCC exports pcc_p (..., T, n_mg) in kW
+    give the discounted returns (..., n_mg); a unit that is off (p <= 0)
+    burns no fuel.
+    """
+    actions = np.asarray(actions, dtype=float)
+    horizon = actions.shape[-1] // 6
+    p_dg = actions[..., :horizon]
+    fuel = np.where(p_dg > 0,
+                    spec_column(specs, "dg.a_f") * p_dg ** 2
+                    + spec_column(specs, "dg.b_f") * p_dg
+                    + spec_column(specs, "dg.c_f"), 0.0)
+    income = spec_column(specs, "pcc.price_per_kwh") \
+        * np.swapaxes(pcc_p, -1, -2) * dt
+    cost = spec_column(specs, "dg.fuel_price") * fuel * dt
+    return (geometric_weights(gamma, horizon) * (income - cost)).sum(axis=-1)
 
 
 def soc_trajectory(soc_init: float, p_ch, p_dis, spec: MicrogridSpec,
                    dt: float = DT_HOURS) -> np.ndarray:
-    """State of charge after each step of the window.
+    """State of charge after each step of the window (the last axis).
 
     SOC_k = SOC_{k-1} + dt*(P_ch*eta_ch - P_dis/eta_dis)/E_cap.  Bound
     violations are left to the constraint returns.
@@ -263,7 +280,7 @@ def soc_trajectory(soc_init: float, p_ch, p_dis, spec: MicrogridSpec,
     p_dis = np.asarray(p_dis, dtype=float)
     e = spec.ess
     delta = dt * (p_ch * e.eta_ch - p_dis / e.eta_dis) / e.e_cap_kwh
-    return soc_init + np.cumsum(delta)
+    return soc_init + np.cumsum(delta, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +307,42 @@ class ConstraintSpec:
 
     def window_bound(self, gamma: float, horizon: int) -> float:
         return self.bound * float(np.sum(geometric_weights(gamma, horizon)))
+
+
+@dataclass(frozen=True)
+class ConstraintIndex:
+    """A constraint table as index arrays, built once per table.
+
+    groups maps each row kind present to (pos, target, orientation):
+    the rows' positions in the table, the bus, branch or microgrid each
+    row reads, and its orientation (float).  Returns and row gradients
+    of a whole stack of samples are fancy-indexes of per-kind arrays.
+    """
+
+    ids: tuple
+    groups: dict
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def of(cls, rows) -> "ConstraintIndex":
+        members: dict = {}
+        for m, row in enumerate(rows):
+            kinds = GLOBAL_KINDS if row.scope == "global" else LOCAL_KINDS
+            if row.kind not in kinds:
+                raise ValueError(f"unknown {row.scope} constraint kind "
+                                 f"{row.kind!r}")
+            target = row.target if row.scope == "global" else row.mg_id
+            members.setdefault(row.kind, []).append(
+                (m, target, float(row.orientation)))
+        groups = {}
+        for kind, entries in members.items():
+            pos, target, orient = zip(*entries)
+            groups[kind] = (np.array(pos, dtype=int),
+                            np.array(target, dtype=int), np.array(orient))
+        return cls(tuple(r.id for r in rows), groups)
 
 
 def build_constraint_table(grid: GridModel, specs, *,
@@ -391,67 +444,65 @@ def pcc_flow(grid: GridModel, sol: PowerFlowSolution,
 
 
 def network_observables(grid: GridModel, solutions, specs) -> Observables:
-    horizon = len(solutions)
-    v_mag = np.empty((horizon, grid.n_bus))
-    i_mag = np.empty((horizon, grid.n_branch))
-    pcc_p = np.empty((horizon, len(specs)))
-    pcc_q = np.empty((horizon, len(specs)))
+    """Observables of one solution per step: a sequence of
+    PowerFlowSolution, or a PowerFlowStack whose points are the steps."""
+    pf = solutions if isinstance(solutions, PowerFlowStack) \
+        else PowerFlowStack.of(solutions)
     k, sign, r = pcc_branches(grid, specs)
-    for t, sol in enumerate(solutions):
-        v_mag[t] = sol.v_mag
-        i_mag[t] = np.hypot(sol.i_br_re, sol.i_br_im)
-        # pcc_flow for every microgrid at once
-        i_re = sign * sol.i_br_re[k]
-        i_im = sign * sol.i_br_im[k]
-        p = sol.v_re[r] * i_re + sol.v_im[r] * i_im
-        q = sol.v_im[r] * i_re - sol.v_re[r] * i_im
-        pcc_p[t] = p * grid.base_power_kva
-        pcc_q[t] = q * grid.base_power_kva
-    return Observables(v_mag, i_mag, pcc_p, pcc_q)
+    # pcc_flow for every step and microgrid at once
+    i_re = sign * pf.i_br_re[:, k]
+    i_im = sign * pf.i_br_im[:, k]
+    p = pf.v_re[:, r] * i_re + pf.v_im[:, r] * i_im
+    q = pf.v_im[:, r] * i_re - pf.v_re[:, r] * i_im
+    return Observables(pf.v_mag, np.hypot(pf.i_br_re, pf.i_br_im),
+                       p * grid.base_power_kva, q * grid.base_power_kva)
 
 
 # ---------------------------------------------------------------------------
 # Constraint returns
 # ---------------------------------------------------------------------------
 
-def _per_step_values(row: ConstraintSpec, actions: np.ndarray, obs: Observables,
-                     specs_by_id, horizon: int, prev_dg, dt: float) -> np.ndarray:
-    o = row.orientation
-    if row.scope == "global":
-        if row.kind == "voltage":
-            return o * obs.v_mag[:, row.target]
-        if row.kind == "branch-current":
-            return o * obs.i_mag[:, row.target]
-        raise ValueError(f"unknown global constraint kind {row.kind!r}")
+def _step_values(actions: np.ndarray, obs: Observables, specs, prev_dg,
+                 dt: float) -> dict:
+    """Per-step value of every constraint quantity of a stack of joint
+    actions (S, n_mg, 6T) and observables (S, T, ...): kind -> (S, X, T),
+    X running over buses, branches or microgrids as the kind targets."""
+    samples, n_mg, width = actions.shape
+    a = actions.reshape(samples, n_mg, 6, width // 6)
+    p_dg, p_ch, p_dis, q_dg, q_pv, q_ess = np.moveaxis(a, 2, 0)
+    prev = np.zeros(n_mg) if prev_dg is None \
+        else np.asarray(prev_dg, dtype=float)
 
-    spec = specs_by_id[row.mg_id]
-    a = actions[row.mg_id].reshape(6, horizon)
-    p_dg, p_ch, p_dis, q_dg, q_pv, q_ess = a
-    if row.kind == "dg-p":
-        return o * p_dg
-    if row.kind == "dg-q":
-        return o * q_dg
-    if row.kind == "dg-ramp":
-        prev = 0.0 if prev_dg is None else float(prev_dg[row.mg_id])
-        diffs = np.diff(np.concatenate([[prev], p_dg]))
-        return o * diffs
-    if row.kind == "pv-q":
-        return o * q_pv
-    if row.kind == "pcc-p":
-        return o * obs.pcc_p[:, row.mg_id]
-    if row.kind == "pcc-q":
-        return o * obs.pcc_q[:, row.mg_id]
-    if row.kind == "soc":
-        return o * soc_trajectory(spec.ess.soc_init, p_ch, p_dis, spec, dt)
-    if row.kind == "ess-ch":
-        return o * p_ch
-    if row.kind == "ess-dis":
-        return o * p_dis
-    if row.kind == "ess-q":
-        return o * q_ess
-    if row.kind == "ess-complementarity":
-        return o * p_ch * p_dis
-    raise ValueError(f"unknown constraint kind {row.kind!r}")
+    soc = np.stack([soc_trajectory(spec.ess.soc_init, p_ch[:, n],
+                                   p_dis[:, n], spec, dt)
+                    for n, spec in enumerate(specs)], axis=1)
+    return {
+        "voltage": obs.v_mag.swapaxes(1, 2),
+        "branch-current": obs.i_mag.swapaxes(1, 2),
+        "pcc-p": obs.pcc_p.swapaxes(1, 2),
+        "pcc-q": obs.pcc_q.swapaxes(1, 2),
+        "dg-p": p_dg, "dg-q": q_dg, "pv-q": q_pv,
+        "ess-ch": p_ch, "ess-dis": p_dis, "ess-q": q_ess,
+        "dg-ramp": np.diff(p_dg, axis=-1, prepend=np.broadcast_to(
+            prev[:, None], (samples, n_mg, 1))),
+        "soc": soc,
+        "ess-complementarity": p_ch * p_dis,
+    }
+
+
+def constraint_return_stack(index: ConstraintIndex, actions,
+                            obs: Observables, specs, gamma: float, *,
+                            prev_dg=None, dt: float = DT_HOURS) -> np.ndarray:
+    """Discounted window returns (S, M) of a stack of S joint actions
+    (S, n_mg, 6T) with their observables (fields (S, T, ...)), in the
+    row order of index."""
+    actions = np.asarray(actions, dtype=float)
+    w = geometric_weights(gamma, actions.shape[-1] // 6)
+    values = _step_values(actions, obs, specs, prev_dg, dt)
+    out = np.empty((actions.shape[0], index.n_rows))
+    for kind, (pos, target, orient) in index.groups.items():
+        out[:, pos] = (values[kind][:, target] * orient[:, None]) @ w
+    return out
 
 
 def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
@@ -461,11 +512,8 @@ def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
 
     actions: (n_mg, 6T) joint action matrix; obs from converged solutions.
     When ids is given, only those rows are evaluated (unknown ids rejected).
+    The one-sample case of constraint_return_stack.
     """
-    actions = np.asarray(actions, dtype=float)
-    horizon = actions.shape[1] // 6
-    specs_by_id = {s.mg_id: s for s in specs}
-    w = geometric_weights(gamma, horizon)
     rows = table
     if ids is not None:
         by_id = {r.id: r for r in table}
@@ -473,12 +521,12 @@ def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
         if missing:
             raise KeyError(f"unknown constraint id(s): {missing}")
         rows = [by_id[i] for i in ids]
-    out = {}
-    for row in rows:
-        vals = _per_step_values(row, actions, obs, specs_by_id, horizon,
-                                prev_dg, dt)
-        out[row.id] = float(w @ vals)
-    return out
+    index = ConstraintIndex.of(rows)
+    one = Observables(*(x[None] for x in (obs.v_mag, obs.i_mag, obs.pcc_p,
+                                          obs.pcc_q)))
+    values = constraint_return_stack(index, np.asarray(actions)[None], one,
+                                     specs, gamma, prev_dg=prev_dg, dt=dt)
+    return dict(zip(index.ids, values[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -491,30 +539,32 @@ def actions_to_injections(actions, load_kw, irradiance, specs, n_bus: int,
 
     load_kw/irradiance: (T, n_mg) forecast-free truths for the window.
     PV active output is irradiance * rating (not a control).  host_loads
-    is an optional {bus: (p_kw, q_kvar)} of static feeder loads.
+    is an optional {bus: (p_kw, q_kvar)} of static feeder loads.  A stack
+    of joint actions (..., n_mg, 6T) gives loads (..., T, n_bus).
     """
     actions = np.asarray(actions, dtype=float)
     load_kw = np.asarray(load_kw, dtype=float)
     irradiance = np.asarray(irradiance, dtype=float)
     horizon = load_kw.shape[0]
-    p = np.zeros((horizon, n_bus))
-    q = np.zeros((horizon, n_bus))
+    lead = actions.shape[:-2]
+    p = np.zeros((*lead, horizon, n_bus))
+    q = np.zeros((*lead, horizon, n_bus))
     if host_loads:
         for bus, (pk, qk) in host_loads.items():
-            p[:, bus] += pk
-            q[:, bus] += qk
+            p[..., bus] += pk
+            q[..., bus] += qk
     for j, spec in enumerate(specs):
-        a = actions[j].reshape(6, horizon)
-        p_dg, p_ch, p_dis, q_dg, q_pv, q_ess = a
+        a = actions[..., j, :].reshape(*lead, 6, horizon)
+        p_dg, p_ch, p_dis, q_dg, q_pv, q_ess = np.moveaxis(a, -2, 0)
         bm = spec.bus_map
-        p[:, bm.load] += load_kw[:, j]
-        q[:, bm.load] += spec.q_load_ratio * load_kw[:, j]
-        p[:, bm.dg] -= p_dg
-        q[:, bm.dg] += q_dg
-        p[:, bm.pv] -= irradiance[:, j] * spec.pv.p_rated_kw
-        q[:, bm.pv] += q_pv
-        p[:, bm.ess] += p_ch - p_dis
-        q[:, bm.ess] -= q_ess
+        p[..., bm.load] += load_kw[:, j]
+        q[..., bm.load] += spec.q_load_ratio * load_kw[:, j]
+        p[..., bm.dg] -= p_dg
+        q[..., bm.dg] += q_dg
+        p[..., bm.pv] -= irradiance[:, j] * spec.pv.p_rated_kw
+        q[..., bm.pv] += q_pv
+        p[..., bm.ess] += p_ch - p_dis
+        q[..., bm.ess] -= q_ess
     return p, q
 
 

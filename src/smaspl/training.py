@@ -22,26 +22,37 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridModel, solve_power_flow
+from .grid import GridModel, solve_power_flow, solve_power_flow_stack
 from .gradients import (
     chain_reward_samples,
     chain_sample_to_parameters,
+    reward_gradient_stack,
+    row_gradient_stack,
+    step_sensitivity_stack,
+)
+# one-sample views the batch no longer calls; the benchmark's tracer
+# (perfbench/tracing.py) still looks them up on this module
+from .gradients import (  # noqa: F401
     compute_step_sensitivities,
     constraint_action_gradients,
     reward_action_gradients,
 )
 from .microgrid import (
+    ConstraintIndex,
     MicrogridSpec,
+    Observables,
     actions_to_injections,
     build_constraint_table,
+    constraint_return_stack,
     constraint_returns,
     make_state_vector,
     network_observables,
     reward_return,
+    reward_return_stack,
     window_bounds,
 )
 from .policy import ActionScaling, GaussianPolicy, PolicyEval
@@ -379,14 +390,19 @@ class World:
     cfg: TrainerConfig
     forecast_error: object
     seed: int
+    index: ConstraintIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.index = ConstraintIndex.of(self.table)
 
     @property
     def n_agents(self) -> int:
         return len(self.specs)
 
     def window_start(self, episode: int) -> int:
+        """Episodes cycle through every start 0..n_steps - horizon."""
         span = self.profiles.n_steps - self.horizon
-        return episode % max(span, 1)
+        return episode % max(span + 1, 1)
 
     def bounds(self, row) -> float:
         return row.window_bound(self.cfg.gamma, self.horizon)
@@ -467,41 +483,57 @@ def resolve_removed_rows(table, tokens) -> set[str]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _SampleResult:
-    rewards: np.ndarray          # (N,)
-    j_values: np.ndarray         # (M,) in table order
-    cols: np.ndarray             # (N, 6T, M+1) action gradients: reward, rows
-    actions: np.ndarray          # (N, 6T) the joint draw
+class _DrawEval:
+    """A stack of joint draws evaluated at once; the arrays cover the
+    accepted draws only, in draw order."""
+
+    accepted: np.ndarray         # (S,) every step's power flow converged
+    actions: np.ndarray          # (A, N, 6T) the accepted draws
+    rewards: np.ndarray          # (A, N)
+    j_values: np.ndarray         # (A, M) in table order
+    cols: np.ndarray             # (A, N, 6T, M+1) gradients: reward, rows
 
 
-def _evaluate_sample(world: World, actions: np.ndarray, irr_truth,
-                     load_truth, prev_dg) -> _SampleResult | None:
-    """Physics, returns, and action-space gradient columns for one draw."""
-    p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
-                                 world.grid.n_bus, world.host_loads)
-    sols = []
-    for t in range(world.horizon):
-        sol = solve_power_flow(world.grid, p[t], q[t])
-        if not sol.converged:
-            return None
-        sols.append(sol)
-    obs = network_observables(world.grid, sols, world.specs)
+def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
+                    prev_dg) -> _DrawEval:
+    """Physics, returns and action-space gradient columns of S joint
+    draws (S, N, 6T): all S x T power flows as one stack, then one
+    sensitivity stack over the points of the accepted draws."""
+    samples, n, width = draws.shape
+    horizon, n_bus = world.horizon, world.grid.n_bus
+    p, q = actions_to_injections(draws, load_truth, irr_truth, world.specs,
+                                 n_bus, world.host_loads)
+    pf = solve_power_flow_stack(world.grid, p.reshape(-1, n_bus),
+                                q.reshape(-1, n_bus))
+    accepted = pf.converged.reshape(samples, horizon).all(axis=1)
+    actions = draws[accepted]
+    count = actions.shape[0]
+    m = len(world.table)
+    if not count:
+        return _DrawEval(accepted, actions, np.empty((0, n)),
+                         np.empty((0, m)), np.empty((0, n, width, m + 1)))
+    if count < samples:
+        pf = pf.take(np.flatnonzero(np.repeat(accepted, horizon)))
+
+    def per_sample(x):
+        return x.reshape(count, horizon, *x.shape[1:])
+
+    obs = network_observables(world.grid, pf, world.specs)
+    obs = Observables(*map(per_sample, (obs.v_mag, obs.i_mag, obs.pcc_p,
+                                        obs.pcc_q)))
     gamma, dt = world.cfg.gamma, world.cfg.dt
-    jc = constraint_returns(actions, obs, world.specs, world.table, gamma,
-                            prev_dg=prev_dg, dt=dt)
-    j_values = np.array([jc[r.id] for r in world.table])
-    rewards = np.array([
-        reward_return(actions[n], obs.pcc_p[:, n], spec, gamma, dt)
-        for n, spec in enumerate(world.specs)
-    ])
-    sens = [compute_step_sensitivities(world.sens_grid, sol, world.specs)
-            for sol in sols]
-    djr = reward_action_gradients(sens, actions, world.specs, gamma, dt)
-    djc = constraint_action_gradients(world.table, sens, actions,
-                                      world.specs, gamma, prev_dg=prev_dg,
-                                      dt=dt)
-    cols = np.concatenate([djr[:, :, None], djc.transpose(1, 2, 0)], axis=2)
-    return _SampleResult(rewards, j_values, cols, actions)
+    j_values = constraint_return_stack(world.index, actions, obs,
+                                       world.specs, gamma, prev_dg=prev_dg,
+                                       dt=dt)
+    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma, dt)
+    sens = step_sensitivity_stack(world.sens_grid, pf,
+                                  world.specs).map(per_sample)
+    cols = np.empty((count, n, width, m + 1))
+    cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma,
+                                         dt)
+    row_gradient_stack(world.index, sens, actions, world.specs, gamma, dt=dt,
+                       out=cols[..., 1:])
+    return _DrawEval(accepted, actions, rewards, j_values, cols)
 
 
 @dataclass
@@ -515,53 +547,59 @@ class _BatchEval:
 
 
 def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
-                    load_truth, prev_dg, pool: _Pool) -> _BatchEval:
+                    load_truth, prev_dg) -> _BatchEval:
     cfg = world.cfg
     n = world.n_agents
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
-    results: list[_SampleResult] = []
+    parts: list[_DrawEval] = []
+    count = 0
     discards = 0
     limit = max(4, cfg.batch)
-    while len(results) < cfg.batch:
-        need = cfg.batch - len(results)
+    while count < cfg.batch:
+        need = cfg.batch - count
         draws = np.empty((need, n, 6 * world.horizon))
         for a in range(n):
             mu, s2 = evals[a].mu, evals[a].sigma2
             draws[:, a, :] = mu[None, :] + np.sqrt(s2)[None, :] * \
                 rng.standard_normal((need, 6 * world.horizon))
-        outs = pool.map(
-            lambda s: _evaluate_sample(world, s, irr_truth, load_truth,
-                                       prev_dg), list(draws))
-        for r in outs:
-            if r is None:
+        part = _evaluate_draws(world, draws, irr_truth, load_truth, prev_dg)
+        for ok in part.accepted:
+            if not ok:
                 discards += 1
                 if discards > limit:
                     raise EpisodeAborted(
                         f"update {tag}: {discards} power-flow failures "
                         f"exceed the limit of max(4, batch) = {limit}")
-            else:
-                results.append(r)
-    g, b, g_se = _batch_gradients(evals, results)
-    j_values = np.mean(np.stack([r.j_values for r in results]), axis=0)
-    rewards = np.mean(np.stack([r.rewards for r in results]), axis=0)
-    return _BatchEval(g, b, j_values, rewards, discards, g_se)
+        count += part.actions.shape[0]
+        parts.append(part)
+    def joined(name):
+        arrays = [getattr(part, name) for part in parts]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    actions, rewards, j_values, cols = map(
+        joined, ("actions", "rewards", "j_values", "cols"))
+    g, b, g_se = _batch_gradients(evals, actions, cols)
+    return _BatchEval(g, b, j_values.mean(axis=0), rewards.mean(axis=0),
+                      discards, g_se)
 
 
-def _batch_gradients(evals: list[PolicyEval], results: list[_SampleResult]):
+def _batch_gradients(evals: list[PolicyEval], actions: np.ndarray,
+                     cols: np.ndarray):
     """Per agent: batch-mean reward gradient g (P,), row gradients b
-    (P, M), and the standard error of g, chained once per agent."""
+    (P, M), and the standard error of g, chained once per agent from the
+    accepted draws (S, N, 6T) and their gradient columns (S, N, 6T, M+1)."""
     g, b, g_se = [], [], []
     for a, ev in enumerate(evals):
-        acts = np.stack([r.actions[a] for r in results])    # (S, 6T)
-        cols = np.stack([r.cols[a] for r in results])       # (S, 6T, M+1)
-        mean = chain_sample_to_parameters(ev, acts, cols)
-        per_sample = chain_reward_samples(ev, acts, cols[:, :, 0])
+        acts = np.ascontiguousarray(actions[:, a])
+        mean = chain_sample_to_parameters(ev, acts, cols[:, a])
+        per_sample = chain_reward_samples(
+            ev, acts, np.ascontiguousarray(cols[:, a, :, 0]))
         var = np.maximum(np.mean(per_sample ** 2, axis=1) - mean[:, 0] ** 2,
                          0.0)
         g.append(mean[:, 0])
         b.append(mean[:, 1:])
-        g_se.append(np.sqrt(var / len(results)))
+        g_se.append(np.sqrt(var / actions.shape[0]))
     return g, b, g_se
 
 
@@ -619,14 +657,16 @@ def _dispatch_actions_mean(agents, states, horizon) -> np.ndarray:
 
 def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
                removed: set[str]):
-    """Power-flow-engine verdict on the window returns of a joint action."""
+    """Power-flow-engine verdict on the window returns of a joint action:
+    (returns by row id, violated row ids, observables), all None when a
+    power flow does not converge."""
     p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
                                  world.grid.n_bus, world.host_loads)
     sols = []
     for t in range(world.horizon):
         sol = solve_power_flow(world.grid, p[t], q[t])
         if not sol.converged:
-            return None, None
+            return None, None, None
         sols.append(sol)
     obs = network_observables(world.grid, sols, world.specs)
     jc = constraint_returns(actions, obs, world.specs, world.table,
@@ -634,7 +674,7 @@ def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
     violated = [r.id for r in world.table
                 if r.id not in removed
                 and jc[r.id] > world.bounds(r) + 1e-9]
-    return jc, violated
+    return jc, violated, obs
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
@@ -736,7 +776,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
                 ag.set_theta(anchor[a])
             evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
             bat = _evaluate_batch(world, agents, evals, sample_tag,
-                                  irr_truth, load_truth, prev_dg, pool)
+                                  irr_truth, load_truth, prev_dg)
             factors = [ev.fisher_factor() for ev in evals]
             out = _inner_loop(world, graph, anchor, lambdas0, bat, factors,
                               d_work, global_idx, local_idx_per_agent,
@@ -749,52 +789,44 @@ def train_episode(world: World, agents: list[GaussianPolicy],
             thetas0, lambdas, d_vec, [episode])
 
         # power-flow-engine gate with bound tightening on violated rows;
-        # each tightening round re-anchors at the freshly updated policies
+        # each tightening round re-anchors at the freshly updated policies.
+        # The last check ran on the final policies: its returns and
+        # observables are the dispatch record.
         rounds = 0
         verdict = "clean"
-        if backtracking:
-            d_work = d_vec.copy()
-            while True:
-                for a, ag in enumerate(agents):
-                    ag.set_theta(thetas[a])
-                mean_actions = _dispatch_actions_mean(agents, states, world.horizon)
-                jc_disp, violated = _pfe_check(world, mean_actions, irr_truth,
-                                               load_truth, prev_dg, removed)
-                if jc_disp is None:
-                    verdict = "pf-failure"
-                    break
-                if not violated:
-                    verdict = "clean" if rounds == 0 else "restored"
-                    break
-                if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
-                    verdict = "violated:" + ",".join(sorted(violated))
-                    break
-                rounds += 1
-                idx = [i for i, r in enumerate(table) if r.id in violated]
-                d_work = backtrack_bounds(d_work, idx, cfg.tau)
-                _, (thetas, lambdas, it2, conv2, traj2) = anchored_update(
-                    [t.copy() for t in thetas], lambdas, d_work,
-                    [episode, rounds])
-                iters += it2
-                converged = conv2
-                if log_lambda:
-                    traj.extend(traj2)
+        d_work = d_vec.copy()
+        while True:
+            for a, ag in enumerate(agents):
+                ag.set_theta(thetas[a])
+            mean_actions = _dispatch_actions_mean(agents, states, world.horizon)
+            jc_disp, violated, obs_disp = _pfe_check(
+                world, mean_actions, irr_truth, load_truth, prev_dg, removed)
+            if not backtracking:
+                break
+            if jc_disp is None:
+                verdict = "pf-failure"
+                break
+            if not violated:
+                verdict = "clean" if rounds == 0 else "restored"
+                break
+            if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
+                verdict = "violated:" + ",".join(sorted(violated))
+                break
+            rounds += 1
+            idx = [i for i, r in enumerate(table) if r.id in violated]
+            d_work = backtrack_bounds(d_work, idx, cfg.tau)
+            _, (thetas, lambdas, it2, conv2, traj2) = anchored_update(
+                [t.copy() for t in thetas], lambdas, d_work,
+                [episode, rounds])
+            iters += it2
+            converged = conv2
+            if log_lambda:
+                traj.extend(traj2)
 
-        for a, ag in enumerate(agents):
-            ag.set_theta(thetas[a])
-        mean_actions = _dispatch_actions_mean(agents, states, world.horizon)
-        jc_disp, _ = _pfe_check(world, mean_actions, irr_truth, load_truth,
-                                prev_dg, removed)
         disp_rewards = [float("nan")] * n
         if jc_disp is not None:
-            p, q = actions_to_injections(mean_actions, load_truth, irr_truth,
-                                         world.specs, world.grid.n_bus,
-                                         world.host_loads)
-            sols = [solve_power_flow(world.grid, p[t], q[t])
-                    for t in range(world.horizon)]
-            obs = network_observables(world.grid, sols, world.specs)
             disp_rewards = [
-                float(reward_return(mean_actions[a], obs.pcc_p[:, a],
+                float(reward_return(mean_actions[a], obs_disp.pcc_p[:, a],
                                     world.specs[a], cfg.gamma, cfg.dt))
                 for a in range(n)
             ]
@@ -915,8 +947,8 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         return postprocess_complementarity(acts, world.horizon)
 
     actions = draw_actions()
-    jc, violated = _pfe_check(world, actions, irr_truth, load_truth, prev_dg,
-                              removed)
+    jc, violated, _ = _pfe_check(world, actions, irr_truth, load_truth,
+                                 prev_dg, removed)
     if jc is None:
         raise EpisodeAborted("dispatch refused: power flow did not converge")
     if not violated or not backtracking:
@@ -946,7 +978,7 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
         batch = _evaluate_batch(world, agents, evals,
                                 [window_start, rounds], irr_truth,
-                                load_truth, prev_dg, pool)
+                                load_truth, prev_dg)
         factors = [ev.fisher_factor() for ev in evals]
         thetas, lambdas, _, _, _ = _inner_loop(
             world, graph, anchor, lambdas, batch, factors, d_work, global_idx,
@@ -954,8 +986,8 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         for a, ag in enumerate(agents):
             ag.set_theta(thetas[a])
         actions = draw_actions()
-        jc, violated = _pfe_check(world, actions, irr_truth, load_truth,
-                                  prev_dg, removed)
+        jc, violated, _ = _pfe_check(world, actions, irr_truth, load_truth,
+                                     prev_dg, removed)
         if jc is None:
             raise EpisodeAborted(
                 "dispatch refused: power flow did not converge")

@@ -322,7 +322,8 @@ class TestWindowRowGradients:
         irr = np.full((T, 1), 0.4)
         table = [r for r in build_constraint_table(grid, [spec])
                  if r.id in ("v_hi[3]", "i_hi[1]", "mg0.pcc_p_hi",
-                             "mg0.pcc_q_hi")]
+                             "mg0.pcc_q_hi", "v_lo[3]", "i_lo[1]",
+                             "mg0.pcc_p_lo", "mg0.pcc_q_lo")]
 
         def evaluate(a):
             p, q = actions_to_injections(a, load, irr, [spec], 4)
@@ -379,7 +380,7 @@ class TestBundleEndToEnd:
         from smaspl.microgrid import (constraint_returns, make_state_vector,
                                       network_observables, reward_return)
         from smaspl.scenario import load_scenario
-        from smaspl.training import (_batch_gradients, _evaluate_sample,
+        from smaspl.training import (_batch_gradients, _evaluate_draws,
                                      build_agents, build_world)
 
         sc = load_scenario("scenarios/tiny_oracle.yaml")
@@ -417,10 +418,10 @@ class TestBundleEndToEnd:
         ev0 = agent.evaluate(state)
         acts0 = ev0.mu[None, :] + np.sqrt(ev0.sigma2)[None, :] * eps
         p_mu = agent.mean_net.n_params
-        # the trainer's path: per-sample action columns, then one batch chain
-        results = [_evaluate_sample(world, a[None, :], irr, load, np.zeros(1))
-                   for a in acts0]
-        g_all, b_all, _ = _batch_gradients([ev0], results)
+        # the trainer's path: stacked action columns, then one batch chain
+        res = _evaluate_draws(world, acts0[:, None, :], irr, load, np.zeros(1))
+        assert res.accepted.all()
+        g_all, b_all, _ = _batch_gradients([ev0], res.actions, res.cols)
         g = g_all[0][:p_mu]
         b = b_all[0][:p_mu, m_row]
 
@@ -556,3 +557,47 @@ class TestFullAudit:
                              fault="table3-qdg-sign")
         by_family = {r.family: r for r in res}
         assert not by_family["injection-jacobian"].passed
+
+
+class TestStackedSensitivities:
+    """step_sensitivity_stack against a loop of one-point factorizations."""
+
+    def test_stack_matches_one_point_sensitivities(self):
+        from smaspl.grid import PowerFlowStack
+        from smaspl.gradients import step_sensitivity_stack
+        from smaspl.scenario import load_scenario
+
+        sc = load_scenario("scenarios/paper98.yaml")
+        grid, specs = sc.grid, sc.specs
+        irr, load = sc.profiles.window(40, 3)
+        actions = np.random.default_rng(17).uniform(0.0, 5.0,
+                                                    (len(specs), 18))
+        p, q = actions_to_injections(actions, load, irr, specs, grid.n_bus,
+                                     sc.host_loads)
+        sols = [solve_power_flow(grid, p[t], q[t]) for t in range(3)]
+        assert all(s.converged for s in sols)
+        reset_factorization_count()
+        stack = step_sensitivity_stack(grid, PowerFlowStack.of(sols), specs)
+        assert factorization_count() == 3
+        for t, sol in enumerate(sols):
+            one = compute_step_sensitivities(grid, sol, specs)
+            for name in ("dv_re", "dv_im", "dibr_re", "dibr_im", "dv_mag",
+                         "di_mag", "dpcc_p", "dpcc_q"):
+                want = getattr(one, name)
+                np.testing.assert_allclose(getattr(stack, name)[t], want,
+                                           rtol=1e-10,
+                                           atol=1e-12 * np.abs(want).max())
+
+    def test_exactly_singular_point_raises(self):
+        from smaspl.gradients import SensitivityError, step_sensitivity_stack
+        from smaspl.grid import PowerFlowStack
+        grid = GridModel.from_branches(
+            [Bus(0, "slack"), Bus(1, "load")], [Branch(0, 1, 0.0, 0.0, 1.0)])
+        _, spec = tiny_mg_case()
+        spec = MicrogridSpec(
+            mg_id=0, dg=spec.dg, ess=spec.ess, pv=spec.pv, pcc=spec.pcc,
+            bus_map=BusMap(dg=1, ess=1, pv=1, load=1, pcc_mg=1, pcc_host=0))
+        sol = solve_power_flow(grid, [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(SensitivityError, match="singular"):
+            step_sensitivity_stack(grid, PowerFlowStack.of([sol, sol]),
+                                   [spec])

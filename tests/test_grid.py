@@ -305,3 +305,60 @@ class TestSparsePaths:
         sol = solve_power_flow(g, [0.0, 0.0, 50.0], [0.0, 0.0, 20.0])
         assert not sol.converged
         assert sol.failure == "singular_jacobian"
+
+
+class TestStackedNewton:
+    """solve_power_flow_stack against a loop of one-point solves."""
+
+    @staticmethod
+    def assert_same_points(g, p, q):
+        from smaspl.grid import solve_power_flow_stack
+        stack = solve_power_flow_stack(g, p, q)
+        assert len(stack) == len(p)
+        for b in range(len(p)):
+            one = solve_power_flow(g, p[b], q[b])
+            got = stack.point(b)
+            assert got.converged == one.converged
+            assert got.iterations == one.iterations
+            assert got.failure == one.failure
+            assert len(got.residual_history) == len(one.residual_history)
+            # residuals near convergence are rounding noise
+            np.testing.assert_allclose(got.residual_history,
+                                       one.residual_history, rtol=1e-6,
+                                       atol=1e-10)
+            if one.converged:
+                for name in ("v_re", "v_im", "i_br_re", "i_br_im"):
+                    np.testing.assert_allclose(getattr(got, name),
+                                               getattr(one, name),
+                                               rtol=1e-10, atol=1e-14)
+        return stack
+
+    def test_mixed_stack_matches_one_point_solves(self):
+        g = load_grid_file("scenarios/grids/networked_98.yaml")
+        rng = np.random.default_rng(31)
+        p = np.abs(rng.normal(20.0, 5.0, (6, g.n_bus)))
+        q = 0.3 * p
+        p[2] *= 400.0                       # far beyond the feeder's capacity
+        stack = self.assert_same_points(g, p, q)
+        assert not stack.converged[2]
+        assert stack.converged[[0, 1, 3, 4, 5]].all()
+        assert len({int(i) for i in stack.iterations}) >= 2
+
+    def test_exactly_singular_block_fails_only_its_point(self):
+        # at the flat start the column of v_re[1] is
+        # (G - p, B + q) = (0.5 - p, -0.25 + q) in p.u.: exactly zero at
+        # 50 kW / 25 kvar on a 100 kVA base
+        buses = [Bus(0, "slack"), Bus(1, "load")]
+        g = GridModel.from_branches(buses, [Branch(0, 1, 0.5, -0.25, 10.0)])
+        p = np.array([[0.0, 5.0], [0.0, 50.0], [0.0, 10.0]])
+        q = np.array([[0.0, 2.0], [0.0, 25.0], [0.0, 4.0]])
+        stack = self.assert_same_points(g, p, q)
+        assert stack.failure == [None, "singular_jacobian", None]
+        assert stack.converged.tolist() == [True, False, True]
+        assert stack.iterations[1] == 0 and stack.iterations[0] > 0
+
+    def test_shape_is_checked(self):
+        from smaspl.grid import solve_power_flow_stack
+        g = two_bus()
+        with pytest.raises(GridError, match="shape"):
+            solve_power_flow_stack(g, np.zeros(2), np.zeros(2))

@@ -234,6 +234,62 @@ class TestConstraintReturns:
         assert cold["mg0.dg_ramp_up"] == pytest.approx(10.0)
 
 
+def per_row_returns(actions, obs, specs, table, gamma, prev_dg, dt=0.25):
+    """Reference: every row's per-step values one row at a time."""
+    horizon = actions.shape[1] // 6
+    w = geometric_weights(gamma, horizon)
+    out = {}
+    for row in table:
+        o = row.orientation
+        a = actions[row.mg_id].reshape(6, horizon) if row.mg_id is not None \
+            else None
+        if row.kind == "voltage":
+            vals = o * obs.v_mag[:, row.target]
+        elif row.kind == "branch-current":
+            vals = o * obs.i_mag[:, row.target]
+        elif row.kind in ("pcc-p", "pcc-q"):
+            src = obs.pcc_p if row.kind == "pcc-p" else obs.pcc_q
+            vals = o * src[:, row.mg_id]
+        elif row.kind == "dg-ramp":
+            vals = o * np.diff(np.concatenate([[prev_dg[row.mg_id]], a[0]]))
+        elif row.kind == "soc":
+            spec = specs[row.mg_id]
+            vals = o * soc_trajectory(spec.ess.soc_init, a[1], a[2], spec, dt)
+        elif row.kind == "ess-complementarity":
+            vals = o * a[1] * a[2]
+        else:
+            control = {"dg-p": 0, "ess-ch": 1, "ess-dis": 2, "dg-q": 3,
+                       "pv-q": 4, "ess-q": 5}[row.kind]
+            vals = o * a[control]
+        out[row.id] = float(w @ vals)
+    return out
+
+
+class TestStackedReturns:
+    def test_matches_per_row_reference_on_the_98_bus_table(self):
+        from smaspl.scenario import load_scenario
+        sc = load_scenario("scenarios/paper98.yaml")
+        table = build_constraint_table(sc.grid, sc.specs)
+        assert {r.kind for r in table} >= {
+            "voltage", "branch-current", "pcc-p", "pcc-q", "dg-ramp", "soc",
+            "ess-complementarity", "dg-p", "dg-q", "pv-q", "ess-ch",
+            "ess-dis", "ess-q"}
+        rng = np.random.default_rng(8)
+        n = len(sc.specs)
+        actions = rng.uniform(-1.0, 6.0, (n, 6 * T))
+        irr, load = sc.profiles.window(20, T)
+        obs = solve_window(sc.grid, sc.specs, actions, load, irr,
+                           sc.host_loads)
+        prev = rng.uniform(0.0, 20.0, n)
+        got = constraint_returns(actions, obs, sc.specs, table, 0.97,
+                                 prev_dg=prev)
+        want = per_row_returns(actions, obs, sc.specs, table, 0.97, prev)
+        assert list(got) == list(want)
+        for rid in want:
+            assert got[rid] == pytest.approx(want[rid], rel=1e-12,
+                                             abs=1e-12), rid
+
+
 class TestInjections:
     def test_zero_actions_load_minus_pv(self):
         spec = make_spec()

@@ -427,18 +427,17 @@ class TestEpisodeInvariants:
 
     def test_batch_mean_stability(self):
         from smaspl.microgrid import make_state_vector
-        from smaspl.training import _Pool, _evaluate_batch
+        from smaspl.training import _evaluate_batch
         world = small_world(batch=32)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, 4)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-        pool = _Pool(0)
         b32 = _evaluate_batch(world, agents, evals, [0], irr, load,
-                              np.zeros(2), pool)
+                              np.zeros(2))
         world.cfg.batch = 64
         b64 = _evaluate_batch(world, agents, evals, [1], irr, load,
-                              np.zeros(2), pool)
+                              np.zeros(2))
         for a in range(2):
             se = np.sqrt(b32.g_se[a] ** 2 + b64.g_se[a] ** 2)
             diff = np.abs(b64.g[a] - b32.g[a])
@@ -449,15 +448,14 @@ class TestEpisodeInvariants:
         from smaspl.gradients import (factorization_count,
                                       reset_factorization_count)
         from smaspl.microgrid import make_state_vector
-        from smaspl.training import _Pool, _evaluate_batch
+        from smaspl.training import _evaluate_batch
         world = small_world(batch=4)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, 4)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
         reset_factorization_count()
-        _evaluate_batch(world, agents, evals, [0], irr, load, np.zeros(2),
-                        _Pool(0))
+        _evaluate_batch(world, agents, evals, [0], irr, load, np.zeros(2))
         assert factorization_count() == 4 * 4  # batch x window steps
 
 
@@ -465,23 +463,21 @@ class TestBatchChain:
     def test_batch_chain_matches_per_sample_loop(self):
         from smaspl.microgrid import make_state_vector
         from smaspl.policy import cov_chain_factor
-        from smaspl.training import _batch_gradients, _evaluate_sample
+        from smaspl.training import _batch_gradients, _evaluate_draws
         world = small_world(batch=6)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, world.horizon)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
         rng = np.random.default_rng(21)
-        results = []
-        for _ in range(6):
-            draw = np.stack([ev.mu + np.sqrt(ev.sigma2)
-                             * rng.standard_normal(ev.mu.size)
-                             for ev in evals])
-            res = _evaluate_sample(world, draw, irr, load, np.zeros(2))
-            assert res is not None
-            results.append(res)
-        g, b, g_se = _batch_gradients(evals, results)
-        s = len(results)
+        draws = np.stack([
+            np.stack([ev.mu + np.sqrt(ev.sigma2)
+                      * rng.standard_normal(ev.mu.size) for ev in evals])
+            for _ in range(6)])
+        res = _evaluate_draws(world, draws, irr, load, np.zeros(2))
+        assert res.accepted.all()
+        g, b, g_se = _batch_gradients(evals, res.actions, res.cols)
+        s = len(draws)
         for a, ev in enumerate(evals):
             # reference: chain every sample, then average (unit mean
             # factor).  Summing before chaining reorders the arithmetic, so
@@ -490,14 +486,14 @@ class TestBatchChain:
             acc = 0.0
             mag = 0.0
             sq = 0.0
-            for res in results:
-                u = cov_chain_factor(res.actions[a], ev.mu, ev.sigma2)
-                cols_sig = res.cols[a] * u[:, None]
-                contrib = np.vstack([ev.jac_mu.T @ res.cols[a],
+            for acts, cols in zip(res.actions[:, a], res.cols[:, a]):
+                u = cov_chain_factor(acts, ev.mu, ev.sigma2)
+                cols_sig = cols * u[:, None]
+                contrib = np.vstack([ev.jac_mu.T @ cols,
                                      ev.jac_sigma2.T @ cols_sig])
                 acc = acc + contrib
                 mag = mag + np.vstack([
-                    np.abs(ev.jac_mu.T) @ np.abs(res.cols[a]),
+                    np.abs(ev.jac_mu.T) @ np.abs(cols),
                     np.abs(ev.jac_sigma2.T) @ np.abs(cols_sig)])
                 sq = sq + contrib[:, 0] ** 2
             acc = acc / s
@@ -511,26 +507,157 @@ class TestBatchChain:
 
     def test_abort_message_states_the_limit(self, monkeypatch):
         import smaspl.training as training
-        from smaspl.grid import PowerFlowSolution
         from smaspl.microgrid import make_state_vector
         world = small_world(batch=2)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, world.horizon)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-        n = world.grid.n_bus
+        solve = training.solve_power_flow_stack
 
         def never_converges(grid, p, q, **kwargs):
-            z = np.zeros(n)
-            return PowerFlowSolution(z, z, z, z, z, z, converged=False,
-                                     iterations=50, failure="max_iterations")
+            pf = solve(grid, p, q, **kwargs)
+            pf.converged[:] = False
+            return pf
 
-        monkeypatch.setattr(training, "solve_power_flow", never_converges)
+        monkeypatch.setattr(training, "solve_power_flow_stack",
+                            never_converges)
         with pytest.raises(training.EpisodeAborted,
                            match=r"5 power-flow failures exceed the limit "
                                  r"of max\(4, batch\) = 4"):
             training._evaluate_batch(world, agents, evals, [0], irr, load,
-                                     np.zeros(2), training._Pool(0))
+                                     np.zeros(2))
+
+
+def one_sample_reference(world, actions, irr, load, prev_dg):
+    """Returns and gradient columns of one joint draw through the public
+    one-sample functions; None when a step's power flow fails."""
+    from smaspl.gradients import (compute_step_sensitivities,
+                                  constraint_action_gradients,
+                                  reward_action_gradients)
+    from smaspl.grid import solve_power_flow
+    from smaspl.microgrid import (actions_to_injections, constraint_returns,
+                                  network_observables, reward_return)
+    gamma, dt = world.cfg.gamma, world.cfg.dt
+    p, q = actions_to_injections(actions, load, irr, world.specs,
+                                 world.grid.n_bus, world.host_loads)
+    sols = [solve_power_flow(world.grid, p[t], q[t])
+            for t in range(world.horizon)]
+    if not all(s.converged for s in sols):
+        return None
+    obs = network_observables(world.grid, sols, world.specs)
+    jc = constraint_returns(actions, obs, world.specs, world.table, gamma,
+                            prev_dg=prev_dg, dt=dt)
+    rewards = [reward_return(actions[n], obs.pcc_p[:, n], spec, gamma, dt)
+               for n, spec in enumerate(world.specs)]
+    sens = [compute_step_sensitivities(world.sens_grid, s, world.specs)
+            for s in sols]
+    djr = reward_action_gradients(sens, actions, world.specs, gamma, dt)
+    djc = constraint_action_gradients(world.table, sens, actions,
+                                      world.specs, gamma, prev_dg=prev_dg,
+                                      dt=dt)
+    cols = np.concatenate([djr[:, :, None], djc.transpose(1, 2, 0)], axis=2)
+    return (np.array(rewards), np.array([jc[r.id] for r in world.table]),
+            cols)
+
+
+class TestStackedBatch:
+    """One stacked evaluation of a batch against a loop of one-sample
+    calls, on a batch that mixes converged draws with a failing one."""
+
+    @staticmethod
+    def setup_batch(noise=0.0):
+        from smaspl.microgrid import make_state_vector
+        sc = load_scenario("scenarios/two_mg_binding.yaml")
+        sc.network_noise_variance = noise
+        world = build_world(sc)
+        agents = build_agents(world)
+        irr, load = world.profiles.window(3, world.horizon)
+        states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
+        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+        return world, agents, evals, irr, load
+
+    @staticmethod
+    def draw(rng, evals, count):
+        draws = np.empty((count, len(evals), evals[0].mu.size))
+        for a, ev in enumerate(evals):
+            draws[:, a, :] = ev.mu[None, :] + np.sqrt(ev.sigma2)[None, :] * \
+                rng.standard_normal((count, ev.mu.size))
+        return draws
+
+    def test_stack_matches_one_sample_loop(self):
+        from smaspl.training import _evaluate_draws
+        world, _, evals, irr, load = self.setup_batch(noise=0.01)
+        assert world.sens_grid is not world.grid
+        draws = self.draw(np.random.default_rng(5), evals, 6)
+        T = world.horizon
+        draws[2, 1, T:2 * T] = 1e6          # a charge no feeder can carry
+        prev = np.array([3.0, 1.0])
+        got = _evaluate_draws(world, draws, irr, load, prev)
+        refs = [one_sample_reference(world, d, irr, load, prev)
+                for d in draws]
+        assert got.accepted.tolist() == [r is not None for r in refs]
+        assert not got.accepted[2]
+        kept = [r for r in refs if r is not None]
+        np.testing.assert_array_equal(got.actions, draws[got.accepted])
+        for s, (rewards, j_values, cols) in enumerate(kept):
+            np.testing.assert_allclose(got.rewards[s], rewards, rtol=1e-10)
+            np.testing.assert_allclose(got.j_values[s], j_values, rtol=1e-10,
+                                       atol=1e-12)
+            np.testing.assert_allclose(got.cols[s], cols, rtol=1e-10,
+                                       atol=1e-12 * np.abs(cols).max())
+
+    def test_discards_keep_draw_order(self, monkeypatch):
+        import smaspl.training as training
+        world, agents, evals, irr, load = self.setup_batch()
+        world.cfg.batch = 4
+        T = world.horizon
+        solve = training.solve_power_flow_stack
+        calls = []
+
+        def fail_second_draw(grid, p, q, **kwargs):
+            pf = solve(grid, p, q, **kwargs)
+            if not calls:
+                pf.converged[T:2 * T] = False   # draw 1 of the first round
+            calls.append(len(p))
+            return pf
+
+        monkeypatch.setattr(training, "solve_power_flow_stack",
+                            fail_second_draw)
+        prev = np.zeros(2)
+        got = training._evaluate_batch(world, agents, evals, [0], irr, load,
+                                       prev)
+        monkeypatch.undo()
+        assert calls == [4 * T, 1 * T]
+        assert got.discards == 1
+        # the accepted draws are draws 0, 2, 3 of the first round, then
+        # the one draw of the second
+        rng = np.random.default_rng([world.seed, training._STREAM_SAMPLE, 0])
+        first = self.draw(rng, evals, 4)
+        second = self.draw(rng, evals, 1)
+        kept = np.concatenate([first[[0, 2, 3]], second])
+        ref = training._evaluate_draws(world, kept, irr, load, prev)
+        g, b, _ = training._batch_gradients(evals, ref.actions, ref.cols)
+        np.testing.assert_allclose(got.j_values, ref.j_values.mean(axis=0),
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got.rewards, ref.rewards.mean(axis=0),
+                                   rtol=1e-10)
+        for a in range(2):
+            np.testing.assert_allclose(got.g[a], g[a], rtol=1e-10,
+                                       atol=1e-12 * np.abs(g[a]).max())
+            np.testing.assert_allclose(got.b[a], b[a], rtol=1e-10,
+                                       atol=1e-12 * np.abs(b[a]).max())
+
+
+class TestWindowStart:
+    def test_every_start_is_used(self):
+        world = small_world()
+        span = world.profiles.n_steps - world.horizon
+        assert world.window_start(span) == span
+        assert world.window_start(span + 1) == 0
+        world.horizon = world.profiles.n_steps
+        assert world.window_start(0) == 0
+        assert world.window_start(7) == 0
 
 
 class TestOnlineSelection:
