@@ -18,6 +18,7 @@ seed because every reduction is carried out in agent/sample index order.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import warnings
@@ -104,6 +105,33 @@ def worker_count() -> int:
         return max(0, int(os.environ.get("SMASPL_THREADS", "0")))
     except ValueError:
         return 0
+
+
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _mallopt.restype = ctypes.c_int
+except (OSError, AttributeError, TypeError):   # no C library, or no mallopt
+    _mallopt = None
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's malloc.h
+
+
+def _keep_freed_memory() -> None:
+    """Have the C allocator keep freed memory for reuse.
+
+    A batch runs stack after stack of draws, each allocating and freeing
+    some MB of arrays and SuperLU workspace.  By default glibc maps such
+    blocks afresh (above a sliding mmap threshold) or trims them off the
+    heap once freed, so every stack page-faults its memory in again:
+    about 70,000 faults in a paper98 episode, whose cost varies with the
+    host's memory load.  Fixed thresholds, 32 MB (glibc's ceiling) for
+    mmap and 256 MB for trimming, keep that memory on the heap for the
+    next stack.  The setting holds for the whole process; where the C
+    library has no mallopt this does nothing.
+    """
+    if _mallopt is not None:
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 class _Pool:
@@ -482,6 +510,13 @@ def resolve_removed_rows(table, tokens) -> set[str]:
 # Joint batch evaluation
 # ---------------------------------------------------------------------------
 
+# A batch is evaluated in stacks of this many joint draws (x T operating
+# points): enough to amortise the Python overhead per stack, few enough
+# that a stack's arrays and SuperLU factors stay small and cache-warm
+# and, with _keep_freed_memory, are reused from one stack to the next.
+_STACK_DRAWS = 16
+
+
 @dataclass
 class _DrawEval:
     """A stack of joint draws evaluated at once; the arrays cover the
@@ -495,10 +530,11 @@ class _DrawEval:
 
 
 def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
-                    prev_dg) -> _DrawEval:
+                    prev_dg, cols_out: np.ndarray | None = None) -> _DrawEval:
     """Physics, returns and action-space gradient columns of S joint
     draws (S, N, 6T): all S x T power flows as one stack, then one
-    sensitivity stack over the points of the accepted draws."""
+    sensitivity stack over the points of the accepted draws.  The
+    columns are written into the leading rows of cols_out when given."""
     samples, n, width = draws.shape
     horizon, n_bus = world.horizon, world.grid.n_bus
     p, q = actions_to_injections(draws, load_truth, irr_truth, world.specs,
@@ -528,7 +564,8 @@ def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
     rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma, dt)
     sens = step_sensitivity_stack(world.sens_grid, pf,
                                   world.specs).map(per_sample)
-    cols = np.empty((count, n, width, m + 1))
+    cols = (np.empty((count, n, width, m + 1)) if cols_out is None
+            else cols_out[:count])
     cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma,
                                          dt)
     row_gradient_stack(world.index, sens, actions, world.specs, gamma, dt=dt,
@@ -548,37 +585,43 @@ class _BatchEval:
 
 def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
                     load_truth, prev_dg) -> _BatchEval:
+    _keep_freed_memory()
     cfg = world.cfg
     n = world.n_agents
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
-    parts: list[_DrawEval] = []
+    width, m = 6 * world.horizon, len(world.table)
+    # every round draws what is missing, so exactly cfg.batch are accepted
+    actions = np.empty((cfg.batch, n, width))
+    rewards = np.empty((cfg.batch, n))
+    j_values = np.empty((cfg.batch, m))
+    cols = np.empty((cfg.batch, n, width, m + 1))
     count = 0
     discards = 0
     limit = max(4, cfg.batch)
     while count < cfg.batch:
         need = cfg.batch - count
-        draws = np.empty((need, n, 6 * world.horizon))
+        draws = np.empty((need, n, width))
         for a in range(n):
             mu, s2 = evals[a].mu, evals[a].sigma2
             draws[:, a, :] = mu[None, :] + np.sqrt(s2)[None, :] * \
-                rng.standard_normal((need, 6 * world.horizon))
-        part = _evaluate_draws(world, draws, irr_truth, load_truth, prev_dg)
-        for ok in part.accepted:
-            if not ok:
-                discards += 1
-                if discards > limit:
-                    raise EpisodeAborted(
-                        f"update {tag}: {discards} power-flow failures "
-                        f"exceed the limit of max(4, batch) = {limit}")
-        count += part.actions.shape[0]
-        parts.append(part)
-    def joined(name):
-        arrays = [getattr(part, name) for part in parts]
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    actions, rewards, j_values, cols = map(
-        joined, ("actions", "rewards", "j_values", "cols"))
+                rng.standard_normal((need, width))
+        for first in range(0, need, _STACK_DRAWS):
+            part = _evaluate_draws(world, draws[first:first + _STACK_DRAWS],
+                                   irr_truth, load_truth, prev_dg,
+                                   cols_out=cols[count:])
+            for ok in part.accepted:
+                if not ok:
+                    discards += 1
+                    if discards > limit:
+                        raise EpisodeAborted(
+                            f"update {tag}: {discards} power-flow failures "
+                            f"exceed the limit of max(4, batch) = {limit}")
+            done = count + part.actions.shape[0]
+            actions[count:done] = part.actions
+            rewards[count:done] = part.rewards
+            j_values[count:done] = part.j_values
+            count = done
     g, b, g_se = _batch_gradients(evals, actions, cols)
     return _BatchEval(g, b, j_values.mean(axis=0), rewards.mean(axis=0),
                       discards, g_se)

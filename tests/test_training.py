@@ -648,6 +648,47 @@ class TestStackedBatch:
             np.testing.assert_allclose(got.b[a], b[a], rtol=1e-10,
                                        atol=1e-12 * np.abs(b[a]).max())
 
+    def test_stacks_of_draws_match_one_stack(self, monkeypatch):
+        import smaspl.training as training
+        world, agents, evals, irr, load = self.setup_batch()
+        world.cfg.batch = 5
+        T = world.horizon
+        solve = training.solve_power_flow_stack
+
+        def run(stack_draws):
+            seen = []       # draws per power-flow stack
+
+            def fail_draw_1(grid, p, q, **kwargs):
+                pf = solve(grid, p, q, **kwargs)
+                first = sum(seen)
+                if first <= 1 < first + len(p) // T:
+                    k = (1 - first) * T
+                    pf.converged[k:k + T] = False
+                seen.append(len(p) // T)
+                return pf
+
+            monkeypatch.setattr(training, "solve_power_flow_stack",
+                                fail_draw_1)
+            monkeypatch.setattr(training, "_STACK_DRAWS", stack_draws)
+            got = training._evaluate_batch(world, agents, evals, [0], irr,
+                                           load, np.zeros(2))
+            monkeypatch.undo()
+            return got, seen
+
+        whole, seen_whole = run(16)
+        split, seen_split = run(2)
+        assert seen_whole == [5, 1]
+        assert seen_split == [2, 2, 1, 1]
+        assert whole.discards == split.discards == 1
+        np.testing.assert_allclose(split.j_values, whole.j_values,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(split.rewards, whole.rewards, rtol=1e-10)
+        for a in range(2):
+            for got, ref in ((split.g[a], whole.g[a]),
+                             (split.b[a], whole.b[a])):
+                np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                           atol=1e-12 * np.abs(ref).max())
+
 
 class TestWindowStart:
     def test_every_start_is_used(self):
