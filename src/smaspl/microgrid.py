@@ -568,13 +568,13 @@ def actions_to_injections(actions, load_kw, irradiance, specs, n_bus: int,
     return p, q
 
 
-def write_constraint_report(path, table, values: dict, gamma: float,
-                            horizon: int) -> None:
-    """CSV audit dump: id, scope, kind, bound (window), return value."""
+def write_constraint_report(path, table, returns, bounds) -> None:
+    """CSV audit dump: id, scope, kind, bound (window), return value;
+    returns and window bounds are given in table order."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "scope", "kind", "bound", "return"])
-        for row in table:
-            w.writerow([row.id, row.scope, row.kind,
-                        repr(row.window_bound(gamma, horizon)),
-                        repr(values[row.id])])
+        for row, bound, value in zip(table, np.asarray(bounds).tolist(),
+                                     np.asarray(returns).tolist()):
+            w.writerow([row.id, row.scope, row.kind, repr(bound),
+                        repr(value)])

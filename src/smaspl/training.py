@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridModel, solve_power_flow, solve_power_flow_stack
+from .grid import GridModel, solve_power_flow_stack
 from .gradients import (
     chain_reward_samples,
     chain_sample_to_parameters,
@@ -35,13 +35,16 @@ from .gradients import (
     row_gradient_stack,
     step_sensitivity_stack,
 )
-# one-sample views the batch no longer calls; the benchmark's tracer
-# (perfbench/tracing.py) still looks them up on this module
+# one-sample views the stacked evaluations no longer call; the
+# benchmark's tracer (perfbench/tracing.py) still looks them up on this
+# module
+from .grid import solve_power_flow  # noqa: F401
 from .gradients import (  # noqa: F401
     compute_step_sensitivities,
     constraint_action_gradients,
     reward_action_gradients,
 )
+from .microgrid import constraint_returns, reward_return  # noqa: F401
 from .microgrid import (
     ConstraintIndex,
     MicrogridSpec,
@@ -49,10 +52,9 @@ from .microgrid import (
     actions_to_injections,
     build_constraint_table,
     constraint_return_stack,
-    constraint_returns,
+    geometric_weights,
     make_state_vector,
     network_observables,
-    reward_return,
     reward_return_stack,
     window_bounds,
 )
@@ -67,6 +69,7 @@ __all__ = [
     "TrainingState",
     "EpisodeRecord",
     "World",
+    "WindowEval",
     "EpisodeAborted",
     "ProjectionInfeasible",
     "consensus_average",
@@ -81,6 +84,7 @@ __all__ = [
     "train_episode",
     "train",
     "select_actions_online",
+    "evaluate_window",
     "worker_count",
 ]
 
@@ -419,9 +423,16 @@ class World:
     forecast_error: object
     seed: int
     index: ConstraintIndex = field(init=False, repr=False, compare=False)
+    # every row's ConstraintSpec.window_bound in table order, for the
+    # cfg.gamma and horizon the World is built with
+    row_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.index = ConstraintIndex.of(self.table)
+        weight = float(np.sum(geometric_weights(self.cfg.gamma,
+                                                self.horizon)))
+        self.row_bounds = np.array([r.bound for r in self.table],
+                                   dtype=float) * weight
 
     @property
     def n_agents(self) -> int:
@@ -434,6 +445,15 @@ class World:
 
     def bounds(self, row) -> float:
         return row.window_bound(self.cfg.gamma, self.horizon)
+
+    def violated(self, returns: np.ndarray,
+                 removed=frozenset()) -> np.ndarray:
+        """Table positions, in order, of the rows whose window returns
+        (M,) exceed their bounds by more than 1e-9, rows in removed
+        excepted."""
+        over = np.flatnonzero(returns > self.row_bounds + 1e-9)
+        return np.array([m for m in over if self.index.ids[m] not in removed],
+                        dtype=int)
 
 
 def build_world(scenario: Scenario) -> World:
@@ -507,6 +527,56 @@ def resolve_removed_rows(table, tokens) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
+# Joint action evaluation
+# ---------------------------------------------------------------------------
+
+def _returns_of(world: World, actions: np.ndarray, pf, prev_dg):
+    """Observables (fields (S, T, ...)), returns (S, M) in table order and
+    rewards (S, N) of S joint actions (S, N, 6T) whose S x T converged
+    operating points, sample-major, are the stack pf."""
+    def per_sample(x):
+        return x.reshape(actions.shape[0], world.horizon, *x.shape[1:])
+
+    obs = network_observables(world.grid, pf, world.specs)
+    obs = Observables(*map(per_sample, (obs.v_mag, obs.i_mag, obs.pcc_p,
+                                        obs.pcc_q)))
+    gamma, dt = world.cfg.gamma, world.cfg.dt
+    j_values = constraint_return_stack(world.index, actions, obs, world.specs,
+                                       gamma, prev_dg=prev_dg, dt=dt)
+    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma, dt)
+    return obs, j_values, rewards
+
+
+@dataclass
+class WindowEval:
+    """One joint action evaluated over its decision window."""
+
+    obs: Observables             # fields (T, ...)
+    returns: np.ndarray          # (M,) window returns in table order
+    rewards: np.ndarray          # (N,) discounted reward per agent
+
+    @property
+    def cost(self) -> float:
+        """Window operating cost in $ (negative of the summed rewards)."""
+        return -float(sum(self.rewards.tolist()))
+
+
+def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
+                    prev_dg=None) -> WindowEval | None:
+    """Injections, the T power flows as one stack, observables, returns
+    and rewards of a joint action (N, 6T); None when a step's power flow
+    does not converge.  prev_dg (zeros when None) feeds the ramp rows."""
+    p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
+                                 world.grid.n_bus, world.host_loads)
+    pf = solve_power_flow_stack(world.grid, p, q)
+    if not pf.converged.all():
+        return None
+    obs, j_values, rewards = _returns_of(world, actions[None], pf, prev_dg)
+    return WindowEval(Observables(obs.v_mag[0], obs.i_mag[0], obs.pcc_p[0],
+                                  obs.pcc_q[0]), j_values[0], rewards[0])
+
+
+# ---------------------------------------------------------------------------
 # Joint batch evaluation
 # ---------------------------------------------------------------------------
 
@@ -550,20 +620,10 @@ def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
                          np.empty((0, m)), np.empty((0, n, width, m + 1)))
     if count < samples:
         pf = pf.take(np.flatnonzero(np.repeat(accepted, horizon)))
-
-    def per_sample(x):
-        return x.reshape(count, horizon, *x.shape[1:])
-
-    obs = network_observables(world.grid, pf, world.specs)
-    obs = Observables(*map(per_sample, (obs.v_mag, obs.i_mag, obs.pcc_p,
-                                        obs.pcc_q)))
+    _, j_values, rewards = _returns_of(world, actions, pf, prev_dg)
     gamma, dt = world.cfg.gamma, world.cfg.dt
-    j_values = constraint_return_stack(world.index, actions, obs,
-                                       world.specs, gamma, prev_dg=prev_dg,
-                                       dt=dt)
-    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma, dt)
-    sens = step_sensitivity_stack(world.sens_grid, pf,
-                                  world.specs).map(per_sample)
+    sens = step_sensitivity_stack(world.sens_grid, pf, world.specs).map(
+        lambda x: x.reshape(count, horizon, *x.shape[1:]))
     cols = (np.empty((count, n, width, m + 1)) if cols_out is None
             else cols_out[:count])
     cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma,
@@ -700,29 +760,43 @@ def _dispatch_actions_mean(agents, states, horizon) -> np.ndarray:
 
 def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
                removed: set[str]):
-    """Power-flow-engine verdict on the window returns of a joint action:
-    (returns by row id, violated row ids, observables), all None when a
-    power flow does not converge."""
-    p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
-                                 world.grid.n_bus, world.host_loads)
-    sols = []
-    for t in range(world.horizon):
-        sol = solve_power_flow(world.grid, p[t], q[t])
-        if not sol.converged:
-            return None, None, None
-        sols.append(sol)
-    obs = network_observables(world.grid, sols, world.specs)
-    jc = constraint_returns(actions, obs, world.specs, world.table,
-                            world.cfg.gamma, prev_dg=prev_dg, dt=world.cfg.dt)
-    violated = [r.id for r in world.table
-                if r.id not in removed
-                and jc[r.id] > world.bounds(r) + 1e-9]
-    return jc, violated, obs
+    """Power-flow-engine verdict on a joint action: its window evaluation
+    and the table positions of the violated rows, both None when a power
+    flow does not converge."""
+    ev = evaluate_window(world, actions, irr_truth, load_truth, prev_dg)
+    if ev is None:
+        return None, None
+    return ev, world.violated(ev.returns, removed)
+
+
+def _violated_ids(world: World, violated) -> list[str]:
+    return [world.index.ids[m] for m in violated]
+
+
+@dataclass(frozen=True)
+class _RowLayout:
+    """The table's rows as the inner loop reads them."""
+
+    global_idx: np.ndarray       # positions of the global rows
+    local_idx: list              # per agent, positions of its kept local rows
+    removed_mask: np.ndarray     # per global row, removed from training
+
+    @classmethod
+    def of(cls, world: World, removed) -> "_RowLayout":
+        table = world.table
+        global_idx = np.array([m for m, r in enumerate(table)
+                               if r.scope == "global"], dtype=int)
+        local_idx = [np.array([m for m, r in enumerate(table)
+                               if r.scope == "local" and r.mg_id == a
+                               and r.id not in removed], dtype=int)
+                     for a in range(world.n_agents)]
+        removed_mask = np.array([table[m].id in removed for m in global_idx])
+        return cls(global_idx, local_idx, removed_mask)
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
-                factors, d_vec, global_idx, local_idx_per_agent, removed_mask,
-                pool: _Pool, log_lambda: bool):
+                factors, d_vec, layout: _RowLayout, pool: _Pool,
+                log_lambda: bool):
     """Stages II-V iterated to the parameter-change stopping rule.
 
     factors[a] holds the Fisher rows of agent a at the anchor (see
@@ -734,14 +808,15 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     bus = LambdaBus(n)
     thetas = [t.copy() for t in thetas0]
     lambdas = lambdas0.copy()
-    d_global = d_vec[global_idx]
-    j0_global = batch.j_values[global_idx]
-    b_glob = [b[:, global_idx] for b in batch.b]
+    removed_mask = layout.removed_mask
+    d_global = d_vec[layout.global_idx]
+    j0_global = batch.j_values[layout.global_idx]
+    b_glob = [b[:, layout.global_idx] for b in batch.b]
     # local rows as C-contiguous (m, P) so the projection sweeps read rows
     rows = [np.ascontiguousarray(b.T[li])
-            for b, li in zip(batch.b, local_idx_per_agent)]
+            for b, li in zip(batch.b, layout.local_idx)]
     rows_c = [d_vec[li] - batch.j_values[li] + r @ t0
-              for r, li, t0 in zip(rows, local_idx_per_agent, thetas0)]
+              for r, li, t0 in zip(rows, layout.local_idx, thetas0)]
     traj: list[np.ndarray] = []
     converged = False
     iterations = 0
@@ -801,17 +876,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
                   for a in range(n)]
         prev_dg = state.prev_dg if state.prev_dg is not None else np.zeros(n)
 
-        table = world.table
-        d_vec = np.array([world.bounds(r) for r in table])
-        global_idx = np.array([m for m, r in enumerate(table)
-                               if r.scope == "global"], dtype=int)
-        removed_mask = np.array([table[m].id in removed for m in global_idx])
-        local_idx_per_agent = [
-            np.array([m for m, r in enumerate(table)
-                      if r.scope == "local" and r.mg_id == a
-                      and r.id not in removed], dtype=int)
-            for a in range(n)
-        ]
+        layout = _RowLayout.of(world, removed)
 
         def anchored_update(anchor, lambdas0, d_work, sample_tag):
             """One full pass: measure at the anchor, then iterate II-V."""
@@ -822,42 +887,41 @@ def train_episode(world: World, agents: list[GaussianPolicy],
                                   irr_truth, load_truth, prev_dg)
             factors = [ev.fisher_factor() for ev in evals]
             out = _inner_loop(world, graph, anchor, lambdas0, bat, factors,
-                              d_work, global_idx, local_idx_per_agent,
-                              removed_mask, pool, log_lambda)
+                              d_work, layout, pool, log_lambda)
             return bat, out
 
         thetas0 = [t.copy() for t in state.thetas]
-        lambdas = np.zeros((n, len(global_idx)))
+        lambdas = np.zeros((n, len(layout.global_idx)))
         batch, (thetas, lambdas, iters, converged, traj) = anchored_update(
-            thetas0, lambdas, d_vec, [episode])
+            thetas0, lambdas, world.row_bounds, [episode])
 
         # power-flow-engine gate with bound tightening on violated rows;
         # each tightening round re-anchors at the freshly updated policies.
         # The last check ran on the final policies: its returns and
-        # observables are the dispatch record.
+        # rewards are the dispatch record.
         rounds = 0
         verdict = "clean"
-        d_work = d_vec.copy()
+        d_work = world.row_bounds
         while True:
             for a, ag in enumerate(agents):
                 ag.set_theta(thetas[a])
             mean_actions = _dispatch_actions_mean(agents, states, world.horizon)
-            jc_disp, violated, obs_disp = _pfe_check(
+            disp, violated = _pfe_check(
                 world, mean_actions, irr_truth, load_truth, prev_dg, removed)
             if not backtracking:
                 break
-            if jc_disp is None:
+            if disp is None:
                 verdict = "pf-failure"
                 break
-            if not violated:
+            if not violated.size:
                 verdict = "clean" if rounds == 0 else "restored"
                 break
             if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
-                verdict = "violated:" + ",".join(sorted(violated))
+                verdict = "violated:" + ",".join(
+                    sorted(_violated_ids(world, violated)))
                 break
             rounds += 1
-            idx = [i for i, r in enumerate(table) if r.id in violated]
-            d_work = backtrack_bounds(d_work, idx, cfg.tau)
+            d_work = backtrack_bounds(d_work, violated, cfg.tau)
             _, (thetas, lambdas, it2, conv2, traj2) = anchored_update(
                 [t.copy() for t in thetas], lambdas, d_work,
                 [episode, rounds])
@@ -866,13 +930,10 @@ def train_episode(world: World, agents: list[GaussianPolicy],
             if log_lambda:
                 traj.extend(traj2)
 
-        disp_rewards = [float("nan")] * n
-        if jc_disp is not None:
-            disp_rewards = [
-                float(reward_return(mean_actions[a], obs_disp.pcc_p[:, a],
-                                    world.specs[a], cfg.gamma, cfg.dt))
-                for a in range(n)
-            ]
+        disp_rewards, j_dispatch = [float("nan")] * n, {}
+        if disp is not None:
+            disp_rewards = disp.rewards.tolist()
+            j_dispatch = dict(zip(world.index.ids, disp.returns.tolist()))
 
         theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
                         for a in range(n)]
@@ -885,17 +946,16 @@ def train_episode(world: World, agents: list[GaussianPolicy],
         lam_traj: dict[str, list] = {}
         if log_lambda and traj:
             stacked = np.stack(traj)  # (K, N, Mg)
-            for j, m in enumerate(global_idx):
+            for j, m in enumerate(layout.global_idx):
                 if np.max(stacked[:, :, j]) > 1e-12:
-                    lam_traj[table[m].id] = stacked[:, :, j].tolist()
+                    lam_traj[world.index.ids[m]] = stacked[:, :, j].tolist()
 
         return EpisodeRecord(
             episode=episode,
             rewards=[float(x) for x in batch.rewards],
             rewards_dispatch=disp_rewards,
-            j_values={r.id: float(batch.j_values[m])
-                      for m, r in enumerate(table)},
-            j_dispatch={k: float(v) for k, v in (jc_disp or {}).items()},
+            j_values=dict(zip(world.index.ids, batch.j_values.tolist())),
+            j_dispatch=j_dispatch,
             lambda_final=lambdas.tolist(),
             lambda_traj=lam_traj,
             theta_change=theta_change,
@@ -990,12 +1050,13 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         return postprocess_complementarity(acts, world.horizon)
 
     actions = draw_actions()
-    jc, violated, _ = _pfe_check(world, actions, irr_truth, load_truth,
-                                 prev_dg, removed)
-    if jc is None:
+    disp, violated = _pfe_check(world, actions, irr_truth, load_truth,
+                                prev_dg, removed)
+    if disp is None:
         raise EpisodeAborted("dispatch refused: power flow did not converge")
-    if not violated or not backtracking:
-        verdict = "clean" if not violated else "violated:" + ",".join(violated)
+    if not violated.size or not backtracking:
+        verdict = "clean" if not violated.size else \
+            "violated:" + ",".join(_violated_ids(world, violated))
         return actions, verdict, 0
 
     # re-update with tightened bounds for the violated rows, re-anchoring
@@ -1003,20 +1064,12 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
     graph = AgentChannelGraph.complete(n)
     rounds = 0
     pool = _Pool(0)
-    table = world.table
-    d_work = np.array([world.bounds(r) for r in table])
-    global_idx = np.array([m for m, r in enumerate(table)
-                           if r.scope == "global"], dtype=int)
-    removed_mask = np.array([table[m].id in removed for m in global_idx])
-    local_idx = [np.array([m for m, r in enumerate(table)
-                           if r.scope == "local" and r.mg_id == a
-                           and r.id not in removed], dtype=int)
-                 for a in range(n)]
-    lambdas = np.zeros((n, len(global_idx)))
-    while violated and rounds < cfg.backtrack_rounds and cfg.tau < 1.0:
+    layout = _RowLayout.of(world, removed)
+    d_work = world.row_bounds
+    lambdas = np.zeros((n, len(layout.global_idx)))
+    while violated.size and rounds < cfg.backtrack_rounds and cfg.tau < 1.0:
         rounds += 1
-        idx = [i for i, r in enumerate(table) if r.id in violated]
-        d_work = backtrack_bounds(d_work, idx, cfg.tau)
+        d_work = backtrack_bounds(d_work, violated, cfg.tau)
         anchor = [ag.get_theta() for ag in agents]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
         batch = _evaluate_batch(world, agents, evals,
@@ -1024,17 +1077,17 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
                                 load_truth, prev_dg)
         factors = [ev.fisher_factor() for ev in evals]
         thetas, lambdas, _, _, _ = _inner_loop(
-            world, graph, anchor, lambdas, batch, factors, d_work, global_idx,
-            local_idx, removed_mask, pool, False)
+            world, graph, anchor, lambdas, batch, factors, d_work, layout,
+            pool, False)
         for a, ag in enumerate(agents):
             ag.set_theta(thetas[a])
         actions = draw_actions()
-        jc, violated, _ = _pfe_check(world, actions, irr_truth, load_truth,
-                                     prev_dg, removed)
-        if jc is None:
+        disp, violated = _pfe_check(world, actions, irr_truth, load_truth,
+                                    prev_dg, removed)
+        if disp is None:
             raise EpisodeAborted(
                 "dispatch refused: power flow did not converge")
     pool.close()
-    verdict = "restored" if not violated else \
-        "violated:" + ",".join(sorted(violated))
+    verdict = "restored" if not violated.size else \
+        "violated:" + ",".join(sorted(_violated_ids(world, violated)))
     return actions, verdict, rounds

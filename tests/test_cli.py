@@ -128,6 +128,27 @@ class TestDispatch:
         assert seen == [0]
         assert code == EXIT_NUMERICAL
 
+    def test_diverged_audit_exits_two(self, tmp_path, monkeypatch, capsys):
+        from smaspl.policy import save_checkpoint
+        from smaspl.training import build_agents
+
+        world = build_world(load_scenario(TINY))
+        for a, ag in enumerate(build_agents(world)):
+            save_checkpoint(ag, tmp_path / f"agent_{a}.json")
+
+        def diverging_select(world, agents, window, **kwargs):
+            actions = np.zeros((world.n_agents, 6 * world.horizon))
+            actions[:, world.horizon:2 * world.horizon] = 1e7  # p_ch, kW
+            return actions, "clean", 0
+
+        monkeypatch.setattr(cli, "select_actions_online", diverging_select)
+        code = main(["dispatch", "--scenario", TINY, "--checkpoints",
+                     str(tmp_path), "--out", str(tmp_path / "a.csv")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dispatch audit")
+        assert err.count("\n") == 1
+
     def test_missing_checkpoints(self, tmp_path):
         code = main(["dispatch", "--scenario", TINY,
                      "--checkpoints", str(tmp_path / "void"),

@@ -726,3 +726,88 @@ class TestOnlineSelection:
         actions, _, _ = select_actions_online(world, agents, 0)
         blk = actions[0].reshape(6, 1)
         assert blk[1, 0] * blk[2, 0] == 0.0
+
+
+class TestWindowEvaluation:
+    """evaluate_window against the one-step path it replaced."""
+
+    @staticmethod
+    def mean_dispatch(world, start=0):
+        from smaspl.microgrid import make_state_vector
+        from smaspl.training import _dispatch_actions_mean
+        irr, load = world.profiles.window(start, world.horizon)
+        states = [make_state_vector(irr[:, a], load[:, a])
+                  for a in range(world.n_agents)]
+        actions = _dispatch_actions_mean(build_agents(world), states,
+                                         world.horizon)
+        return actions, irr, load
+
+    def test_stacked_window_matches_per_step_solves_on_98_buses(self):
+        from smaspl.grid import solve_power_flow
+        from smaspl.microgrid import actions_to_injections, network_observables
+        from smaspl.training import evaluate_window
+        world = build_world(load_scenario("scenarios/paper98.yaml"))
+        actions, irr, load = self.mean_dispatch(world)
+        ev = evaluate_window(world, actions, irr, load)
+        p, q = actions_to_injections(actions, load, irr, world.specs,
+                                     world.grid.n_bus, world.host_loads)
+        sols = [solve_power_flow(world.grid, p[t], q[t])
+                for t in range(world.horizon)]
+        assert all(s.converged for s in sols)
+        ref = network_observables(world.grid, sols, world.specs)
+        assert ev.obs.v_mag.shape == (world.horizon, world.grid.n_bus)
+        for name in ("v_mag", "pcc_p", "pcc_q"):
+            np.testing.assert_allclose(getattr(ev.obs, name),
+                                       getattr(ref, name), rtol=1e-10)
+
+    def test_returns_and_rewards_match_the_one_sample_views(self):
+        from smaspl.microgrid import constraint_returns, reward_return
+        from smaspl.training import evaluate_window
+        world = small_world()
+        actions, irr, load = self.mean_dispatch(world)
+        prev = np.array([3.0, 7.0])
+        ev = evaluate_window(world, actions, irr, load, prev)
+        jc = constraint_returns(actions, ev.obs, world.specs, world.table,
+                                world.cfg.gamma, prev_dg=prev,
+                                dt=world.cfg.dt)
+        assert list(jc) == [r.id for r in world.table]
+        assert ev.returns.tolist() == list(jc.values())
+        rewards = [reward_return(actions[a], ev.obs.pcc_p[:, a], spec,
+                                 world.cfg.gamma, world.cfg.dt)
+                   for a, spec in enumerate(world.specs)]
+        assert ev.rewards.tolist() == rewards
+        assert ev.cost == -sum(rewards)
+
+    def test_bound_vector_is_the_per_row_window_bound(self):
+        for name in ("two_mg_binding.yaml", "paper98.yaml"):
+            world = small_world(name, gamma=0.93)
+            assert world.row_bounds.tolist() == \
+                [world.bounds(r) for r in world.table]
+
+    def test_violated_matches_the_per_row_comparison(self):
+        world = small_world()
+        table = world.table
+        rng = np.random.default_rng(4)
+        returns = world.row_bounds + rng.choice(
+            [-1.0, 5e-10, 2e-9, 1.0], size=len(table))
+        over = [m for m in range(len(table)) if returns[m] >
+                world.row_bounds[m] + 1e-9]
+        removed = {table[over[0]].id, table[over[-1]].id, "v_hi[0]"}
+        jc = dict(zip(world.index.ids, returns.tolist()))
+        expected = [r.id for r in table if r.id not in removed
+                    and jc[r.id] > world.bounds(r) + 1e-9]
+        got = [table[m].id for m in world.violated(returns, removed)]
+        assert got == expected and len(expected) > 2
+        assert world.violated(world.row_bounds).size == 0
+
+    def test_diverged_window_refuses_dispatch(self):
+        from smaspl.cli import dispatch_cost
+        from smaspl.training import EpisodeAborted, _pfe_check, evaluate_window
+        world = small_world()
+        actions, irr, load = self.mean_dispatch(world)
+        actions[:, world.horizon:2 * world.horizon] = 1e7   # p_ch, kW
+        assert evaluate_window(world, actions, irr, load) is None
+        assert _pfe_check(world, actions, irr, load, None,
+                          frozenset()) == (None, None)
+        with pytest.raises(EpisodeAborted, match="diverged"):
+            dispatch_cost(world, actions, 0)
