@@ -50,7 +50,6 @@ from .training import (
     evaluate_window,
     select_actions_online,
     train,
-    worker_count,
 )
 from .verify import FAULTS, run_all_audits
 
@@ -274,7 +273,6 @@ def _cmd_train(args) -> int:
         "remove_constraints": removed,
         "backtracking": not args.no_backtracking,
         "network_noise_variance": scenario.network_noise_variance,
-        "threads": worker_count(),
     }
     (out / "run_config.json").write_text(json.dumps(config_echo, indent=2))
     print(f"trained {episodes} episodes -> {out}")
@@ -294,13 +292,9 @@ def _cmd_dispatch(args) -> int:
             return EXIT_VALIDATION
         agents.append(load_checkpoint(path))
     seed = args.seed if args.seed is not None else scenario.seed
-    try:
-        actions, verdict, rounds = select_actions_online(
-            world, agents, args.window, seed=seed,
-            backtracking=not args.no_backtracking)
-    except EpisodeAborted as exc:
-        print(f"dispatch refused: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    actions, verdict, rounds = select_actions_online(
+        world, agents, args.window, seed=seed,
+        backtracking=not args.no_backtracking)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:

@@ -18,7 +18,6 @@ shared by every constraint row and every agent.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,14 +65,12 @@ class SensitivityError(RuntimeError):
     """Sensitivity system could not be solved (singular linearization)."""
 
 
-_fact_lock = threading.Lock()
 _fact_count = 0
 
 
 def _count_factorization(points: int = 1):
     global _fact_count
-    with _fact_lock:
-        _fact_count += points
+    _fact_count += points
 
 
 def factorization_count() -> int:
@@ -82,8 +79,7 @@ def factorization_count() -> int:
 
 def reset_factorization_count() -> None:
     global _fact_count
-    with _fact_lock:
-        _fact_count = 0
+    _fact_count = 0
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,6 @@ TRAINING_DEFAULTS = {
     "batch": 128,
     "sigma_floor": 0.01,
     "sigma_span_frac": 0.2,
-    "consensus_weight": 0.2,
     "eps_complementarity": 1e-3,
     "backtrack_rounds": 3,
     "hidden_layers": [10, 10, 10],

@@ -11,19 +11,16 @@ then iterates four stages until the parameter change stalls:
   V.   projected dual ascent on the shared-network row residuals.
 
 Agents exchange nothing but dual-price vectors: the message bus type
-physically cannot carry parameters or gradients.  A sequential schedule
-and the thread-pool schedule produce bit-identical results under a fixed
-seed because every reduction is carried out in agent/sample index order.
+physically cannot carry parameters or gradients.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +82,6 @@ __all__ = [
     "train",
     "select_actions_online",
     "evaluate_window",
-    "worker_count",
 ]
 
 # rng stream tags (third entry of the seed sequence)
@@ -101,14 +97,6 @@ class EpisodeAborted(RuntimeError):
 
 class ProjectionInfeasible(RuntimeError):
     """Local rows admit no feasible point; caller should escalate."""
-
-
-def worker_count() -> int:
-    """Workers from SMASPL_THREADS; 0 means sequential deterministic mode."""
-    try:
-        return max(0, int(os.environ.get("SMASPL_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 try:
@@ -136,23 +124,6 @@ def _keep_freed_memory() -> None:
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
-class _Pool:
-    """Order-preserving map that is a plain loop when threads == 0."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-        self._ex = ThreadPoolExecutor(threads) if threads > 0 else None
-
-    def map(self, fn, items):
-        if self._ex is None:
-            return [fn(x) for x in items]
-        return list(self._ex.map(fn, items))
-
-    def close(self):
-        if self._ex is not None:
-            self._ex.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +365,6 @@ class TrainerConfig:
     batch: int = 128
     sigma_floor: float = 0.01
     sigma_span_frac: float = 0.2
-    consensus_weight: float | None = 0.2
     eps_complementarity: float = 1e-3
     backtrack_rounds: int = 3
     hidden_layers: tuple = (10, 10, 10)
@@ -769,10 +739,6 @@ def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
     return ev, world.violated(ev.returns, removed)
 
 
-def _violated_ids(world: World, violated) -> list[str]:
-    return [world.index.ids[m] for m in violated]
-
-
 @dataclass(frozen=True)
 class _RowLayout:
     """The table's rows as the inner loop reads them."""
@@ -795,19 +761,20 @@ class _RowLayout:
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
-                factors, d_vec, layout: _RowLayout, pool: _Pool,
-                log_lambda: bool):
+                factors, d_vec, layout: _RowLayout, log_lambda: bool):
     """Stages II-V iterated to the parameter-change stopping rule.
 
     factors[a] holds the Fisher rows of agent a at the anchor (see
     PolicyEval.fisher_factor).  The row algebra that stays fixed over
-    the iterations is formed once per agent here.
+    the iterations is formed once per agent here.  The prices start at
+    lambdas0, or at zero when it is None.
     """
     cfg = world.cfg
     n = world.n_agents
     bus = LambdaBus(n)
     thetas = [t.copy() for t in thetas0]
-    lambdas = lambdas0.copy()
+    lambdas = (np.zeros((n, len(layout.global_idx))) if lambdas0 is None
+               else lambdas0.copy())
     removed_mask = layout.removed_mask
     d_global = d_vec[layout.global_idx]
     j0_global = batch.j_values[layout.global_idx]
@@ -827,25 +794,18 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
                                    values=lambdas[a]))
         lam_bar = consensus_average(graph, bus.collect(k))
         lam_bar[:, removed_mask] = 0.0
-
-        def agent_update(a):
+        change = 0.0
+        for a in range(n):
             theta_bar = primal_step(thetas[a], batch.g[a], b_glob[a],
                                     lam_bar[a], cfg.rho1)
-            theta_new, nu = project_local(theta_bar, thetas0[a], rows[a].T,
-                                          rows_c[a], factors[a], cfg.delta,
-                                          nu0=nus[a], return_nu=True)
-            lam_new = dual_step(lam_bar[a], j0_global, b_glob[a], theta_new,
-                                thetas0[a], cfg.rho2, d_global)
-            lam_new[removed_mask] = 0.0
-            return theta_new, lam_new, nu
-
-        outs = pool.map(agent_update, list(range(n)))
-        change = 0.0
-        for a, (theta_new, lam_new, nu) in enumerate(outs):
+            theta_new, nus[a] = project_local(
+                theta_bar, thetas0[a], rows[a].T, rows_c[a], factors[a],
+                cfg.delta, nu0=nus[a], return_nu=True)
+            lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a],
+                                   theta_new, thetas0[a], cfg.rho2, d_global)
+            lambdas[a, removed_mask] = 0.0
             change = max(change, float(np.linalg.norm(theta_new - thetas[a])))
             thetas[a] = theta_new
-            lambdas[a] = lam_new
-            nus[a] = nu
         if log_lambda:
             traj.append(lambdas.copy())
         iterations = k
@@ -855,125 +815,161 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     return thetas, lambdas, iterations, converged, traj
 
 
-def train_episode(world: World, agents: list[GaussianPolicy],
-                  state: TrainingState, graph: AgentChannelGraph, *,
-                  removed: set[str] = frozenset(), backtracking: bool = True,
-                  pool: _Pool | None = None,
-                  log_lambda: bool = True) -> EpisodeRecord:
-    cfg = world.cfg
-    n = world.n_agents
-    own_pool = pool is None
-    pool = pool or _Pool(worker_count())
-    episode = state.episode
-    try:
-        start = world.window_start(episode)
+@dataclass
+class _Decision:
+    """A decision window and the agents that dispatch in it, as the
+    anchored updates and the feasibility gate read them."""
+
+    world: World
+    agents: list
+    removed: set[str]
+    irr_truth: np.ndarray        # (T, N) realised irradiance
+    load_truth: np.ndarray       # (T, N) realised load
+    states: list                 # per agent, the forecast the policy reads
+    prev_dg: np.ndarray          # (N,) DG setpoints before the window
+
+    @classmethod
+    def of(cls, world: World, agents, removed, start: int, seed: int,
+           forecast_tag: int, prev_dg) -> "_Decision":
         irr_truth, load_truth = world.profiles.window(start, world.horizon)
-        rng_fc = np.random.default_rng([world.seed, _STREAM_FORECAST, episode])
+        rng_fc = np.random.default_rng([seed, _STREAM_FORECAST, forecast_tag])
         irr_f, load_f = forecast_with_error(world.profiles, start,
                                             world.horizon,
                                             world.forecast_error, rng_fc)
         states = [make_state_vector(irr_f[:, a], load_f[:, a])
-                  for a in range(n)]
-        prev_dg = state.prev_dg if state.prev_dg is not None else np.zeros(n)
+                  for a in range(world.n_agents)]
+        prev_dg = (np.zeros(world.n_agents) if prev_dg is None
+                   else np.asarray(prev_dg, float))
+        return cls(world, agents, removed, irr_truth, load_truth, states,
+                   prev_dg)
 
-        layout = _RowLayout.of(world, removed)
+    @cached_property
+    def layout(self) -> _RowLayout:
+        """Built on first use: a dispatch that passes the gate at once
+        never runs an update."""
+        return _RowLayout.of(self.world, self.removed)
 
-        def anchored_update(anchor, lambdas0, d_work, sample_tag):
-            """One full pass: measure at the anchor, then iterate II-V."""
-            for a, ag in enumerate(agents):
-                ag.set_theta(anchor[a])
-            evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-            bat = _evaluate_batch(world, agents, evals, sample_tag,
-                                  irr_truth, load_truth, prev_dg)
-            factors = [ev.fisher_factor() for ev in evals]
-            out = _inner_loop(world, graph, anchor, lambdas0, bat, factors,
-                              d_work, layout, pool, log_lambda)
-            return bat, out
 
-        thetas0 = [t.copy() for t in state.thetas]
-        lambdas = np.zeros((n, len(layout.global_idx)))
-        batch, (thetas, lambdas, iters, converged, traj) = anchored_update(
-            thetas0, lambdas, world.row_bounds, [episode])
+def _anchored_update(dec: _Decision, graph: AgentChannelGraph, anchor,
+                     lambdas0, d_work, sample_tag, log_lambda: bool):
+    """Measure a batch at the anchor parameters, iterate stages II-V
+    over graph against the bounds d_work and leave the agents at the
+    result.  Returns the batch and _inner_loop's (thetas, lambdas,
+    iterations, converged, lambda log)."""
+    for ag, theta in zip(dec.agents, anchor):
+        ag.set_theta(theta)
+    evals = [ag.evaluate(dec.states[a]) for a, ag in enumerate(dec.agents)]
+    batch = _evaluate_batch(dec.world, dec.agents, evals, sample_tag,
+                            dec.irr_truth, dec.load_truth, dec.prev_dg)
+    factors = [ev.fisher_factor() for ev in evals]
+    out = _inner_loop(dec.world, graph, anchor, lambdas0, batch, factors,
+                      d_work, dec.layout, log_lambda)
+    for ag, theta in zip(dec.agents, out[0]):
+        ag.set_theta(theta)
+    return batch, out
 
-        # power-flow-engine gate with bound tightening on violated rows;
-        # each tightening round re-anchors at the freshly updated policies.
-        # The last check ran on the final policies: its returns and
-        # rewards are the dispatch record.
-        rounds = 0
-        verdict = "clean"
-        d_work = world.row_bounds
-        while True:
-            for a, ag in enumerate(agents):
-                ag.set_theta(thetas[a])
-            mean_actions = _dispatch_actions_mean(agents, states, world.horizon)
-            disp, violated = _pfe_check(
-                world, mean_actions, irr_truth, load_truth, prev_dg, removed)
-            if not backtracking:
-                break
-            if disp is None:
-                verdict = "pf-failure"
-                break
-            if not violated.size:
-                verdict = "clean" if rounds == 0 else "restored"
-                break
-            if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
-                verdict = "violated:" + ",".join(
-                    sorted(_violated_ids(world, violated)))
-                break
-            rounds += 1
-            d_work = backtrack_bounds(d_work, violated, cfg.tau)
-            _, (thetas, lambdas, it2, conv2, traj2) = anchored_update(
-                [t.copy() for t in thetas], lambdas, d_work,
-                [episode, rounds])
-            iters += it2
-            converged = conv2
-            if log_lambda:
-                traj.extend(traj2)
 
-        disp_rewards, j_dispatch = [float("nan")] * n, {}
-        if disp is not None:
-            disp_rewards = disp.rewards.tolist()
-            j_dispatch = dict(zip(world.index.ids, disp.returns.tolist()))
+def _gate(dec: _Decision, draw, reupdate, backtracking: bool):
+    """The power-flow feasibility gate on the agents' dispatch.
 
-        theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
-                        for a in range(n)]
-        state.thetas = thetas
-        state.lambdas = lambdas
-        state.prev_dg = mean_actions[:, 0].copy()  # step-0 DG dispatch
-        state.episode = episode + 1
-        state.outer_converged = max(theta_change) <= cfg.dtheta
+    draw() returns the joint action (N, 6T) the agents would dispatch.
+    While rows are violated and backtracking is on, each round tightens
+    the violated rows' bounds by tau, calls reupdate(bounds, round) to
+    re-anchor and re-update the agents, and checks the new dispatch.
+    Returns (actions, window evaluation, verdict, rounds) of the last
+    check; the verdict is 'clean', 'restored', 'violated:<sorted ids>' or
+    'pf-failure' (a power flow diverged; the evaluation is then None).
+    """
+    world, cfg = dec.world, dec.world.cfg
+    d_work = world.row_bounds
+    rounds = 0
+    while True:
+        actions = draw()
+        ev, violated = _pfe_check(world, actions, dec.irr_truth,
+                                  dec.load_truth, dec.prev_dg, dec.removed)
+        if ev is None:
+            return actions, None, "pf-failure", rounds
+        if not violated.size:
+            return actions, ev, "clean" if rounds == 0 else "restored", rounds
+        if (not backtracking or rounds >= cfg.backtrack_rounds
+                or cfg.tau >= 1.0):
+            ids = sorted(world.index.ids[m] for m in violated)
+            return actions, ev, "violated:" + ",".join(ids), rounds
+        rounds += 1
+        d_work = backtrack_bounds(d_work, violated, cfg.tau)
+        reupdate(d_work, rounds)
 
-        lam_traj: dict[str, list] = {}
-        if log_lambda and traj:
-            stacked = np.stack(traj)  # (K, N, Mg)
-            for j, m in enumerate(layout.global_idx):
-                if np.max(stacked[:, :, j]) > 1e-12:
-                    lam_traj[world.index.ids[m]] = stacked[:, :, j].tolist()
 
-        return EpisodeRecord(
-            episode=episode,
-            rewards=[float(x) for x in batch.rewards],
-            rewards_dispatch=disp_rewards,
-            j_values=dict(zip(world.index.ids, batch.j_values.tolist())),
-            j_dispatch=j_dispatch,
-            lambda_final=lambdas.tolist(),
-            lambda_traj=lam_traj,
-            theta_change=theta_change,
-            inner_iterations=iters,
-            inner_converged=converged,
-            backtrack_rounds=rounds,
-            pfe_verdict=verdict,
-            discards=batch.discards,
-        )
-    finally:
-        if own_pool:
-            pool.close()
+def train_episode(world: World, agents: list[GaussianPolicy],
+                  state: TrainingState, graph: AgentChannelGraph, *,
+                  removed: set[str] = frozenset(), backtracking: bool = True,
+                  log_lambda: bool = True) -> EpisodeRecord:
+    cfg = world.cfg
+    n = world.n_agents
+    episode = state.episode
+    dec = _Decision.of(world, agents, removed, world.window_start(episode),
+                       world.seed, episode, state.prev_dg)
+    batch, (thetas, lambdas, iters, converged, traj) = _anchored_update(
+        dec, graph, state.thetas, None, world.row_bounds, [episode],
+        log_lambda)
+
+    def reupdate(d_work, rounds):
+        # the prices carry over from the update before
+        nonlocal thetas, lambdas, iters, converged
+        _, (thetas, lambdas, more, converged, log) = _anchored_update(
+            dec, graph, thetas, lambdas, d_work, [episode, rounds],
+            log_lambda)
+        iters += more
+        traj.extend(log)
+
+    # the last check ran on the final policies: its returns and rewards
+    # are the dispatch record
+    mean_actions, disp, verdict, rounds = _gate(
+        dec, lambda: _dispatch_actions_mean(agents, dec.states,
+                                            world.horizon),
+        reupdate, backtracking)
+
+    disp_rewards, j_dispatch = [float("nan")] * n, {}
+    if disp is not None:
+        disp_rewards = disp.rewards.tolist()
+        j_dispatch = dict(zip(world.index.ids, disp.returns.tolist()))
+
+    theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
+                    for a in range(n)]
+    state.thetas = thetas
+    state.lambdas = lambdas
+    state.prev_dg = mean_actions[:, 0].copy()  # step-0 DG dispatch
+    state.episode = episode + 1
+    state.outer_converged = max(theta_change) <= cfg.dtheta
+
+    lam_traj: dict[str, list] = {}
+    if log_lambda and traj:
+        stacked = np.stack(traj)  # (K, N, Mg)
+        for j, m in enumerate(dec.layout.global_idx):
+            if np.max(stacked[:, :, j]) > 1e-12:
+                lam_traj[world.index.ids[m]] = stacked[:, :, j].tolist()
+
+    return EpisodeRecord(
+        episode=episode,
+        rewards=[float(x) for x in batch.rewards],
+        rewards_dispatch=disp_rewards,
+        j_values=dict(zip(world.index.ids, batch.j_values.tolist())),
+        j_dispatch=j_dispatch,
+        lambda_final=lambdas.tolist(),
+        lambda_traj=lam_traj,
+        theta_change=theta_change,
+        inner_iterations=iters,
+        inner_converged=converged,
+        backtrack_rounds=rounds,
+        pfe_verdict=verdict,
+        discards=batch.discards,
+    )
 
 
 def train(world: World, agents: list[GaussianPolicy] | None = None, *,
           episodes: int | None = None, mode: str = "smas-pl",
           removed_tokens=(), backtracking: bool = True,
-          log_lambda: bool = True, threads: int | None = None):
+          log_lambda: bool = True):
     """Run the outer loop; returns (records, agents, state)."""
     import time
 
@@ -985,31 +981,20 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
         tokens = ["all"]
     removed = resolve_removed_rows(world.table, tokens)
     n = world.n_agents
-    if n == 1:
-        graph = AgentChannelGraph.complete(1)
-    elif world.cfg.consensus_weight is not None and \
-            abs(world.cfg.consensus_weight * n - 1.0) <= 1e-12:
-        graph = AgentChannelGraph.complete(n, world.cfg.consensus_weight)
-    else:
-        graph = AgentChannelGraph.complete(n)
+    graph = AgentChannelGraph.complete(n)
     n_global = sum(1 for r in world.table if r.scope == "global")
     state = TrainingState(
         thetas=[ag.get_theta() for ag in agents],
         lambdas=np.zeros((n, n_global)),
         prev_dg=np.zeros(n),
     )
-    pool = _Pool(threads if threads is not None else worker_count())
     records = []
-    try:
-        for _ in range(episodes if episodes is not None else 50):
-            t0 = time.perf_counter()
-            rec = train_episode(world, agents, state, graph,
-                                removed=removed, backtracking=backtracking,
-                                pool=pool, log_lambda=log_lambda)
-            rec.wall_clock_s = time.perf_counter() - t0
-            records.append(rec)
-    finally:
-        pool.close()
+    for _ in range(episodes if episodes is not None else 50):
+        t0 = time.perf_counter()
+        rec = train_episode(world, agents, state, graph, removed=removed,
+                            backtracking=backtracking, log_lambda=log_lambda)
+        rec.wall_clock_s = time.perf_counter() - t0
+        records.append(rec)
     return records, agents, state
 
 
@@ -1029,65 +1014,32 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
     rows (zeros when absent).  Raises EpisodeAborted when the power flow
     will not converge for the dispatch (dispatch refused).
     """
-    cfg = world.cfg
     n = world.n_agents
     seed = world.seed if seed is None else seed
-    prev_dg = np.zeros(n) if prev_dg is None else np.asarray(prev_dg, float)
-    irr_truth, load_truth = world.profiles.window(window_start, world.horizon)
-    rng_fc = np.random.default_rng([seed, _STREAM_FORECAST, window_start])
-    irr_f, load_f = forecast_with_error(world.profiles, window_start,
-                                        world.horizon, world.forecast_error,
-                                        rng_fc)
-    states = [make_state_vector(irr_f[:, a], load_f[:, a]) for a in range(n)]
+    dec = _Decision.of(world, agents, removed, window_start, seed,
+                       window_start, prev_dg)
 
     def draw_actions():
         acts = np.empty((n, 6 * world.horizon))
         for a, ag in enumerate(agents):
             rng = np.random.default_rng([seed, _STREAM_DISPATCH,
                                          window_start, a])
-            acts[a] = ag.sample_actions(states[a], sample_count,
+            acts[a] = ag.sample_actions(dec.states[a], sample_count,
                                         rng).mean(axis=0)
         return postprocess_complementarity(acts, world.horizon)
 
-    actions = draw_actions()
-    disp, violated = _pfe_check(world, actions, irr_truth, load_truth,
-                                prev_dg, removed)
-    if disp is None:
-        raise EpisodeAborted("dispatch refused: power flow did not converge")
-    if not violated.size or not backtracking:
-        verdict = "clean" if not violated.size else \
-            "violated:" + ",".join(_violated_ids(world, violated))
-        return actions, verdict, 0
+    lambdas = None
 
-    # re-update with tightened bounds for the violated rows, re-anchoring
-    # at the refreshed policies each round, then re-draw the dispatch
-    graph = AgentChannelGraph.complete(n)
-    rounds = 0
-    pool = _Pool(0)
-    layout = _RowLayout.of(world, removed)
-    d_work = world.row_bounds
-    lambdas = np.zeros((n, len(layout.global_idx)))
-    while violated.size and rounds < cfg.backtrack_rounds and cfg.tau < 1.0:
-        rounds += 1
-        d_work = backtrack_bounds(d_work, violated, cfg.tau)
+    def reupdate(d_work, rounds):
+        # the prices start at zero and carry over the rounds; no log
+        nonlocal lambdas
         anchor = [ag.get_theta() for ag in agents]
-        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-        batch = _evaluate_batch(world, agents, evals,
-                                [window_start, rounds], irr_truth,
-                                load_truth, prev_dg)
-        factors = [ev.fisher_factor() for ev in evals]
-        thetas, lambdas, _, _, _ = _inner_loop(
-            world, graph, anchor, lambdas, batch, factors, d_work, layout,
-            pool, False)
-        for a, ag in enumerate(agents):
-            ag.set_theta(thetas[a])
-        actions = draw_actions()
-        disp, violated = _pfe_check(world, actions, irr_truth, load_truth,
-                                    prev_dg, removed)
-        if disp is None:
-            raise EpisodeAborted(
-                "dispatch refused: power flow did not converge")
-    pool.close()
-    verdict = "restored" if not violated.size else \
-        "violated:" + ",".join(sorted(_violated_ids(world, violated)))
+        _, (_, lambdas, *_) = _anchored_update(
+            dec, AgentChannelGraph.complete(n), anchor, lambdas, d_work,
+            [window_start, rounds], False)
+
+    actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate,
+                                        backtracking)
+    if verdict == "pf-failure":
+        raise EpisodeAborted("dispatch refused: power flow did not converge")
     return actions, verdict, rounds

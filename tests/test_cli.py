@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ class TestTrainArtifacts:
         code = main(["train", "--scenario", "nope.yaml",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
+
+    def test_retired_consensus_weight_is_validation_failure(self, tmp_path,
+                                                           capsys):
+        grid = Path(TINY).resolve().parent / "grids" / "tiny.yaml"
+        text = Path(TINY).read_text().replace(
+            "grid_file: grids/tiny.yaml", f"grid_file: {grid}").replace(
+            "sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, "
+            "consensus_weight: 1.0}")
+        old = tmp_path / "old.yaml"
+        old.write_text(text)
+        code = main(["train", "--scenario", str(old),
+                     "--out", str(tmp_path / "x"), "--episodes", "1"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown training key(s) ['consensus_weight']" in err
 
     def test_bad_removal_token_is_validation_failure(self, tmp_path):
         code = main(["train", "--scenario", TINY,
@@ -147,6 +164,22 @@ class TestDispatch:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: dispatch audit")
+        assert err.count("\n") == 1
+
+    def test_refused_dispatch_exits_two(self, tmp_path, monkeypatch, capsys):
+        from smaspl import training
+        from smaspl.policy import save_checkpoint
+
+        world = build_world(load_scenario(TINY))
+        for a, ag in enumerate(training.build_agents(world)):
+            save_checkpoint(ag, tmp_path / f"agent_{a}.json")
+        # every window the gate checks diverges
+        monkeypatch.setattr(training, "evaluate_window", lambda *a, **k: None)
+        code = main(["dispatch", "--scenario", TINY, "--checkpoints",
+                     str(tmp_path), "--out", str(tmp_path / "a.csv")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dispatch refused")
         assert err.count("\n") == 1
 
     def test_missing_checkpoints(self, tmp_path):
