@@ -13,7 +13,6 @@ from .grid import (
     GridModel,
     PowerFlowSolution,
     PowerFlowStack,
-    branch_current_magnitudes,
     build_admittance,
     load_grid_file,
     solve_power_flow,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "Bus", "GridModel", "PowerFlowSolution", "PowerFlowStack",
-    "branch_current_magnitudes", "build_admittance", "load_grid_file",
+    "build_admittance", "load_grid_file",
     "solve_power_flow", "solve_power_flow_stack",
     "BusMap", "ConstraintSpec", "DGSpec", "ESSSpec", "MicrogridSpec",
     "PCCSpec", "PVSpec", "build_constraint_table", "constraint_returns",

@@ -33,7 +33,7 @@ import yaml
 
 from .gradients import SensitivityError
 from .grid import GridError
-from .microgrid import window_bounds, write_constraint_report
+from .microgrid import CONTROLS, window_bounds, write_constraint_report
 # one-sample views the window evaluation replaced; the benchmark's tracer
 # (perfbench/tracing.py) still looks them up on this module
 from .grid import solve_power_flow  # noqa: F401
@@ -94,10 +94,23 @@ def write_episode_jsonl(records, path) -> None:
 
 
 def read_episode_jsonl(path) -> list[EpisodeRecord]:
+    """The records of an episode log.  Raises ValueError naming file:line
+    for a line that is not a JSON object with exactly EPISODE_FIELDS, and
+    for a log without records."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            out.append(EpisodeRecord(**json.loads(line)))
+        for number, line in enumerate(fh, start=1):
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not JSON ({exc})") from None
+            if not isinstance(row, dict) or set(row) != set(EPISODE_FIELDS):
+                raise ValueError(f"{path}:{number}: not an episode record "
+                                 f"(a JSON object with the fields "
+                                 f"{', '.join(EPISODE_FIELDS)})")
+            out.append(EpisodeRecord(**row))
+    if not out:
+        raise ValueError(f"{path}: episode log holds no records")
     return out
 
 
@@ -215,8 +228,7 @@ def brute_force_opf(world: World, *, window_start: int = 0,
     axes = []
     for spec in world.specs:
         lo, hi = window_bounds(spec, 1)
-        for c, name in enumerate(("p_dg", "p_ch", "p_dis",
-                                  "q_dg", "q_pv", "q_ess")):
+        for c, name in enumerate(CONTROLS):
             k = pts[name]
             axes.append(np.linspace(lo[c], hi[c], k) if hi[c] > lo[c]
                         else np.array([lo[c]]))
@@ -248,6 +260,9 @@ def brute_force_opf(world: World, *, window_start: int = 0,
 
 def _cmd_train(args) -> int:
     scenario = load_scenario(args.scenario)
+    if args.episodes is not None and args.episodes < 1:
+        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
+    episodes = args.episodes if args.episodes is not None else scenario.episodes
     if args.seed is not None:
         scenario.seed = args.seed
     if args.network_noise is not None:
@@ -255,7 +270,6 @@ def _cmd_train(args) -> int:
     world = build_world(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    episodes = args.episodes if args.episodes is not None else scenario.episodes
     removed = [t for t in (args.remove_constraints or "").split(",") if t]
     records, agents, state = train(
         world, episodes=episodes, mode=args.mode, removed_tokens=removed,
@@ -300,10 +314,9 @@ def _cmd_dispatch(args) -> int:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mg", "control", "step", "value"])
-        controls = ("p_dg", "p_ch", "p_dis", "q_dg", "q_pv", "q_ess")
         for a in range(world.n_agents):
             blk = actions[a].reshape(6, world.horizon)
-            for c, name in enumerate(controls):
+            for c, name in enumerate(CONTROLS):
                 for t in range(world.horizon):
                     w.writerow([a, name, t, repr(float(blk[c, t]))])
     # constraint audit and operating cost of the dispatched window

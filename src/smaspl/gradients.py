@@ -32,6 +32,7 @@ from .grid import (
 )
 from .microgrid import (
     CONSTRAINT_NETWORK_KINDS,
+    CONTROLS,
     DT_HOURS,
     ConstraintIndex,
     MicrogridSpec,
@@ -45,11 +46,8 @@ __all__ = [
     "SensitivityError",
     "StepSensitivities",
     "injection_current_jacobian",
-    "voltage_sensitivities",
-    "branch_and_pcc_sensitivities",
     "compute_step_sensitivities",
     "step_sensitivity_stack",
-    "local_constraint_gradients",
     "reward_action_gradients",
     "reward_gradient_stack",
     "constraint_action_gradients",
@@ -120,8 +118,6 @@ _CONTROL_BUS = {
     "q_dg": "dg", "q_pv": "pv", "q_ess": "ess",
 }
 
-CONTROL_ORDER = ("p_dg", "p_ch", "p_dis", "q_dg", "q_pv", "q_ess")
-
 
 def _control_bus(spec: MicrogridSpec, control: str) -> int:
     return getattr(spec.bus_map, _CONTROL_BUS[control])
@@ -131,33 +127,24 @@ def _control_bus(spec: MicrogridSpec, control: str) -> int:
 # Step 2: voltage sensitivities
 # ---------------------------------------------------------------------------
 
-def voltage_sensitivities(grid: GridModel, sol: PowerFlowSolution,
-                          specs) -> tuple[np.ndarray, np.ndarray]:
-    """d(v_re)/da and d(v_im)/da for every agent control, per kW.
-
-    Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
-    ...).  The 2n x 2n linearization is factorized once (sparse LU);
-    slack rows are identity with zero right-hand side, pinning slack
-    sensitivities to zero.  The one-point case of
-    _voltage_sensitivity_stack.
-    """
-    dv_re, dv_im = _voltage_sensitivity_stack(grid, PowerFlowStack.of([sol]),
-                                              specs)
-    return dv_re[0], dv_im[0]
-
-
 def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
                                specs) -> tuple[np.ndarray, np.ndarray]:
-    """voltage_sensitivities of every point of pf, (B, n_bus, C) each:
-    one block-diagonal factorization, one multi-column solve.  Controls
-    whose partials share a basis and a bus share a right-hand side; the
-    solve is exactly odd, so their columns are signed copies."""
+    """d(v_re)/da and d(v_im)/da, per kW, for every agent control at
+    every point of pf, (B, n_bus, C) each.
+
+    Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
+    ...).  The 2n x 2n linearizations of all points are factorized as one
+    block-diagonal sparse LU, with one multi-column solve; slack rows are
+    identity with zero right-hand side, pinning slack sensitivities to
+    zero.  Controls whose partials share a basis and a bus share a
+    right-hand side; the solve is exactly odd, so their columns are
+    signed copies."""
     n = grid.n_bus
     base = _partial_bases(pf)
     shared: dict = {}           # (basis, bus) -> right-hand-side column
     cols, signs = [], []
     for spec in specs:
-        for control in CONTROL_ORDER:
+        for control in CONTROLS:
             kind, sign = _CONTROL_PARTIAL[control]
             key = (kind, _control_bus(spec, control))
             cols.append(shared.setdefault(key, len(shared)))
@@ -195,7 +182,7 @@ def _singular_message(grid: GridModel, values: np.ndarray) -> str:
 class StepSensitivities:
     """All per-kW sensitivities at one operating point.
 
-    Column c = 6*agent + control (CONTROL_ORDER).  dv_* are p.u./kW,
+    Column c = 6*agent + control (CONTROLS).  dv_* are p.u./kW,
     d_pcc_* are kW/kW (dimensionless).  For a stack of operating points
     every field carries the stack's leading axes.
     """
@@ -221,25 +208,15 @@ class StepSensitivities:
                      for f in fields(cls)))
 
 
-def branch_and_pcc_sensitivities(grid: GridModel, sol: PowerFlowSolution,
-                                 specs, dv_re: np.ndarray,
-                                 dv_im: np.ndarray) -> StepSensitivities:
-    """Compose branch-current, magnitude, and PCC-flow sensitivities.
-
-    Branch currents follow i_br = y_ij (v_i - v_j); magnitude gradients
-    of branches carrying |I| < 1e-9 p.u. are defined as zero.  The
-    one-point case of _branch_and_pcc_stack.
-    """
-    sens = _branch_and_pcc_stack(grid, PowerFlowStack.of([sol]), specs,
-                                 dv_re[None], dv_im[None])
-    return sens.map(lambda x: x[0])
-
-
 def _branch_and_pcc_stack(grid: GridModel, pf: PowerFlowStack, specs,
                           dv_re: np.ndarray,
                           dv_im: np.ndarray) -> StepSensitivities:
-    """branch_and_pcc_sensitivities of every point of pf; dv_* are
-    (B, n_bus, C)."""
+    """Branch-current, magnitude and PCC-flow sensitivities of every
+    point of pf, composed from its voltage sensitivities dv_*
+    (B, n_bus, C).
+
+    Branch currents follow i_br = y_ij (v_i - v_j); magnitude gradients
+    of branches carrying |I| < 1e-9 p.u. are defined as zero."""
     f, t = grid.branch_from, grid.branch_to
     y_re = grid.branch_y.real[:, None]
     y_im = grid.branch_y.imag[:, None]
@@ -295,8 +272,8 @@ def step_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
 # Action gradients of reward and constraint returns
 # ---------------------------------------------------------------------------
 
-def reward_action_gradients(sens_steps, actions, specs, gamma: float,
-                            dt: float = DT_HOURS) -> np.ndarray:
+def reward_action_gradients(sens_steps, actions, specs,
+                            gamma: float) -> np.ndarray:
     """d(J_R_n)/d(a_n) for every agent, shape (n_mg, 6T).
 
     Per step: discounted export income through the PCC-flow sensitivity
@@ -305,11 +282,11 @@ def reward_action_gradients(sens_steps, actions, specs, gamma: float,
     """
     sens = StepSensitivities.stack(sens_steps).map(lambda x: x[None])
     return reward_gradient_stack(sens, np.asarray(actions)[None], specs,
-                                 gamma, dt)[0]
+                                 gamma)[0]
 
 
 def reward_gradient_stack(sens: StepSensitivities, actions, specs,
-                          gamma: float, dt: float = DT_HOURS) -> np.ndarray:
+                          gamma: float) -> np.ndarray:
     """reward_action_gradients of S samples at once: sens fields
     (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T)."""
     samples, horizon, n_mg = sens.dpcc_p.shape[:3]
@@ -320,35 +297,17 @@ def reward_gradient_stack(sens: StepSensitivities, actions, specs,
         :, :, agents, agents]                            # (S, T, N, 6)
     laid = (own * w[:, None, None]).transpose(0, 2, 3, 1).reshape(
         samples, n_mg, 6 * horizon)
-    grad = spec_column(specs, "pcc.price_per_kwh") * dt * laid
+    grad = spec_column(specs, "pcc.price_per_kwh") * DT_HOURS * laid
     p_dg = np.asarray(actions, dtype=float)[..., :horizon]
     marg = np.where(p_dg > 0, 2.0 * spec_column(specs, "dg.a_f") * p_dg
                     + spec_column(specs, "dg.b_f"), 0.0)
-    grad[..., :horizon] -= w * spec_column(specs, "dg.fuel_price") * dt * marg
+    grad[..., :horizon] -= (w * spec_column(specs, "dg.fuel_price")
+                            * DT_HOURS * marg)
     return grad
 
 
-def local_constraint_gradients(table, actions, specs, gamma: float,
-                               horizon: int, *, prev_dg=None,
-                               dt: float = DT_HOURS) -> dict[str, np.ndarray]:
-    """Action gradients of the purely action-driven local rows.
-
-    Returns {row_id: (n_mg, 6T)}; entries on non-owning agents are zero.
-    PCC rows are network quantities and are handled with the
-    sensitivity-based rows instead.
-    """
-    rows = [r for r in table
-            if r.scope == "local" and r.kind not in CONSTRAINT_NETWORK_KINDS]
-    index = ConstraintIndex.of(rows)
-    actions = np.asarray(actions, dtype=float)[None]
-    out = np.empty((*actions.shape, index.n_rows))
-    _local_row_gradients(index, actions, specs,
-                         geometric_weights(gamma, horizon), dt, out)
-    return {rid: out[0, :, :, m] for m, rid in enumerate(index.ids)}
-
-
 def _local_row_gradients(index: ConstraintIndex, actions: np.ndarray, specs,
-                         w: np.ndarray, dt: float, out: np.ndarray) -> None:
+                         w: np.ndarray, out: np.ndarray) -> None:
     """Write the analytic gradients of index's action-driven local rows
     into out (S, n_mg, 6T, M) at their table positions; each row is zero
     off its own agent's controls."""
@@ -373,8 +332,8 @@ def _local_row_gradients(index: ConstraintIndex, actions: np.ndarray, specs,
             eta_ch, eta_dis, cap = (
                 spec_column(owners, path)
                 for path in ("ess.eta_ch", "ess.eta_dis", "ess.e_cap_kwh"))
-            terms = [(1, o * tail * dt * eta_ch / cap),
-                     (2, -o * tail * dt / (eta_dis * cap))]
+            terms = [(1, o * tail * DT_HOURS * eta_ch / cap),
+                     (2, -o * tail * DT_HOURS / (eta_dis * cap))]
         else:                                # ess-complementarity
             terms = [(1, o * w * a[:, mg, 2]), (2, o * w * a[:, mg, 1])]
         out[..., pos] = 0.0
@@ -416,7 +375,6 @@ def _span(pos: np.ndarray):
 
 def row_gradient_stack(index: ConstraintIndex, sens: StepSensitivities,
                        actions, specs, gamma: float, *,
-                       dt: float = DT_HOURS,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Action gradients of every row of index for S samples at once:
     sens fields (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T, M),
@@ -426,13 +384,12 @@ def row_gradient_stack(index: ConstraintIndex, sens: StepSensitivities,
     if out is None:
         out = np.empty((*actions.shape, index.n_rows))
     _network_row_gradients(index, sens, w, out)
-    _local_row_gradients(index, actions, specs, w, dt, out)
+    _local_row_gradients(index, actions, specs, w, out)
     return out
 
 
 def constraint_action_gradients(table, sens_steps, actions, specs,
-                                gamma: float, *, prev_dg=None,
-                                dt: float = DT_HOURS) -> np.ndarray:
+                                gamma: float, *, prev_dg=None) -> np.ndarray:
     """Action gradients of every constraint row, shape (M, n_mg, 6T).
 
     Rows follow the table order.  Network rows (voltage, branch current,
@@ -442,7 +399,7 @@ def constraint_action_gradients(table, sens_steps, actions, specs,
     """
     sens = StepSensitivities.stack(sens_steps).map(lambda x: x[None])
     out = row_gradient_stack(ConstraintIndex.of(table), sens,
-                             np.asarray(actions)[None], specs, gamma, dt=dt)
+                             np.asarray(actions)[None], specs, gamma)
     return np.moveaxis(out[0], -1, 0)
 
 

@@ -34,11 +34,9 @@ __all__ = [
     "build_admittance",
     "solve_power_flow",
     "solve_power_flow_stack",
-    "branch_current_magnitudes",
     "power_mismatch",
     "load_current_voltage_jacobian",
     "power_flow_system_matrix",
-    "power_flow_system_csc",
     "power_flow_system_values",
     "system_block_diagonal",
     "solve_system_stack",
@@ -461,19 +459,6 @@ def system_block_diagonal(grid: GridModel,
                                    shape=(blocks * size, blocks * size))
 
 
-def power_flow_system_csc(grid: GridModel, p, q, v_re,
-                          v_im) -> scipy.sparse.csc_matrix:
-    """power_flow_system_matrix with slack pinning, as a sparse CSC matrix.
-
-    Only the load partials are computed per call and added onto the
-    grid's precomputed system_template; toarray() equals the dense
-    matrix exactly.
-    """
-    points = (np.asarray(x, dtype=float)[None] for x in (p, q, v_re, v_im))
-    return system_block_diagonal(grid, power_flow_system_values(grid,
-                                                                *points))
-
-
 def _splu(matrix):
     return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                                     diag_pivot_thresh=0.1)
@@ -632,11 +617,6 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         iterations=iterations, residuals=residuals, n_residuals=n_residuals,
         failure=failure, p_load_pu=p, q_load_pu=q,
     )
-
-
-def branch_current_magnitudes(sol: PowerFlowSolution) -> np.ndarray:
-    """|I_ij| per branch from a converged solution."""
-    return np.hypot(sol.i_br_re, sol.i_br_im)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridModel, PowerFlowSolution, PowerFlowStack
+from .grid import GridModel, PowerFlowStack
 
 __all__ = [
     "CONTROLS",
@@ -38,6 +38,7 @@ __all__ = [
     "ConstraintIndex",
     "Observables",
     "DT_HOURS",
+    "STEP_MINUTES",
     "action_index",
     "action_bounds",
     "window_bounds",
@@ -59,7 +60,8 @@ __all__ = [
     "write_constraint_report",
 ]
 
-DT_HOURS = 0.25  # 15-minute dispatch samples
+STEP_MINUTES = 15                 # the dispatch sample, fixed by the data
+DT_HOURS = STEP_MINUTES / 60.0
 
 CONTROLS = ("p_dg", "p_ch", "p_dis", "q_dg", "q_pv", "q_ess")
 
@@ -235,7 +237,7 @@ def fuel_consumption(p_dg: float, spec: MicrogridSpec) -> float:
 
 
 def reward_return(actions: np.ndarray, pcc_power_kw, spec: MicrogridSpec,
-                  gamma: float, dt: float = DT_HOURS) -> float:
+                  gamma: float) -> float:
     """Discounted net operating income over the window for one microgrid.
 
     Per step: export income price*P_pcc*dt minus fuel cost
@@ -244,12 +246,11 @@ def reward_return(actions: np.ndarray, pcc_power_kw, spec: MicrogridSpec,
     """
     pcc = np.asarray(pcc_power_kw, dtype=float)
     a = check_action_vector(actions, pcc.shape[0])
-    return float(reward_return_stack(a[None], pcc[:, None], [spec], gamma,
-                                     dt)[0])
+    return float(reward_return_stack(a[None], pcc[:, None], [spec],
+                                     gamma)[0])
 
 
-def reward_return_stack(actions, pcc_p, specs, gamma: float,
-                        dt: float = DT_HOURS) -> np.ndarray:
+def reward_return_stack(actions, pcc_p, specs, gamma: float) -> np.ndarray:
     """reward_return of every microgrid at once.
 
     actions (..., n_mg, 6T) and PCC exports pcc_p (..., T, n_mg) in kW
@@ -264,13 +265,13 @@ def reward_return_stack(actions, pcc_p, specs, gamma: float,
                     + spec_column(specs, "dg.b_f") * p_dg
                     + spec_column(specs, "dg.c_f"), 0.0)
     income = spec_column(specs, "pcc.price_per_kwh") \
-        * np.swapaxes(pcc_p, -1, -2) * dt
-    cost = spec_column(specs, "dg.fuel_price") * fuel * dt
+        * np.swapaxes(pcc_p, -1, -2) * DT_HOURS
+    cost = spec_column(specs, "dg.fuel_price") * fuel * DT_HOURS
     return (geometric_weights(gamma, horizon) * (income - cost)).sum(axis=-1)
 
 
-def soc_trajectory(soc_init: float, p_ch, p_dis, spec: MicrogridSpec,
-                   dt: float = DT_HOURS) -> np.ndarray:
+def soc_trajectory(soc_init: float, p_ch, p_dis,
+                   spec: MicrogridSpec) -> np.ndarray:
     """State of charge after each step of the window (the last axis).
 
     SOC_k = SOC_{k-1} + dt*(P_ch*eta_ch - P_dis/eta_dis)/E_cap.  Bound
@@ -279,7 +280,7 @@ def soc_trajectory(soc_init: float, p_ch, p_dis, spec: MicrogridSpec,
     p_ch = np.asarray(p_ch, dtype=float)
     p_dis = np.asarray(p_dis, dtype=float)
     e = spec.ess
-    delta = dt * (p_ch * e.eta_ch - p_dis / e.eta_dis) / e.e_cap_kwh
+    delta = DT_HOURS * (p_ch * e.eta_ch - p_dis / e.eta_dis) / e.e_cap_kwh
     return soc_init + np.cumsum(delta, axis=-1)
 
 
@@ -431,25 +432,12 @@ def pcc_branches(grid: GridModel,
     return k, sign, r
 
 
-def pcc_flow(grid: GridModel, sol: PowerFlowSolution,
-             spec: MicrogridSpec) -> tuple[float, float]:
-    """(P, Q) transfer in kW/kvar at the PCC, export-positive."""
-    k, sign = find_pcc_branch(grid, spec)
-    r = spec.bus_map.pcc_mg
-    i_re = sign * sol.i_br_re[k]
-    i_im = sign * sol.i_br_im[k]
-    p = sol.v_re[r] * i_re + sol.v_im[r] * i_im
-    q = sol.v_im[r] * i_re - sol.v_re[r] * i_im
-    return p * grid.base_power_kva, q * grid.base_power_kva
-
-
-def network_observables(grid: GridModel, solutions, specs) -> Observables:
-    """Observables of one solution per step: a sequence of
-    PowerFlowSolution, or a PowerFlowStack whose points are the steps."""
-    pf = solutions if isinstance(solutions, PowerFlowStack) \
-        else PowerFlowStack.of(solutions)
+def network_observables(grid: GridModel, pf: PowerFlowStack,
+                        specs) -> Observables:
+    """Observables of every point of pf, the point axis first: voltage
+    and branch-current magnitudes and each microgrid's PCC transfer
+    (P, Q) in kW/kvar, export-positive."""
     k, sign, r = pcc_branches(grid, specs)
-    # pcc_flow for every step and microgrid at once
     i_re = sign * pf.i_br_re[:, k]
     i_im = sign * pf.i_br_im[:, k]
     p = pf.v_re[:, r] * i_re + pf.v_im[:, r] * i_im
@@ -462,8 +450,8 @@ def network_observables(grid: GridModel, solutions, specs) -> Observables:
 # Constraint returns
 # ---------------------------------------------------------------------------
 
-def _step_values(actions: np.ndarray, obs: Observables, specs, prev_dg,
-                 dt: float) -> dict:
+def _step_values(actions: np.ndarray, obs: Observables, specs,
+                 prev_dg) -> dict:
     """Per-step value of every constraint quantity of a stack of joint
     actions (S, n_mg, 6T) and observables (S, T, ...): kind -> (S, X, T),
     X running over buses, branches or microgrids as the kind targets."""
@@ -474,7 +462,7 @@ def _step_values(actions: np.ndarray, obs: Observables, specs, prev_dg,
         else np.asarray(prev_dg, dtype=float)
 
     soc = np.stack([soc_trajectory(spec.ess.soc_init, p_ch[:, n],
-                                   p_dis[:, n], spec, dt)
+                                   p_dis[:, n], spec)
                     for n, spec in enumerate(specs)], axis=1)
     return {
         "voltage": obs.v_mag.swapaxes(1, 2),
@@ -492,13 +480,13 @@ def _step_values(actions: np.ndarray, obs: Observables, specs, prev_dg,
 
 def constraint_return_stack(index: ConstraintIndex, actions,
                             obs: Observables, specs, gamma: float, *,
-                            prev_dg=None, dt: float = DT_HOURS) -> np.ndarray:
+                            prev_dg=None) -> np.ndarray:
     """Discounted window returns (S, M) of a stack of S joint actions
     (S, n_mg, 6T) with their observables (fields (S, T, ...)), in the
     row order of index."""
     actions = np.asarray(actions, dtype=float)
     w = geometric_weights(gamma, actions.shape[-1] // 6)
-    values = _step_values(actions, obs, specs, prev_dg, dt)
+    values = _step_values(actions, obs, specs, prev_dg)
     out = np.empty((actions.shape[0], index.n_rows))
     for kind, (pos, target, orient) in index.groups.items():
         out[:, pos] = (values[kind][:, target] * orient[:, None]) @ w
@@ -506,8 +494,7 @@ def constraint_return_stack(index: ConstraintIndex, actions,
 
 
 def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
-                       *, prev_dg=None, dt: float = DT_HOURS,
-                       ids=None) -> dict[str, float]:
+                       *, prev_dg=None, ids=None) -> dict[str, float]:
     """Discounted window return of every constraint row.
 
     actions: (n_mg, 6T) joint action matrix; obs from converged solutions.
@@ -525,7 +512,7 @@ def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
     one = Observables(*(x[None] for x in (obs.v_mag, obs.i_mag, obs.pcc_p,
                                           obs.pcc_q)))
     values = constraint_return_stack(index, np.asarray(actions)[None], one,
-                                     specs, gamma, prev_dg=prev_dg, dt=dt)
+                                     specs, gamma, prev_dg=prev_dg)
     return dict(zip(index.ids, values[0].tolist()))
 
 

@@ -33,6 +33,7 @@ from .microgrid import (
     MicrogridSpec,
     PCCSpec,
     PVSpec,
+    STEP_MINUTES,
     find_pcc_branch,
 )
 
@@ -55,8 +56,6 @@ __all__ = [
     "networked_feeder_case",
     "nominal_loads_98",
 ]
-
-STEP_MINUTES = 15
 
 
 class ScenarioError(ValueError):
@@ -323,6 +322,9 @@ class Scenario:
     def __post_init__(self):
         if self.window < 1:
             raise ScenarioError("window length must be >= 1")
+        if self.episodes < 1:
+            raise ScenarioError(f"episode count must be >= 1, got "
+                                f"{self.episodes}")
         if self.seed is None:
             raise ScenarioError("scenario must carry a seed")
         if (self.forecast_error.solar_scale < 0

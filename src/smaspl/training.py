@@ -205,15 +205,9 @@ class AgentChannelGraph:
         return self.weights.shape[0]
 
     @classmethod
-    def complete(cls, n: int, weight: float | None = None):
-        """Complete graph with uniform weights (self-loops included)."""
-        if weight is None:
-            weight = 1.0 / n
-        if abs(weight * n - 1.0) > 1e-12:
-            raise ValueError(
-                f"uniform weight {weight} is not doubly stochastic for {n} "
-                f"agents (needs 1/{n})")
-        return cls(np.full((n, n), weight))
+    def complete(cls, n: int):
+        """Complete graph with uniform weights 1/n (self-loops included)."""
+        return cls(np.full((n, n), 1.0 / n))
 
     @classmethod
     def metropolis(cls, n: int, edges):
@@ -355,27 +349,27 @@ def backtrack_bounds(d: np.ndarray, violated_indices, tau: float) -> np.ndarray:
 
 @dataclass
 class TrainerConfig:
-    gamma: float = 0.99
-    delta: float = 1e-3
-    kmax: int = 200
-    rho1: float = 0.01
-    rho2: float = 0.01
-    dtheta: float = 1e-4
-    tau: float = 0.9
-    batch: int = 128
-    sigma_floor: float = 0.01
-    sigma_span_frac: float = 0.2
-    eps_complementarity: float = 1e-3
-    backtrack_rounds: int = 3
-    hidden_layers: tuple = (10, 10, 10)
-    dt: float = 0.25
+    """The training settings of a scenario; their defaults live in
+    scenario.TRAINING_DEFAULTS."""
+
+    gamma: float
+    delta: float
+    kmax: int
+    rho1: float
+    rho2: float
+    dtheta: float
+    tau: float
+    batch: int
+    sigma_floor: float
+    sigma_span_frac: float
+    eps_complementarity: float
+    backtrack_rounds: int
+    hidden_layers: tuple
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainerConfig":
-        kw = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if "hidden_layers" in kw:
-            kw["hidden_layers"] = tuple(kw["hidden_layers"])
-        return cls(**kw)
+        """From a complete training dict (Scenario.training)."""
+        return cls(**{**d, "hidden_layers": tuple(d["hidden_layers"])})
 
 
 @dataclass
@@ -510,10 +504,10 @@ def _returns_of(world: World, actions: np.ndarray, pf, prev_dg):
     obs = network_observables(world.grid, pf, world.specs)
     obs = Observables(*map(per_sample, (obs.v_mag, obs.i_mag, obs.pcc_p,
                                         obs.pcc_q)))
-    gamma, dt = world.cfg.gamma, world.cfg.dt
+    gamma = world.cfg.gamma
     j_values = constraint_return_stack(world.index, actions, obs, world.specs,
-                                       gamma, prev_dg=prev_dg, dt=dt)
-    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma, dt)
+                                       gamma, prev_dg=prev_dg)
+    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma)
     return obs, j_values, rewards
 
 
@@ -591,14 +585,13 @@ def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
     if count < samples:
         pf = pf.take(np.flatnonzero(np.repeat(accepted, horizon)))
     _, j_values, rewards = _returns_of(world, actions, pf, prev_dg)
-    gamma, dt = world.cfg.gamma, world.cfg.dt
+    gamma = world.cfg.gamma
     sens = step_sensitivity_stack(world.sens_grid, pf, world.specs).map(
         lambda x: x.reshape(count, horizon, *x.shape[1:]))
     cols = (np.empty((count, n, width, m + 1)) if cols_out is None
             else cols_out[:count])
-    cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma,
-                                         dt)
-    row_gradient_stack(world.index, sens, actions, world.specs, gamma, dt=dt,
+    cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma)
+    row_gradient_stack(world.index, sens, actions, world.specs, gamma,
                        out=cols[..., 1:])
     return _DrawEval(accepted, actions, rewards, j_values, cols)
 
@@ -761,7 +754,7 @@ class _RowLayout:
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
-                factors, d_vec, layout: _RowLayout, log_lambda: bool):
+                factors, d_vec, layout: _RowLayout):
     """Stages II-V iterated to the parameter-change stopping rule.
 
     factors[a] holds the Fisher rows of agent a at the anchor (see
@@ -806,8 +799,7 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
             lambdas[a, removed_mask] = 0.0
             change = max(change, float(np.linalg.norm(theta_new - thetas[a])))
             thetas[a] = theta_new
-        if log_lambda:
-            traj.append(lambdas.copy())
+        traj.append(lambdas.copy())
         iterations = k
         if change <= cfg.dtheta:
             converged = True
@@ -851,7 +843,7 @@ class _Decision:
 
 
 def _anchored_update(dec: _Decision, graph: AgentChannelGraph, anchor,
-                     lambdas0, d_work, sample_tag, log_lambda: bool):
+                     lambdas0, d_work, sample_tag):
     """Measure a batch at the anchor parameters, iterate stages II-V
     over graph against the bounds d_work and leave the agents at the
     result.  Returns the batch and _inner_loop's (thetas, lambdas,
@@ -863,7 +855,7 @@ def _anchored_update(dec: _Decision, graph: AgentChannelGraph, anchor,
                             dec.irr_truth, dec.load_truth, dec.prev_dg)
     factors = [ev.fisher_factor() for ev in evals]
     out = _inner_loop(dec.world, graph, anchor, lambdas0, batch, factors,
-                      d_work, dec.layout, log_lambda)
+                      d_work, dec.layout)
     for ag, theta in zip(dec.agents, out[0]):
         ag.set_theta(theta)
     return batch, out
@@ -902,23 +894,21 @@ def _gate(dec: _Decision, draw, reupdate, backtracking: bool):
 
 def train_episode(world: World, agents: list[GaussianPolicy],
                   state: TrainingState, graph: AgentChannelGraph, *,
-                  removed: set[str] = frozenset(), backtracking: bool = True,
-                  log_lambda: bool = True) -> EpisodeRecord:
+                  removed: set[str] = frozenset(),
+                  backtracking: bool = True) -> EpisodeRecord:
     cfg = world.cfg
     n = world.n_agents
     episode = state.episode
     dec = _Decision.of(world, agents, removed, world.window_start(episode),
                        world.seed, episode, state.prev_dg)
     batch, (thetas, lambdas, iters, converged, traj) = _anchored_update(
-        dec, graph, state.thetas, None, world.row_bounds, [episode],
-        log_lambda)
+        dec, graph, state.thetas, None, world.row_bounds, [episode])
 
     def reupdate(d_work, rounds):
         # the prices carry over from the update before
         nonlocal thetas, lambdas, iters, converged
         _, (thetas, lambdas, more, converged, log) = _anchored_update(
-            dec, graph, thetas, lambdas, d_work, [episode, rounds],
-            log_lambda)
+            dec, graph, thetas, lambdas, d_work, [episode, rounds])
         iters += more
         traj.extend(log)
 
@@ -943,7 +933,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
     state.outer_converged = max(theta_change) <= cfg.dtheta
 
     lam_traj: dict[str, list] = {}
-    if log_lambda and traj:
+    if traj:
         stacked = np.stack(traj)  # (K, N, Mg)
         for j, m in enumerate(dec.layout.global_idx):
             if np.max(stacked[:, :, j]) > 1e-12:
@@ -968,8 +958,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
 
 def train(world: World, agents: list[GaussianPolicy] | None = None, *,
           episodes: int | None = None, mode: str = "smas-pl",
-          removed_tokens=(), backtracking: bool = True,
-          log_lambda: bool = True):
+          removed_tokens=(), backtracking: bool = True):
     """Run the outer loop; returns (records, agents, state)."""
     import time
 
@@ -992,7 +981,7 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
     for _ in range(episodes if episodes is not None else 50):
         t0 = time.perf_counter()
         rec = train_episode(world, agents, state, graph, removed=removed,
-                            backtracking=backtracking, log_lambda=log_lambda)
+                            backtracking=backtracking)
         rec.wall_clock_s = time.perf_counter() - t0
         records.append(rec)
     return records, agents, state
@@ -1031,12 +1020,13 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
     lambdas = None
 
     def reupdate(d_work, rounds):
-        # the prices start at zero and carry over the rounds; no log
+        # the prices start at zero and carry over the rounds; the log is
+        # dropped
         nonlocal lambdas
         anchor = [ag.get_theta() for ag in agents]
         _, (_, lambdas, *_) = _anchored_update(
             dec, AgentChannelGraph.complete(n), anchor, lambdas, d_work,
-            [window_start, rounds], False)
+            [window_start, rounds])
 
     actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate,
                                         backtracking)

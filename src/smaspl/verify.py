@@ -4,8 +4,12 @@ Each family compares closed-form derivatives against an independent
 numerical oracle: full power-flow re-solves for the network
 sensitivities, central differences for the density and network
 Jacobians, and direct return re-evaluation for the local constraint
-rows.  A deliberately faulted variant of the injection table is
-available to prove the audit actually catches sign errors.
+rows.  The network and constraint families run the stacked functions
+training runs (solve_power_flow_stack, step_sensitivity_stack,
+network_observables, row_gradient_stack, constraint_return_stack),
+each trial's operating points or returns as one stack.  A deliberately
+faulted variant of the injection table is available to prove the audit
+actually catches sign errors.
 """
 
 from __future__ import annotations
@@ -15,24 +19,26 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Branch, Bus, GridModel, solve_power_flow
+from .grid import Branch, Bus, GridModel, solve_power_flow_stack
 from .gradients import (
-    compute_step_sensitivities,
     injection_current_jacobian,
-    local_constraint_gradients,
+    row_gradient_stack,
+    step_sensitivity_stack,
 )
 from .microgrid import (
+    CONSTRAINT_NETWORK_KINDS,
     BusMap,
+    ConstraintIndex,
     DGSpec,
     ESSSpec,
     MicrogridSpec,
+    Observables,
     PCCSpec,
     PVSpec,
     actions_to_injections,
     build_constraint_table,
-    constraint_returns,
+    constraint_return_stack,
     network_observables,
-    pcc_flow,
 )
 from .policy import (
     FeedforwardNet,
@@ -109,10 +115,20 @@ def _random_case(rng: np.random.Generator):
     return grid, spec, actions, load, irr
 
 
-def _solve_case(grid, spec, actions, load, irr):
+def _solve_stack(grid, spec, actions, load, irr):
+    """Power flows of a stack of actions (S, 1, 6T): the S x T operating
+    points, sample-major, solved as one stack at the oracle tolerance."""
     p, q = actions_to_injections(actions, load, irr, [spec], grid.n_bus)
-    sol = solve_power_flow(grid, p[0], q[0], tol=PF_TOL)
-    return sol if sol.converged else None
+    return solve_power_flow_stack(grid, p.reshape(-1, grid.n_bus),
+                                  q.reshape(-1, grid.n_bus), tol=PF_TOL)
+
+
+def _central_stack(actions, h):
+    """actions (1, W) followed by its W +h and its W -h displacements,
+    as one stack (1 + 2W, 1, W)."""
+    step = h * np.eye(actions.shape[1])
+    return np.concatenate([actions, actions + step,
+                           actions - step])[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -170,45 +186,28 @@ def audit_network_sensitivities(rng, trials=50, tol=1e-4,
                                 dump=None) -> list[AuditResult]:
     worst = {"voltage-sensitivity": 0.0, "voltage-magnitude": 0.0,
              "branch-current-magnitude": 0.0, "pcc-power": 0.0}
+    h = FD_H_KW
     done = 0
     while done < trials:
         grid, spec, actions, load, irr = _random_case(rng)
-        sol = _solve_case(grid, spec, actions, load, irr)
-        if sol is None:
+        # the base point, then its six +h and its six -h points
+        pf = _solve_stack(grid, spec, _central_stack(actions, h), load, irr)
+        if not pf.converged.all():
             continue
         done += 1
-        sens = compute_step_sensitivities(grid, sol, [spec])
-        h = FD_H_KW
-        fd_vre = np.empty_like(sens.dv_re)
-        fd_vmag = np.empty_like(sens.dv_mag)
-        fd_imag = np.empty_like(sens.di_mag)
-        fd_pcc = np.empty_like(sens.dpcc_p)
-        ok = True
-        for c in range(6):
-            up_a = actions.copy()
-            up_a[0, c] += h
-            dn_a = actions.copy()
-            dn_a[0, c] -= h
-            s_up = _solve_case(grid, spec, up_a, load, irr)
-            s_dn = _solve_case(grid, spec, dn_a, load, irr)
-            if s_up is None or s_dn is None:
-                ok = False
-                break
-            fd_vre[:, c] = (s_up.v_re - s_dn.v_re) / (2 * h)
-            fd_vmag[:, c] = (s_up.v_mag - s_dn.v_mag) / (2 * h)
-            up_imag = np.hypot(s_up.i_br_re, s_up.i_br_im)
-            dn_imag = np.hypot(s_dn.i_br_re, s_dn.i_br_im)
-            fd_imag[:, c] = (up_imag - dn_imag) / (2 * h)
-            fd_pcc[0, c] = (pcc_flow(grid, s_up, spec)[0]
-                            - pcc_flow(grid, s_dn, spec)[0]) / (2 * h)
-        if not ok:
-            done -= 1
-            continue
+        sens = step_sensitivity_stack(grid, pf.take([0]), [spec]).map(
+            lambda x: x[0])
+        obs = network_observables(grid, pf, [spec])
+
+        def central(x):
+            """Central differences of a per-point quantity, (X, 6)."""
+            return ((x[1:7] - x[7:]) / (2 * h)).T
+
         checks = [
-            ("voltage-sensitivity", sens.dv_re, fd_vre),
-            ("voltage-magnitude", sens.dv_mag, fd_vmag),
-            ("branch-current-magnitude", sens.di_mag, fd_imag),
-            ("pcc-power", sens.dpcc_p, fd_pcc),
+            ("voltage-sensitivity", sens.dv_re, central(pf.v_re)),
+            ("voltage-magnitude", sens.dv_mag, central(obs.v_mag)),
+            ("branch-current-magnitude", sens.di_mag, central(obs.i_mag)),
+            ("pcc-power", sens.dpcc_p, central(obs.pcc_p)),
         ]
         for family, analytic, fd in checks:
             scale = max(float(np.abs(fd).max()), 1e-9)
@@ -294,8 +293,8 @@ def audit_dnn_jacobian(rng, trials=100, tol=1e-5, dump=None) -> AuditResult:
 # Family 8: local constraint rows vs return re-evaluation
 # ---------------------------------------------------------------------------
 
-def audit_local_constraint_gradients(rng, trials=25, tol=1e-6,
-                                     dump=None) -> AuditResult:
+def audit_local_row_gradients(rng, trials=25, tol=1e-6,
+                              dump=None) -> AuditResult:
     worst = 0.0
     horizon = 4
     gamma = 0.99
@@ -306,40 +305,35 @@ def audit_local_constraint_gradients(rng, trials=25, tol=1e-6,
         load = np.repeat(load1, horizon, axis=0)
         irr = np.repeat(irr1, horizon, axis=0)
         actions = rng.uniform(-2.0, 8.0, (1, 6 * horizon))
-        p, q = actions_to_injections(actions, load, irr, [spec], grid.n_bus)
-        sols = [solve_power_flow(grid, p[t], q[t], tol=PF_TOL)
-                for t in range(horizon)]
-        if not all(s.converged for s in sols):
+        pf = _solve_stack(grid, spec, actions[None], load, irr)
+        if not pf.converged.all():
             continue
         done += 1
-        obs = network_observables(grid, sols, [spec])
-        table = [r for r in build_constraint_table(grid, [spec])
-                 if r.scope == "local"
-                 and r.kind not in ("pcc-p", "pcc-q")]
-        grads = local_constraint_gradients(table, actions, [spec], gamma,
-                                           horizon, prev_dg=[0.0])
-        base_vals = constraint_returns(actions, obs, [spec], table, gamma,
-                                       prev_dg=[0.0])
-        trial_worst = (-1.0, None, 0.0, 0.0, 1.0)  # err, index, an, fd, scale
-        for i in range(6 * horizon):
-            up = actions.copy()
-            up[0, i] += h
-            dn = actions.copy()
-            dn[0, i] -= h
-            # network observables are irrelevant for action-driven rows
-            v_up = constraint_returns(up, obs, [spec], table, gamma,
-                                      prev_dg=[0.0])
-            v_dn = constraint_returns(dn, obs, [spec], table, gamma,
-                                      prev_dg=[0.0])
-            for row in table:
-                fd = (v_up[row.id] - v_dn[row.id]) / (2 * h)
-                an = grads[row.id][0, i]
-                scale = max(abs(fd), abs(base_vals[row.id]), 1.0)
-                err = abs(an - fd) / scale
-                worst = max(worst, err)
-                if err > trial_worst[0]:
-                    trial_worst = (err, f"{row.id}:{i}", an, fd, scale)
-        _record(dump, "local-constraint-gradients", *trial_worst[1:])
+        index = ConstraintIndex.of(
+            [r for r in build_constraint_table(grid, [spec])
+             if r.scope == "local" and r.kind not in CONSTRAINT_NETWORK_KINDS])
+        sens = step_sensitivity_stack(grid, pf, [spec]).map(
+            lambda x: x[None])
+        grads = row_gradient_stack(index, sens, actions[None], [spec],
+                                   gamma)[0, 0]                  # (6T, M)
+        # the base returns and the +h and -h returns of every coordinate;
+        # the action-driven rows do not read the network observables
+        stack = _central_stack(actions, h)
+        obs = network_observables(grid, pf, [spec])
+        obs = Observables(*(np.broadcast_to(x, (len(stack), *x.shape))
+                            for x in (obs.v_mag, obs.i_mag, obs.pcc_p,
+                                      obs.pcc_q)))
+        values = constraint_return_stack(index, stack, obs, [spec], gamma,
+                                         prev_dg=[0.0])
+        width = 6 * horizon
+        fd = (values[1:1 + width] - values[1 + width:]) / (2 * h)
+        scale = np.maximum(np.maximum(np.abs(fd), np.abs(values[0])), 1.0)
+        err = np.abs(grads - fd) / scale
+        worst = max(worst, float(err.max()))
+        # the first largest error, coordinate-major
+        i, m = np.unravel_index(np.argmax(err), err.shape)
+        _record(dump, "local-constraint-gradients", f"{index.ids[m]}:{i}",
+                grads[i, m], fd[i, m], scale[i, m])
     return AuditResult("local-constraint-gradients", tol, trials, worst)
 
 
@@ -358,5 +352,5 @@ def run_all_audits(seed: int = 0, *, trials_network: int = 50,
                                            dump=dump)
     results.append(audit_pdf_gradients(rng, dump=dump))
     results.append(audit_dnn_jacobian(rng, dump=dump))
-    results.append(audit_local_constraint_gradients(rng, dump=dump))
+    results.append(audit_local_row_gradients(rng, dump=dump))
     return results

@@ -25,6 +25,24 @@ from smaspl.verify import run_all_audits
 TINY = "scenarios/tiny_oracle.yaml"
 
 
+def tiny_scenario_copy(tmp_path, old, new):
+    """The tiny scenario with one text replaced, written under tmp_path."""
+    grid = Path(TINY).resolve().parent / "grids" / "tiny.yaml"
+    text = Path(TINY).read_text().replace(
+        "grid_file: grids/tiny.yaml", f"grid_file: {grid}")
+    assert old in text
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 def run_train(tmp_path, name, extra=()):
     out = tmp_path / name
     code = main(["train", "--scenario", TINY, "--out", str(out),
@@ -72,19 +90,29 @@ class TestTrainArtifacts:
 
     def test_retired_consensus_weight_is_validation_failure(self, tmp_path,
                                                            capsys):
-        grid = Path(TINY).resolve().parent / "grids" / "tiny.yaml"
-        text = Path(TINY).read_text().replace(
-            "grid_file: grids/tiny.yaml", f"grid_file: {grid}").replace(
-            "sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, "
-            "consensus_weight: 1.0}")
-        old = tmp_path / "old.yaml"
-        old.write_text(text)
+        old = tiny_scenario_copy(
+            tmp_path, "sigma_span_frac: 0.15}",
+            "sigma_span_frac: 0.15, consensus_weight: 1.0}")
         code = main(["train", "--scenario", str(old),
                      "--out", str(tmp_path / "x"), "--episodes", "1"])
         assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "unknown training key(s) ['consensus_weight']" in err
+        assert_one_error_line(
+            capsys, "unknown training key(s) ['consensus_weight']")
+
+    def test_zero_episodes_flag_is_validation_failure(self, tmp_path,
+                                                      capsys):
+        code = main(["train", "--scenario", TINY,
+                     "--out", str(tmp_path / "x"), "--episodes", "0"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "--episodes must be >= 1, got 0")
+
+    def test_zero_episodes_in_scenario_is_validation_failure(self, tmp_path,
+                                                             capsys):
+        path = tiny_scenario_copy(tmp_path, "episodes: 60", "episodes: 0")
+        code = main(["train", "--scenario", str(path),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "episode count must be >= 1, got 0")
 
     def test_bad_removal_token_is_validation_failure(self, tmp_path):
         code = main(["train", "--scenario", TINY,
@@ -199,6 +227,26 @@ class TestReport:
         for name in ("summary_reward.csv", "summary_constraints.csv",
                      "summary_lambda.csv", "summary_theta.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
+
+    RECORD = json.dumps(dict.fromkeys(EPISODE_FIELDS, 0)) + "\n"
+
+    @pytest.mark.parametrize("log, where", [
+        ('{"episode": 0, "rewards": [1.0]}\n', "log.jsonl:1: not an episode"),
+        ("[1, 2]\n", "log.jsonl:1: not an episode record"),
+        ("{\"episode\": \n", "log.jsonl:1: not JSON"),
+        ("", "log.jsonl: episode log holds no records"),
+        (RECORD + json.dumps({**dict.fromkeys(EPISODE_FIELDS, 0),
+                              "wall_clock_s": 0.5}) + "\n",
+         "log.jsonl:2: not an episode record"),
+    ], ids=["missing-fields", "json-list", "not-json", "empty", "extra-field"])
+    def test_malformed_log_is_validation_failure(self, tmp_path, capsys,
+                                                 log, where):
+        path = tmp_path / "log.jsonl"
+        path.write_text(log)
+        code = main(["report", "--log", str(path), "--scenario", TINY,
+                     "--out", str(tmp_path / "rep")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, where)
 
 
 class TestVerify:

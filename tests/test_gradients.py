@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from smaspl.grid import Branch, Bus, GridModel, solve_power_flow
+from smaspl.grid import (Branch, Bus, GridModel, PowerFlowStack,
+                         solve_power_flow, solve_power_flow_stack)
 from smaspl.gradients import (
     chain_sample_to_parameters,
     compute_step_sensitivities,
     factorization_count,
     injection_current_jacobian,
-    local_constraint_gradients,
     reset_factorization_count,
     reward_action_gradients,
+    row_gradient_stack,
+    step_sensitivity_stack,
 )
 from smaspl.microgrid import (
+    CONSTRAINT_NETWORK_KINDS,
     BusMap,
+    ConstraintIndex,
     DGSpec,
     ESSSpec,
     MicrogridSpec,
@@ -23,6 +27,7 @@ from smaspl.microgrid import (
     actions_to_injections,
     build_constraint_table,
     geometric_weights,
+    network_observables,
 )
 from smaspl.policy import PolicyEval
 from smaspl.verify import audit_network_sensitivities, run_all_audits
@@ -78,6 +83,12 @@ def tiny_mg_case():
         bus_map=BusMap(dg=3, ess=3, pv=3, load=3, pcc_mg=2, pcc_host=1),
     )
     return grid, spec
+
+
+def pcc_power(grid, sols, spec):
+    """(P, Q) at the PCC of each solution, kW/kvar, export-positive."""
+    obs = network_observables(grid, PowerFlowStack.of(sols), [spec])
+    return obs.pcc_p[:, 0], obs.pcc_q[:, 0]
 
 
 class TestVoltageSensitivities:
@@ -163,7 +174,6 @@ class TestPCCSensitivity:
         actions = np.array([[15.0, 2.0, 1.0, 3.0, -2.0, 1.0]])
         load = np.array([[12.0]])
         irr = np.array([[0.7]])
-        from smaspl.microgrid import pcc_flow
         p, q = actions_to_injections(actions, load, irr, [spec], 4)
         sol = solve_power_flow(grid, p[0], q[0], tol=1e-12)
         sens = compute_step_sensitivities(grid, sol, [spec])
@@ -175,7 +185,8 @@ class TestPCCSensitivity:
             pd_, qd = actions_to_injections(dn, load, irr, [spec], 4)
             su = solve_power_flow(grid, pu[0], qu[0], tol=1e-12)
             sd = solve_power_flow(grid, pd_[0], qd[0], tol=1e-12)
-            fd = (pcc_flow(grid, su, spec)[0] - pcc_flow(grid, sd, spec)[0]) / (2 * h)
+            pcc_p = pcc_power(grid, [su, sd], spec)[0]
+            fd = (pcc_p[0] - pcc_p[1]) / (2 * h)
             assert sens.dpcc_p[0, c] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     def test_dg_raises_export(self):
@@ -191,17 +202,27 @@ class TestPCCSensitivity:
 
 
 class TestLocalConstraintGradients:
+    """The action-driven local rows of row_gradient_stack."""
+
     def setup_method(self):
         self.grid, self.spec = tiny_mg_case()
         self.T = 4
-        self.table = [r for r in build_constraint_table(self.grid, [self.spec])
-                      if r.scope == "local"]
+        self.index = ConstraintIndex.of(
+            [r for r in build_constraint_table(self.grid, [self.spec])
+             if r.scope == "local" and r.kind not in CONSTRAINT_NETWORK_KINDS])
         self.actions = np.random.default_rng(5).uniform(0, 4, (1, 24))
 
     def grads(self, gamma=0.99):
-        return local_constraint_gradients(self.table, self.actions,
-                                          [self.spec], gamma, self.T,
-                                          prev_dg=[0.0])
+        """{row id: (1, 6T)} gradients at a solved window."""
+        p, q = actions_to_injections(self.actions, np.full((self.T, 1), 8.0),
+                                     np.zeros((self.T, 1)), [self.spec], 4)
+        pf = solve_power_flow_stack(self.grid, p, q)
+        assert pf.converged.all()
+        sens = step_sensitivity_stack(self.grid, pf, [self.spec]).map(
+            lambda x: x[None])
+        out = row_gradient_stack(self.index, sens, self.actions[None],
+                                 [self.spec], gamma)[0]
+        return {rid: out[..., m] for m, rid in enumerate(self.index.ids)}
 
     def test_dg_cap_row_discounted_unit(self):
         g = self.grads()["mg0.dg_p_hi"]
@@ -312,7 +333,7 @@ class TestWindowRowGradients:
         # window-level composition: voltage and coupling rows with
         # discounting, checked against re-solved return differences
         from smaspl.gradients import constraint_action_gradients
-        from smaspl.microgrid import constraint_returns, network_observables
+        from smaspl.microgrid import constraint_returns
         grid, spec = tiny_mg_case()
         T = 2
         gamma = 0.9
@@ -329,7 +350,7 @@ class TestWindowRowGradients:
             p, q = actions_to_injections(a, load, irr, [spec], 4)
             sols = [solve_power_flow(grid, p[t], q[t], tol=1e-12)
                     for t in range(T)]
-            obs = network_observables(grid, sols, [spec])
+            obs = network_observables(grid, PowerFlowStack.of(sols), [spec])
             jc = constraint_returns(a, obs, [spec], table, gamma,
                                     prev_dg=[0.0])
             return jc, sols
@@ -352,7 +373,6 @@ class TestWindowRowGradients:
 
     def test_reactive_coupling_flow_vs_fd(self):
         grid, spec = tiny_mg_case()
-        from smaspl.microgrid import pcc_flow
         actions = np.array([[12.0, 1.0, 2.0, 4.0, -3.0, 1.5]])
         load = np.array([[10.0]])
         irr = np.array([[0.6]])
@@ -367,8 +387,8 @@ class TestWindowRowGradients:
             pd_, qd = actions_to_injections(dn, load, irr, [spec], 4)
             su = solve_power_flow(grid, pu[0], qu[0], tol=1e-12)
             sd = solve_power_flow(grid, pd_[0], qd[0], tol=1e-12)
-            fd = (pcc_flow(grid, su, spec)[1]
-                  - pcc_flow(grid, sd, spec)[1]) / (2 * h)
+            pcc_q = pcc_power(grid, [su, sd], spec)[1]
+            fd = (pcc_q[0] - pcc_q[1]) / (2 * h)
             assert sens.dpcc_q[0, c] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
@@ -378,7 +398,7 @@ class TestBundleEndToEnd:
         # constraint row must match common-random-number differences of
         # the batch estimates computed through full power flows
         from smaspl.microgrid import (constraint_returns, make_state_vector,
-                                      network_observables, reward_return)
+                                      reward_return)
         from smaspl.scenario import load_scenario
         from smaspl.training import (_batch_gradients, _evaluate_draws,
                                      build_agents, build_world)
@@ -404,13 +424,14 @@ class TestBundleEndToEnd:
                                              world.host_loads)
                 sol = solve_power_flow(world.grid, p[0], q[0], tol=1e-12)
                 assert sol.converged
-                obs = network_observables(world.grid, [sol], world.specs)
+                obs = network_observables(world.grid,
+                                          PowerFlowStack.of([sol]),
+                                          world.specs)
                 rewards.append(reward_return(a, obs.pcc_p[:, 0],
                                              world.specs[0],
-                                             world.cfg.gamma, world.cfg.dt))
+                                             world.cfg.gamma))
                 jc = constraint_returns(a[None, :], obs, world.specs,
-                                        world.table, world.cfg.gamma,
-                                        dt=world.cfg.dt)
+                                        world.table, world.cfg.gamma)
                 j_rows.append(jc[row_id])
             return float(np.mean(rewards)), float(np.mean(j_rows))
 
@@ -455,6 +476,8 @@ class TestIncidenceAlgebra:
         raise AssertionError("no coupling branch")
 
     def loop_reference(self, grid, sol, specs, dv_re, dv_im):
+        """Branch-current and PCC sensitivities, and the PCC power, one
+        branch and one microgrid at a time."""
         dibr_re = np.empty((grid.n_branch, dv_re.shape[1]))
         dibr_im = np.empty_like(dibr_re)
         for k, br in enumerate(grid.branches):
@@ -464,6 +487,8 @@ class TestIncidenceAlgebra:
             dibr_im[k] = br.y_im * ddr + br.y_re * ddi
         dpcc_p = np.empty((len(specs), dv_re.shape[1]))
         dpcc_q = np.empty_like(dpcc_p)
+        pcc_p = np.empty(len(specs))
+        pcc_q = np.empty(len(specs))
         base = grid.base_power_kva
         for m, spec in enumerate(specs):
             k, sign = self.scan_pcc_branch(grid, spec)
@@ -474,13 +499,12 @@ class TestIncidenceAlgebra:
                                 + dv_im[r] * iim + sol.v_im[r] * diim)
             dpcc_q[m] = base * (dv_im[r] * ire + sol.v_im[r] * dire
                                 - dv_re[r] * iim - sol.v_re[r] * diim)
-        return dibr_re, dibr_im, dpcc_p, dpcc_q
+            pcc_p[m] = (sol.v_re[r] * ire + sol.v_im[r] * iim) * base
+            pcc_q[m] = (sol.v_im[r] * ire - sol.v_re[r] * iim) * base
+        return dibr_re, dibr_im, dpcc_p, dpcc_q, pcc_p, pcc_q
 
     def test_branch_and_pcc_sensitivities_match_loop(self):
-        from smaspl.gradients import (branch_and_pcc_sensitivities,
-                                      voltage_sensitivities)
-        from smaspl.microgrid import (find_pcc_branch, network_observables,
-                                      pcc_flow)
+        from smaspl.microgrid import find_pcc_branch
         from smaspl.scenario import load_scenario
 
         sc = load_scenario("scenarios/paper98.yaml")
@@ -491,18 +515,18 @@ class TestIncidenceAlgebra:
                                      sc.host_loads)
         sol = solve_power_flow(grid, p[0], q[0])
         assert sol.converged
-        dv_re, dv_im = voltage_sensitivities(grid, sol, specs)
-        sens = branch_and_pcc_sensitivities(grid, sol, specs, dv_re, dv_im)
-        ref = self.loop_reference(grid, sol, specs, dv_re, dv_im)
+        sens = compute_step_sensitivities(grid, sol, specs)
+        *ref, pcc_p, pcc_q = self.loop_reference(grid, sol, specs,
+                                                 sens.dv_re, sens.dv_im)
         for got, want in zip((sens.dibr_re, sens.dibr_im, sens.dpcc_p,
                               sens.dpcc_q), ref):
             assert np.array_equal(got, want)
-        obs = network_observables(grid, [sol], specs)
-        for m, spec in enumerate(specs):
+        obs = network_observables(grid, PowerFlowStack.of([sol]), specs)
+        assert np.array_equal(obs.pcc_p[0], pcc_p)
+        assert np.array_equal(obs.pcc_q[0], pcc_q)
+        for spec in specs:
             assert find_pcc_branch(grid, spec) == \
                 self.scan_pcc_branch(grid, spec)
-            assert (obs.pcc_p[0, m], obs.pcc_q[0, m]) == \
-                pcc_flow(grid, sol, spec)
 
     def test_exactly_singular_system_raises(self):
         from smaspl.gradients import SensitivityError
@@ -563,8 +587,6 @@ class TestStackedSensitivities:
     """step_sensitivity_stack against a loop of one-point factorizations."""
 
     def test_stack_matches_one_point_sensitivities(self):
-        from smaspl.grid import PowerFlowStack
-        from smaspl.gradients import step_sensitivity_stack
         from smaspl.scenario import load_scenario
 
         sc = load_scenario("scenarios/paper98.yaml")
@@ -589,8 +611,7 @@ class TestStackedSensitivities:
                                            atol=1e-12 * np.abs(want).max())
 
     def test_exactly_singular_point_raises(self):
-        from smaspl.gradients import SensitivityError, step_sensitivity_stack
-        from smaspl.grid import PowerFlowStack
+        from smaspl.gradients import SensitivityError
         grid = GridModel.from_branches(
             [Bus(0, "slack"), Bus(1, "load")], [Branch(0, 1, 0.0, 0.0, 1.0)])
         _, spec = tiny_mg_case()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smaspl.grid import Branch, Bus, GridModel, solve_power_flow
+from smaspl.grid import (Branch, Bus, GridModel, PowerFlowStack,
+                         solve_power_flow)
 from smaspl.microgrid import (
     BusMap,
     DGSpec,
@@ -139,7 +140,7 @@ def solve_window(grid, specs, actions, load, irr, host_loads=None):
                                  host_loads)
     sols = [solve_power_flow(grid, p[t], q[t]) for t in range(load.shape[0])]
     assert all(s.converged for s in sols)
-    return network_observables(grid, sols, specs)
+    return network_observables(grid, PowerFlowStack.of(sols), specs)
 
 
 class TestConstraintReturns:
@@ -234,7 +235,7 @@ class TestConstraintReturns:
         assert cold["mg0.dg_ramp_up"] == pytest.approx(10.0)
 
 
-def per_row_returns(actions, obs, specs, table, gamma, prev_dg, dt=0.25):
+def per_row_returns(actions, obs, specs, table, gamma, prev_dg):
     """Reference: every row's per-step values one row at a time."""
     horizon = actions.shape[1] // 6
     w = geometric_weights(gamma, horizon)
@@ -254,7 +255,7 @@ def per_row_returns(actions, obs, specs, table, gamma, prev_dg, dt=0.25):
             vals = o * np.diff(np.concatenate([[prev_dg[row.mg_id]], a[0]]))
         elif row.kind == "soc":
             spec = specs[row.mg_id]
-            vals = o * soc_trajectory(spec.ess.soc_init, a[1], a[2], spec, dt)
+            vals = o * soc_trajectory(spec.ess.soc_init, a[1], a[2], spec)
         elif row.kind == "ess-complementarity":
             vals = o * a[1] * a[2]
         else:

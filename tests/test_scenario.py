@@ -216,6 +216,15 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="no branch"):
             load_scenario(tmp_path / "bad2.yaml")
 
+    def test_trainer_config_fields_are_the_training_defaults(self):
+        from dataclasses import fields
+        from smaspl.scenario import TRAINING_DEFAULTS
+        from smaspl.training import TrainerConfig
+        assert [f.name for f in fields(TrainerConfig)] == \
+            list(TRAINING_DEFAULTS)
+        cfg = TrainerConfig.from_dict(TRAINING_DEFAULTS)
+        assert cfg.hidden_layers == (10, 10, 10)
+
     def test_negative_variance_rejected(self, tmp_path):
         src = open(f"{SCENARIOS}/tiny_oracle.yaml").read()
         path = tmp_path / "neg.yaml"

@@ -58,18 +58,12 @@ class TestLambdaBus:
 
 
 class TestChannelGraph:
-    def test_complete_five_agents_weight(self):
-        g = AgentChannelGraph.complete(5, 0.2)
-        assert np.allclose(g.weights, 0.2)
-
-    def test_wrong_uniform_weight_rejected(self):
-        with pytest.raises(ValueError, match="doubly stochastic"):
-            AgentChannelGraph.complete(5, 0.3)
-
     def test_non_doubly_stochastic_rejected(self):
-        w = np.array([[0.9, 0.1], [0.3, 0.7]])
-        with pytest.raises(ValueError, match="doubly stochastic"):
-            AgentChannelGraph(w)
+        assert np.array_equal(AgentChannelGraph.complete(5).weights,
+                              np.full((5, 5), 0.2))
+        for w in (np.array([[0.9, 0.1], [0.3, 0.7]]), np.full((5, 5), 0.3)):
+            with pytest.raises(ValueError, match="doubly stochastic"):
+                AgentChannelGraph(w)
 
     def test_disconnected_rejected(self):
         w = np.eye(4)  # doubly stochastic but no edges
@@ -89,7 +83,7 @@ class TestConsensus:
         assert np.allclose(consensus_average(g, lam), 2.5)
 
     def test_five_agent_single_holder(self):
-        g = AgentChannelGraph.complete(5, 0.2)
+        g = AgentChannelGraph.complete(5)
         lam = np.array([[0.0], [0.0], [0.0], [0.0], [5.0]])
         assert np.allclose(consensus_average(g, lam), 1.0)
 
@@ -525,27 +519,27 @@ def one_sample_reference(world, actions, irr, load, prev_dg):
     from smaspl.gradients import (compute_step_sensitivities,
                                   constraint_action_gradients,
                                   reward_action_gradients)
-    from smaspl.grid import solve_power_flow
+    from smaspl.grid import PowerFlowStack, solve_power_flow
     from smaspl.microgrid import (actions_to_injections, constraint_returns,
                                   network_observables, reward_return)
-    gamma, dt = world.cfg.gamma, world.cfg.dt
+    gamma = world.cfg.gamma
     p, q = actions_to_injections(actions, load, irr, world.specs,
                                  world.grid.n_bus, world.host_loads)
     sols = [solve_power_flow(world.grid, p[t], q[t])
             for t in range(world.horizon)]
     if not all(s.converged for s in sols):
         return None
-    obs = network_observables(world.grid, sols, world.specs)
+    obs = network_observables(world.grid, PowerFlowStack.of(sols),
+                              world.specs)
     jc = constraint_returns(actions, obs, world.specs, world.table, gamma,
-                            prev_dg=prev_dg, dt=dt)
-    rewards = [reward_return(actions[n], obs.pcc_p[:, n], spec, gamma, dt)
+                            prev_dg=prev_dg)
+    rewards = [reward_return(actions[n], obs.pcc_p[:, n], spec, gamma)
                for n, spec in enumerate(world.specs)]
     sens = [compute_step_sensitivities(world.sens_grid, s, world.specs)
             for s in sols]
-    djr = reward_action_gradients(sens, actions, world.specs, gamma, dt)
+    djr = reward_action_gradients(sens, actions, world.specs, gamma)
     djc = constraint_action_gradients(world.table, sens, actions,
-                                      world.specs, gamma, prev_dg=prev_dg,
-                                      dt=dt)
+                                      world.specs, gamma, prev_dg=prev_dg)
     cols = np.concatenate([djr[:, :, None], djc.transpose(1, 2, 0)], axis=2)
     return (np.array(rewards), np.array([jc[r.id] for r in world.table]),
             cols)
@@ -788,7 +782,7 @@ class TestWindowEvaluation:
         return actions, irr, load
 
     def test_stacked_window_matches_per_step_solves_on_98_buses(self):
-        from smaspl.grid import solve_power_flow
+        from smaspl.grid import PowerFlowStack, solve_power_flow
         from smaspl.microgrid import actions_to_injections, network_observables
         from smaspl.training import evaluate_window
         world = build_world(load_scenario("scenarios/paper98.yaml"))
@@ -799,7 +793,8 @@ class TestWindowEvaluation:
         sols = [solve_power_flow(world.grid, p[t], q[t])
                 for t in range(world.horizon)]
         assert all(s.converged for s in sols)
-        ref = network_observables(world.grid, sols, world.specs)
+        ref = network_observables(world.grid, PowerFlowStack.of(sols),
+                                  world.specs)
         assert ev.obs.v_mag.shape == (world.horizon, world.grid.n_bus)
         for name in ("v_mag", "pcc_p", "pcc_q"):
             np.testing.assert_allclose(getattr(ev.obs, name),
@@ -813,12 +808,11 @@ class TestWindowEvaluation:
         prev = np.array([3.0, 7.0])
         ev = evaluate_window(world, actions, irr, load, prev)
         jc = constraint_returns(actions, ev.obs, world.specs, world.table,
-                                world.cfg.gamma, prev_dg=prev,
-                                dt=world.cfg.dt)
+                                world.cfg.gamma, prev_dg=prev)
         assert list(jc) == [r.id for r in world.table]
         assert ev.returns.tolist() == list(jc.values())
         rewards = [reward_return(actions[a], ev.obs.pcc_p[:, a], spec,
-                                 world.cfg.gamma, world.cfg.dt)
+                                 world.cfg.gamma)
                    for a, spec in enumerate(world.specs)]
         assert ev.rewards.tolist() == rewards
         assert ev.cost == -sum(rewards)
