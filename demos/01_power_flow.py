@@ -29,8 +29,7 @@ print(f"weakest bus: {worst} at {sol.v_mag[worst]:.4f} p.u.")
 
 # two-bus cross-check against a scalar oracle
 buses = [Bus(0, "slack"), Bus(1)]
-g2 = GridModel.from_branches(buses,
-                             [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0)])
+g2 = GridModel(buses, [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0)])
 sol2 = solve_power_flow(g2, [0.0, 50.0], [0.0, 20.0])
 z, s_load = 0.01 + 0.01j, 0.5 + 0.2j
 f = lambda m: abs(m * m + z * np.conj(s_load)) - m

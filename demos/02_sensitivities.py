@@ -22,7 +22,7 @@ buses = [Bus(0, "slack", 0.8, 1.2), Bus(1, "load", 0.8, 1.2),
 branches = [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0),
             Branch.from_impedance(1, 2, 0.008, 0.015, 10.0),
             Branch.from_impedance(2, 3, 0.005, 0.01, 10.0)]
-grid = GridModel.from_branches(buses, branches)
+grid = GridModel(buses, branches)
 spec = MicrogridSpec(
     mg_id=0,
     dg=DGSpec(40.0, 20.0, 20.0, 0.57, 0.0001773, 0.1709, 14.67),

@@ -13,7 +13,6 @@ from .grid import (
     GridModel,
     PowerFlowSolution,
     PowerFlowStack,
-    build_admittance,
     load_grid_file,
     solve_power_flow,
     solve_power_flow_stack,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "Bus", "GridModel", "PowerFlowSolution", "PowerFlowStack",
-    "build_admittance", "load_grid_file",
+    "load_grid_file",
     "solve_power_flow", "solve_power_flow_stack",
     "BusMap", "ConstraintSpec", "DGSpec", "ESSSpec", "MicrogridSpec",
     "PCCSpec", "PVSpec", "build_constraint_table", "constraint_returns",

@@ -17,10 +17,11 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 import yaml
 
@@ -31,7 +32,6 @@ __all__ = [
     "PowerFlowSolution",
     "PowerFlowStack",
     "GridError",
-    "build_admittance",
     "solve_power_flow",
     "solve_power_flow_stack",
     "power_mismatch",
@@ -108,78 +108,38 @@ class Branch:
         return cls(from_bus, to_bus, y.real, y.imag, i_max)
 
 
-def _connected_components(n_bus: int, branches) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n_bus)]
-    for br in branches:
-        adj[br.from_bus].append(br.to_bus)
-        adj[br.to_bus].append(br.from_bus)
-    seen = [False] * n_bus
-    comps = []
-    for start in range(n_bus):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _admittance(n: int, f: np.ndarray, t: np.ndarray,
+                y: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR nodal admittance: y_ij added to the (i, i) and (j, j) entries
+    and subtracted from (i, j) and (j, i), summed branch by branch in
+    branch order, so every entry equals a per-branch stamping loop's."""
+    rows = np.stack([f, t, f, t], axis=1).ravel()
+    cols = np.stack([f, t, t, f], axis=1).ravel()
+    vals = np.stack([y, y, -y, -y], axis=1).ravel()
+    key, slot = np.unique(rows * n + cols, return_inverse=True)
+    data = (np.bincount(slot, vals.real, key.size)
+            + 1j * np.bincount(slot, vals.imag, key.size))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
+                                                        minlength=n))])
+    return scipy.sparse.csr_matrix((data, key % n, indptr), shape=(n, n))
 
 
-def build_admittance(branches, n_bus: int) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble dense nodal admittance matrices (real, imag) from branches.
-
-    Diagonal entries are the sum of incident branch admittances, the
-    (i, j) off-diagonal is -y_ij.  Rejects out-of-range endpoints and
-    disconnected topologies (naming the stranded component).
-    """
-    y_re = np.zeros((n_bus, n_bus))
-    y_im = np.zeros((n_bus, n_bus))
-    for br in branches:
-        for b in (br.from_bus, br.to_bus):
-            if not (0 <= b < n_bus):
-                raise GridError(
-                    f"branch {br.from_bus}-{br.to_bus}: bus {b} outside 0..{n_bus - 1}"
-                )
-        i, j = br.from_bus, br.to_bus
-        y_re[i, i] += br.y_re
-        y_re[j, j] += br.y_re
-        y_re[i, j] -= br.y_re
-        y_re[j, i] -= br.y_re
-        y_im[i, i] += br.y_im
-        y_im[j, j] += br.y_im
-        y_im[i, j] -= br.y_im
-        y_im[j, i] -= br.y_im
-    comps = _connected_components(n_bus, branches)
-    if len(comps) > 1:
-        stranded = [c for c in comps if 0 not in c]
-        raise GridError(
-            f"network is disconnected: isolated component(s) {stranded}"
-        )
-    return y_re, y_im
-
-
-def _system_template(n: int, slack: int, nonslack: np.ndarray, branches,
-                     y_re: np.ndarray, y_im: np.ndarray) -> tuple:
+def _system_template(y_bus, slack: int, nonslack: np.ndarray) -> tuple:
     """power_flow_system_matrix at zero load, slack pinned, as a CSC
-    matrix that also stores every non-slack diagonal entry, and the
-    positions in its data of the four block diagonals (re-re, re-im,
-    im-re, im-im), where the load partials add on."""
-    pairs = {(b, b) for b in nonslack.tolist()}
-    for br in branches:
-        if slack not in (br.from_bus, br.to_bus):
-            pairs |= {(br.from_bus, br.to_bus), (br.to_bus, br.from_bus)}
-    i, j = np.array(sorted(pairs), dtype=int).reshape(-1, 2).T
-    blocks = ((0, 0, y_re), (0, 1, -y_im), (1, 0, y_im), (1, 1, y_re))
+    matrix on the pattern of Y without the slack row and column (a
+    connected grid's Y stores every diagonal entry), and the positions
+    in its data of the four block diagonals (re-re, re-im, im-re,
+    im-im), where the load partials add on."""
+    n = y_bus.shape[0]
+    coo = y_bus.tocoo()
+    keep = (coo.row != slack) & (coo.col != slack)
+    i, j, y = coo.row[keep], coo.col[keep], coo.data[keep]
+    blocks = ((0, 0, y.real), (0, 1, -y.imag), (1, 0, y.imag),
+              (1, 1, y.real))
     pinned = [slack, n + slack]
     rows = np.concatenate([r * n + i for r, _, _ in blocks] + [pinned])
     cols = np.concatenate([c * n + j for _, c, _ in blocks] + [pinned])
-    vals = np.concatenate([y[i, j] for _, _, y in blocks] + [[1.0, 1.0]])
+    vals = np.concatenate([v for _, _, v in blocks] + [[1.0, 1.0]])
     order = np.lexsort((rows, cols))        # by column, rows ascending
     rows, cols, vals = rows[order], cols[order], vals[order]
     slot = np.full((2 * n, 2 * n), -1)
@@ -195,81 +155,81 @@ def _system_template(n: int, slack: int, nonslack: np.ndarray, branches,
 
 @dataclass(frozen=True)
 class GridModel:
-    """Immutable network: buses, branches, admittance, and per-unit bases.
+    """Immutable network: buses, branches and per-unit bases.
 
-    base_kv holds the voltage base of each bus's zone; base_power_kva is
-    the common power base.  The remaining attributes are topology facts
-    derived once from the branch list: the complex admittance y_bus, the
-    branch-bus incidence as (branch_from, branch_to) bus indices with the
-    branch admittances branch_y, branch_lookup mapping an ordered bus
-    pair to (branch index, +1 along / -1 against the branch direction),
-    and the sparse template of the power-flow system matrix.
+    base_kv holds the voltage base of each bus's zone (ones when None);
+    base_power_kva is the common power base.  The remaining attributes
+    are topology facts derived once from the branch list: the slack bus
+    index and the non-slack ones, the branch-bus incidence as
+    (branch_from, branch_to) bus indices with the branch admittances
+    branch_y, the complex nodal admittance y_bus (CSR), branch_lookup
+    mapping an ordered bus pair to (branch index, +1 along / -1 against
+    the branch direction), and the sparse template of the power-flow
+    system matrix.
     """
 
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
-    y_re: np.ndarray
-    y_im: np.ndarray
-    base_power_kva: float
-    base_kv: np.ndarray
-    y_bus: np.ndarray = field(init=False, repr=False, compare=False)
+    base_power_kva: float = 100.0
+    base_kv: np.ndarray | None = None
+    slack: int = field(init=False, repr=False, compare=False)
+    nonslack: np.ndarray = field(init=False, repr=False, compare=False)
     branch_from: np.ndarray = field(init=False, repr=False, compare=False)
     branch_to: np.ndarray = field(init=False, repr=False, compare=False)
     branch_y: np.ndarray = field(init=False, repr=False, compare=False)
+    y_bus: scipy.sparse.csr_matrix = field(init=False, repr=False,
+                                           compare=False)
     branch_lookup: dict = field(init=False, repr=False, compare=False)
-    nonslack: np.ndarray = field(init=False, repr=False, compare=False)
     system_template: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.buses)
-        slack = [b.id for b in self.buses if b.kind == "slack"]
+        base_kv = np.ones(n) if self.base_kv is None else self.base_kv
+        self._set(buses=tuple(self.buses), branches=tuple(self.branches),
+                  base_power_kva=float(self.base_power_kva),
+                  base_kv=np.asarray(base_kv, dtype=float))
+        buses, branches = self.buses, self.branches
+        slack = [b.id for b in buses if b.kind == "slack"]
         if len(slack) != 1:
             raise GridError(f"need exactly one slack bus, found {slack}")
-        if sorted(b.id for b in self.buses) != list(range(n)):
+        if sorted(b.id for b in buses) != list(range(n)):
             raise GridError("bus ids must be 0..n-1 without gaps")
         if self.base_power_kva <= 0:
             raise GridError("base_power_kva must be positive")
         if len(self.base_kv) != n:
             raise GridError("base_kv must have one entry per bus")
-        y_re, y_im = build_admittance(self.branches, n)
-        if (np.max(np.abs(y_re - self.y_re), initial=0.0) > 1e-12
-                or np.max(np.abs(y_im - self.y_im), initial=0.0) > 1e-12):
-            raise GridError("stored admittance inconsistent with branch list")
-        if (np.max(np.abs(self.y_re - self.y_re.T), initial=0.0) > 1e-12
-                or np.max(np.abs(self.y_im - self.y_im.T), initial=0.0) > 1e-12):
-            raise GridError("admittance matrix must be symmetric")
-        s = slack[0]
-        nonslack = np.array([i for i in range(n) if i != s], dtype=int)
+        f = np.array([br.from_bus for br in branches], dtype=int)
+        t = np.array([br.to_bus for br in branches], dtype=int)
+        ends = np.stack([f, t], axis=1).ravel()
+        outside = np.flatnonzero((ends < 0) | (ends >= n))
+        if outside.size:
+            br = branches[outside[0] // 2]
+            raise GridError(f"branch {br.from_bus}-{br.to_bus}: bus "
+                            f"{ends[outside[0]]} outside 0..{n - 1}")
+        links = scipy.sparse.coo_matrix((np.ones(f.size), (f, t)),
+                                        shape=(n, n))
+        count, label = scipy.sparse.csgraph.connected_components(
+            links, directed=False)
+        if count > 1:
+            stranded = sorted(np.flatnonzero(label == c).tolist()
+                              for c in range(count) if c != label[0])
+            raise GridError(
+                f"network is disconnected: isolated component(s) {stranded}"
+            )
         lookup: dict = {}
-        for k, br in enumerate(self.branches):
+        for k, br in enumerate(branches):
             lookup.setdefault((br.from_bus, br.to_bus), (k, +1.0))
             lookup.setdefault((br.to_bus, br.from_bus), (k, -1.0))
-        derived = {
-            "y_bus": self.y_re + 1j * self.y_im,
-            "branch_from": np.array([br.from_bus for br in self.branches],
-                                    dtype=int),
-            "branch_to": np.array([br.to_bus for br in self.branches],
-                                  dtype=int),
-            "branch_y": np.array([br.y for br in self.branches],
-                                 dtype=complex),
-            "branch_lookup": lookup,
-            "nonslack": nonslack,
-            "system_template": _system_template(n, s, nonslack,
-                                                self.branches, self.y_re,
-                                                self.y_im),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        y = np.array([br.y for br in branches], dtype=complex)
+        y_bus = _admittance(n, f, t, y)
+        nonslack = np.delete(np.arange(n), slack[0])
+        self._set(slack=slack[0], nonslack=nonslack, branch_from=f,
+                  branch_to=t, branch_y=y, y_bus=y_bus, branch_lookup=lookup,
+                  system_template=_system_template(y_bus, slack[0], nonslack))
 
-    @classmethod
-    def from_branches(cls, buses, branches, base_power_kva=100.0, base_kv=None):
-        buses = tuple(buses)
-        branches = tuple(branches)
-        y_re, y_im = build_admittance(branches, len(buses))
-        if base_kv is None:
-            base_kv = np.ones(len(buses))
-        return cls(buses, branches, y_re, y_im, float(base_power_kva),
-                   np.asarray(base_kv, dtype=float))
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_bus(self) -> int:
@@ -279,32 +239,20 @@ class GridModel:
     def n_branch(self) -> int:
         return len(self.branches)
 
-    @property
-    def slack(self) -> int:
-        return next(b.id for b in self.buses if b.kind == "slack")
-
     def kw_to_pu(self, kw):
         return np.asarray(kw, dtype=float) / self.base_power_kva
-
-    def with_branches(self, branches) -> "GridModel":
-        branches = tuple(branches)
-        y_re, y_im = build_admittance(branches, self.n_bus)
-        return replace(self, branches=branches, y_re=y_re, y_im=y_im)
 
 
 @dataclass
 class PowerFlowSolution:
     """Rectangular power-flow result in p.u.
 
-    i_inj is the nodal current Y*V (equals minus the load current at
-    convergence); i_br follows i_br = y_ij*(v_from - v_to).  failure is
-    None, "max_iterations", "singular_jacobian" or "voltage_collapse".
+    i_br follows i_br = y_ij*(v_from - v_to).  failure is None,
+    "max_iterations", "singular_jacobian" or "voltage_collapse".
     """
 
     v_re: np.ndarray
     v_im: np.ndarray
-    i_inj_re: np.ndarray
-    i_inj_im: np.ndarray
     i_br_re: np.ndarray
     i_br_im: np.ndarray
     converged: bool
@@ -323,8 +271,8 @@ class PowerFlowSolution:
 class PowerFlowStack:
     """Power-flow results of B operating points, point on the first axis.
 
-    Voltages, nodal currents and net loads are (B, n_bus), branch
-    currents (B, n_branch), converged and iterations (B,).
+    Voltages and net loads are (B, n_bus), branch currents
+    (B, n_branch), converged and iterations (B,).
     residuals[k, b] is point b's residual at Newton iterate k for
     k < n_residuals[b] (NaN beyond); failure[b] is as in
     PowerFlowSolution.
@@ -332,8 +280,6 @@ class PowerFlowStack:
 
     v_re: np.ndarray
     v_im: np.ndarray
-    i_inj_re: np.ndarray
-    i_inj_im: np.ndarray
     i_br_re: np.ndarray
     i_br_im: np.ndarray
     converged: np.ndarray
@@ -355,7 +301,6 @@ class PowerFlowStack:
         """Point b as a PowerFlowSolution."""
         return PowerFlowSolution(
             v_re=self.v_re[b], v_im=self.v_im[b],
-            i_inj_re=self.i_inj_re[b], i_inj_im=self.i_inj_im[b],
             i_br_re=self.i_br_re[b], i_br_im=self.i_br_im[b],
             converged=bool(self.converged[b]),
             iterations=int(self.iterations[b]),
@@ -381,9 +326,9 @@ class PowerFlowStack:
         for b, s in enumerate(sols):
             residuals[:n_res[b], b] = s.residual_history
         per_point = {name: np.array([getattr(s, name) for s in sols])
-                     for name in ("v_re", "v_im", "i_inj_re", "i_inj_im",
-                                  "i_br_re", "i_br_im", "converged",
-                                  "iterations", "p_load_pu", "q_load_pu")}
+                     for name in ("v_re", "v_im", "i_br_re", "i_br_im",
+                                  "converged", "iterations", "p_load_pu",
+                                  "q_load_pu")}
         return cls(**per_point, residuals=residuals, n_residuals=n_res,
                    failure=[s.failure for s in sols])
 
@@ -412,12 +357,14 @@ def power_flow_system_matrix(grid: GridModel, p, q, v_re, v_im,
     The same matrix serves as the Newton Jacobian and, factorized at the
     solution, as the system matrix for all voltage sensitivities.  With
     p = q = 0 it reduces to [[Y_re, -Y_im], [Y_im, Y_re]].  Slack rows
-    and columns are replaced by identity when pin_slack is set.
+    and columns are replaced by identity when pin_slack is set.  This
+    dense form is the reference the sparse template is checked against.
     """
     n = grid.n_bus
+    y = grid.y_bus.toarray()
     d_rere, d_reim, d_imre, d_imim = load_current_voltage_jacobian(p, q, v_re, v_im)
-    top = np.hstack([grid.y_re + np.diag(d_rere), -grid.y_im + np.diag(d_reim)])
-    bot = np.hstack([grid.y_im + np.diag(d_imre), grid.y_re + np.diag(d_imim)])
+    top = np.hstack([y.real + np.diag(d_rere), -y.imag + np.diag(d_reim)])
+    bot = np.hstack([y.imag + np.diag(d_imre), y.real + np.diag(d_imim)])
     J = np.vstack([top, bot])
     if pin_slack:
         s = grid.slack
@@ -549,7 +496,9 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
     iterating as one block-diagonal sparse LU (SuperLU).  A point stops
     on its own convergence or failure, so it takes the iterates it takes
     alone; a point whose own matrix is exactly singular fails with
-    "singular_jacobian" and leaves the others iterating.
+    "singular_jacobian" and leaves the others iterating.  The mismatch
+    Y V is a sparse product, row by row, so a point's iterates are the
+    same bit for bit in a stack of any size.
     """
     n = grid.n_bus
     s = grid.slack
@@ -582,7 +531,7 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         stop(live[collapsed], "voltage_collapse")
         live, vr, vi, pl, ql, v2 = _keep(~collapsed, live, vr, vi, pl, ql, v2)
         v = vr + 1j * vi
-        yv = v @ grid.y_bus.T
+        yv = (grid.y_bus @ v.T).T   # row by row, whatever the stack size
         s_miss = v * np.conj(yv) + (pl + 1j * ql)
         resid = np.abs(s_miss[:, grid.nonslack]).max(axis=1, initial=0.0)
         residuals[it, live] = resid
@@ -609,13 +558,11 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         v_im[live] = vi + dx[:, n:]
         iterations[live] = it + 1
 
-    i_inj = (v_re + 1j * v_im) @ grid.y_bus.T
     i_br_re, i_br_im = _branch_currents(grid, v_re, v_im)
     return PowerFlowStack(
-        v_re=v_re, v_im=v_im, i_inj_re=i_inj.real, i_inj_im=i_inj.imag,
-        i_br_re=i_br_re, i_br_im=i_br_im, converged=converged,
-        iterations=iterations, residuals=residuals, n_residuals=n_residuals,
-        failure=failure, p_load_pu=p, q_load_pu=q,
+        v_re=v_re, v_im=v_im, i_br_re=i_br_re, i_br_im=i_br_im,
+        converged=converged, iterations=iterations, residuals=residuals,
+        n_residuals=n_residuals, failure=failure, p_load_pu=p, q_load_pu=q,
     )
 
 
@@ -668,7 +615,7 @@ def grid_from_dict(data: dict) -> GridModel:
             raise GridError(f"branch {i}-{j}: units must be 'ohm' or 'pu'")
         branches.append(Branch.from_impedance(i, j, r, x, i_max))
 
-    return GridModel.from_branches(buses, branches, base_kva, base_kv)
+    return GridModel(buses, branches, base_kva, base_kv)
 
 
 def load_grid_file(path) -> GridModel:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -259,7 +259,7 @@ def perturb_network(grid: GridModel, variance: float,
     """Multiply every branch r and x by (1 + e), e ~ N(0, variance).
 
     Draws producing a non-positive resistance or reactance are resampled.
-    The admittance matrices are rebuilt from the perturbed branches.
+    The admittance is rebuilt from the perturbed branches.
     """
     if variance < 0:
         raise ScenarioError("variance must be >= 0")
@@ -282,7 +282,7 @@ def perturb_network(grid: GridModel, variance: float,
         new.append(Branch.from_impedance(br.from_bus, br.to_bus,
                                          rr if r > 0 else r,
                                          xx if x > 0 else x, br.i_max))
-    return grid.with_branches(new)
+    return replace(grid, branches=new)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,9 @@ def mg13_branches():
     ]
 
 
-def _default_mg_spec(mg_id: int, root: int) -> MicrogridSpec:
+def _default_mg_spec(mg_id: int, root: int, host: int) -> MicrogridSpec:
+    """The reference microgrid on the 13-bus template rooted at bus root,
+    coupled to bus host of the feeder."""
     return MicrogridSpec(
         mg_id=mg_id,
         dg=DGSpec(p_max_kw=60.0, q_max_kvar=30.0, ramp_kw=30.0,
@@ -493,7 +495,7 @@ def _default_mg_spec(mg_id: int, root: int) -> MicrogridSpec:
         pv=PVSpec(p_rated_kw=25.0, q_max_kvar=10.0),
         pcc=PCCSpec(p_max_kw=120.0, q_max_kvar=60.0, price_per_kwh=0.046),
         bus_map=BusMap(dg=root + 3, ess=root + 6, pv=root + 9,
-                       load=root + 11, pcc_mg=root, pcc_host=0),
+                       load=root + 11, pcc_mg=root, pcc_host=host),
     )
 
 
@@ -526,14 +528,8 @@ def networked_feeder_case(attach=(5, 9, 14, 21, 26), *,
         ]
         branches.append(Branch.from_impedance(root, host_bus,
                                               pcc_r_pu, pcc_x_pu, 50.0))
-        spec = _default_mg_spec(m, root)
-        spec = MicrogridSpec(
-            mg_id=m, dg=spec.dg, ess=spec.ess, pv=spec.pv, pcc=spec.pcc,
-            bus_map=BusMap(dg=root + 3, ess=root + 6, pv=root + 9,
-                           load=root + 11, pcc_mg=root, pcc_host=host_bus),
-        )
-        specs.append(spec)
-    grid = GridModel.from_branches(buses, branches, base_kva, base_kv)
+        specs.append(_default_mg_spec(m, root, host_bus))
+    grid = GridModel(buses, branches, base_kva, base_kv)
     return grid, specs
 
 

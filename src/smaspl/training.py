@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .grid import GridModel, solve_power_flow_stack
 from .gradients import (
@@ -187,16 +188,9 @@ class AgentChannelGraph:
         if (np.max(np.abs(w.sum(axis=0) - 1.0)) > 1e-12
                 or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12):
             raise ValueError("weight matrix must be doubly stochastic")
-        adj = (w > 0) | (w.T > 0)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        if len(seen) != n:
+        count, _ = scipy.sparse.csgraph.connected_components(
+            w > 0, directed=False)
+        if count != 1:
             raise ValueError("agent graph must be connected")
         self.weights = w
 

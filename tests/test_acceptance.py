@@ -70,7 +70,7 @@ class TestCriterion2PowerFlow:
         resid = float(np.max(np.abs(miss[nonslack])))
 
         buses = [Bus(0, "slack"), Bus(1)]
-        g2 = GridModel.from_branches(
+        g2 = GridModel(
             buses, [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0)])
         sol2 = solve_power_flow(g2, [0.0, 50.0], [0.0, 20.0])
         # independent scalar oracle: bisection on |V1|

@@ -300,8 +300,7 @@ class TestBruteForce:
         from smaspl.grid import Bus, GridModel
         buses = [Bus(b.id, b.kind, 1.02, 1.03, b.mg_owner)
                  if b.kind != "slack" else b for b in sc.grid.buses]
-        sc.grid = GridModel(tuple(buses), sc.grid.branches, sc.grid.y_re,
-                            sc.grid.y_im, sc.grid.base_power_kva,
+        sc.grid = GridModel(buses, sc.grid.branches, sc.grid.base_power_kva,
                             sc.grid.base_kv)
         world = build_world(sc)
         res = brute_force_opf(world, grid_points={"p_dg": 3})

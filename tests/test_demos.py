@@ -1,0 +1,27 @@
+"""Smoke test: the quick demos run to completion against the current API.
+
+Demo 04 trains for several seconds and is left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", [
+    "01_power_flow", "02_sensitivities", "03_policy_and_fim",
+    "05_backtracking_dispatch",
+])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -73,7 +73,7 @@ def tiny_mg_case():
         Branch.from_impedance(1, 2, 0.008, 0.015, 10.0),
         Branch.from_impedance(2, 3, 0.005, 0.01, 10.0),
     ]
-    grid = GridModel.from_branches(buses, branches)
+    grid = GridModel(buses, branches)
     spec = MicrogridSpec(
         mg_id=0,
         dg=DGSpec(40.0, 20.0, 20.0, 0.57, 0.0001773, 0.1709, 14.67),
@@ -106,7 +106,7 @@ class TestVoltageSensitivities:
     def test_two_bus_vs_resolve_oracle(self):
         buses = [Bus(0, "slack", 0.8, 1.2), Bus(1, "load", 0.8, 1.2, 0)]
         branches = [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0)]
-        grid = GridModel.from_branches(buses, branches)
+        grid = GridModel(buses, branches)
         spec = MicrogridSpec(
             mg_id=0, dg=DGSpec(40, 20, 20, 0.57, 1.773e-4, 0.1709, 14.67),
             ess=ESSSpec(20, 4, 4, 0.95, 0.9, 0.1, 0.9, 3.0),
@@ -135,7 +135,7 @@ class TestVoltageSensitivities:
         # so d|V|/da must equal dV_re/da and d|I| must equal dI_re
         buses = [Bus(0, "slack", 0.8, 1.2), Bus(1, "load", 0.8, 1.2, 0)]
         branches = [Branch(0, 1, 1.0 / 0.02, 0.0, 10.0)]
-        grid = GridModel.from_branches(buses, branches)
+        grid = GridModel(buses, branches)
         spec = MicrogridSpec(
             mg_id=0, dg=DGSpec(40, 20, 20, 0.57, 1.773e-4, 0.1709, 14.67),
             ess=ESSSpec(20, 4, 4, 0.95, 0.9, 0.1, 0.9, 3.0),
@@ -533,7 +533,7 @@ class TestIncidenceAlgebra:
         # bus 1 hangs on a zero-admittance branch and carries no load, so
         # the power flow converges at the flat start while its rows of
         # the sensitivity system are exactly zero
-        grid = GridModel.from_branches(
+        grid = GridModel(
             [Bus(0, "slack"), Bus(1, "load")], [Branch(0, 1, 0.0, 0.0, 1.0)])
         _, spec = tiny_mg_case()
         spec = MicrogridSpec(
@@ -576,6 +576,13 @@ class TestFullAudit:
         for res in run_all_audits(seed=7, trials_network=12):
             assert res.passed, f"{res.family}: {res.max_rel_err:.2e}"
 
+    def test_low_current_branch_seed_42(self):
+        # seed 42 draws a 3-bus trial whose branch 0 carries about 1e-3
+        # p.u.; near zero current |I| curves sharply and a plain central
+        # difference misses the analytic derivative by 6e-4 relative
+        for res in run_all_audits(seed=42, trials_network=50):
+            assert res.passed, f"{res.family}: {res.max_rel_err:.2e}"
+
     def test_fault_injection_caught(self):
         res = run_all_audits(seed=7, trials_network=4,
                              fault="table3-qdg-sign")
@@ -612,7 +619,7 @@ class TestStackedSensitivities:
 
     def test_exactly_singular_point_raises(self):
         from smaspl.gradients import SensitivityError
-        grid = GridModel.from_branches(
+        grid = GridModel(
             [Bus(0, "slack"), Bus(1, "load")], [Branch(0, 1, 0.0, 0.0, 1.0)])
         _, spec = tiny_mg_case()
         spec = MicrogridSpec(

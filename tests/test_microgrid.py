@@ -53,7 +53,7 @@ def small_grid():
         Branch.from_impedance(1, 2, 0.01, 0.02, 10.0),
         Branch.from_impedance(2, 3, 0.005, 0.01, 10.0),
     ]
-    return GridModel.from_branches(buses, branches)
+    return GridModel(buses, branches)
 
 
 def zero_actions(n_mg=1):
@@ -193,7 +193,7 @@ class TestConstraintReturns:
             Branch.from_impedance(1, 2, 0.01, 0.02, 10.0),
             Branch.from_impedance(1, 3, 0.01, 0.02, 10.0),
         ]
-        grid = GridModel.from_branches(buses, branches)
+        grid = GridModel(buses, branches)
         spec0 = make_spec(0, bus_map=BusMap(2, 2, 2, 2, 2, 1))
         spec1 = make_spec(1, bus_map=BusMap(3, 3, 3, 3, 3, 1))
         table = build_constraint_table(grid, [spec0, spec1])

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from smaspl.grid import Branch, Bus, GridModel, build_admittance
+from smaspl.grid import Branch, Bus, GridModel
 from smaspl.scenario import (
     ForecastErrorParams,
     ProfileSeries,
@@ -149,7 +149,7 @@ class TestPerturbNetwork:
         buses = [Bus(0, "slack"), Bus(1), Bus(2)]
         branches = [Branch.from_impedance(0, 1, 0.01, 0.02, 5.0),
                     Branch.from_impedance(1, 2, 0.02, 0.03, 5.0)]
-        return GridModel.from_branches(buses, branches)
+        return GridModel(buses, branches)
 
     def test_zero_variance_identity(self):
         g = self.grid()
@@ -169,10 +169,12 @@ class TestPerturbNetwork:
         assert abs(samples.mean()) < 0.02
 
     def test_rebuilt_admittance_consistent(self):
-        gp = perturb_network(self.grid(), 0.1, 3)
-        y_re, y_im = build_admittance(gp.branches, gp.n_bus)
-        assert np.max(np.abs(y_re - gp.y_re)) < 1e-12
-        assert np.max(np.abs(y_im - gp.y_im)) < 1e-12
+        g = self.grid()
+        gp = perturb_network(g, 0.1, 3)
+        assert gp.branches != g.branches
+        assert np.array_equal(gp.y_bus.toarray(),
+                              GridModel(g.buses, gp.branches).y_bus.toarray())
+        assert np.array_equal(gp.branch_y, [br.y for br in gp.branches])
 
     def test_positive_impedances(self):
         for seed in range(50):

@@ -664,14 +664,11 @@ class TestStackedBatch:
         assert seen_whole == [5, 1]
         assert seen_split == [2, 2, 1, 1]
         assert whole.discards == split.discards == 1
-        np.testing.assert_allclose(split.j_values, whole.j_values,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(split.rewards, whole.rewards, rtol=1e-10)
+        np.testing.assert_array_equal(split.j_values, whole.j_values)
+        np.testing.assert_array_equal(split.rewards, whole.rewards)
         for a in range(2):
-            for got, ref in ((split.g[a], whole.g[a]),
-                             (split.b[a], whole.b[a])):
-                np.testing.assert_allclose(got, ref, rtol=1e-10,
-                                           atol=1e-12 * np.abs(ref).max())
+            np.testing.assert_array_equal(split.g[a], whole.g[a])
+            np.testing.assert_array_equal(split.b[a], whole.b[a])
 
 
 class TestWindowStart:
