@@ -267,13 +267,14 @@ def _cmd_train(args) -> int:
         scenario.seed = args.seed
     if args.network_noise is not None:
         scenario.network_noise_variance = args.network_noise
+    if args.no_backtracking:
+        scenario.training["backtrack_rounds"] = 0
     world = build_world(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     removed = [t for t in (args.remove_constraints or "").split(",") if t]
     records, agents, state = train(
-        world, episodes=episodes, mode=args.mode, removed_tokens=removed,
-        backtracking=not args.no_backtracking)
+        world, episodes=episodes, mode=args.mode, removed_tokens=removed)
     for a, ag in enumerate(agents):
         save_checkpoint(ag, out / f"agent_{a}.json")
     write_episode_jsonl(records, out / "episodes.jsonl")
@@ -296,19 +297,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_dispatch(args) -> int:
     scenario = load_scenario(args.scenario)
+    if args.no_backtracking:
+        scenario.training["backtrack_rounds"] = 0
     world = build_world(scenario)
     ckpt_dir = Path(args.checkpoints)
-    agents = []
-    for a in range(world.n_agents):
-        path = ckpt_dir / f"agent_{a}.json"
-        if not path.exists():
-            print(f"missing checkpoint {path}", file=sys.stderr)
-            return EXIT_VALIDATION
-        agents.append(load_checkpoint(path))
+    agents = [load_checkpoint(ckpt_dir / f"agent_{a}.json")
+              for a in range(world.n_agents)]
     seed = args.seed if args.seed is not None else scenario.seed
     actions, verdict, rounds = select_actions_online(
-        world, agents, args.window, seed=seed,
-        backtracking=not args.no_backtracking)
+        world, agents, args.window, seed=seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -378,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--episodes", type=int, default=None)
     t.add_argument("--remove-constraints", default="",
                    help="comma list: row ids, kinds, kind:mgN, all")
-    t.add_argument("--no-backtracking", action="store_true")
+    t.add_argument("--no-backtracking", action="store_true",
+                   help="check once: training backtrack_rounds = 0")
     t.add_argument("--network-noise", type=float, default=None,
                    help="override the R/X noise variance")
     t.set_defaults(fn=_cmd_train)
@@ -389,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--window", type=int, default=0)
     d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--no-backtracking", action="store_true")
+    d.add_argument("--no-backtracking", action="store_true",
+                   help="check once: training backtrack_rounds = 0")
     d.set_defaults(fn=_cmd_dispatch)
 
     v = sub.add_parser("verify-gradients",

@@ -55,7 +55,6 @@ __all__ = [
     "chain_sample_to_parameters",
     "chain_reward_samples",
     "factorization_count",
-    "reset_factorization_count",
 ]
 
 
@@ -73,11 +72,6 @@ def _count_factorization(points: int = 1):
 
 def factorization_count() -> int:
     return _fact_count
-
-
-def reset_factorization_count() -> None:
-    global _fact_count
-    _fact_count = 0
 
 
 # ---------------------------------------------------------------------------

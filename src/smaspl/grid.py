@@ -461,7 +461,7 @@ def power_mismatch(grid: GridModel, sol: PowerFlowSolution) -> np.ndarray:
 
 
 def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
-                     tol: float = 1e-8, max_iter: int = 50) -> PowerFlowSolution:
+                     tol: float = 1e-8) -> PowerFlowSolution:
     """Newton solve in rectangular coordinates from a flat start.
 
     p_net_kw/q_net_kvar are per-bus net loads (consumption minus
@@ -476,8 +476,11 @@ def solve_power_flow(grid: GridModel, p_net_kw, q_net_kvar, *,
     q = np.asarray(q_net_kvar, dtype=float)
     if p.shape != (n,) or q.shape != (n,):
         raise GridError(f"injection arrays must have shape ({n},)")
-    return solve_power_flow_stack(grid, p[None], q[None], tol=tol,
-                                  max_iter=max_iter).point(0)
+    return solve_power_flow_stack(grid, p[None], q[None], tol=tol).point(0)
+
+
+# Newton iterations a point may take before it fails with "max_iterations"
+_NEWTON_ITERATIONS = 50
 
 
 def _keep(mask, *arrays):
@@ -487,8 +490,7 @@ def _keep(mask, *arrays):
 
 
 def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
-                           tol: float = 1e-8,
-                           max_iter: int = 50) -> PowerFlowStack:
+                           tol: float = 1e-8) -> PowerFlowStack:
     """Newton solves of B operating points at once, each as in
     solve_power_flow; p_net_kw/q_net_kvar are (B, n_bus).
 
@@ -512,7 +514,7 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
     points = p.shape[0]
     v_re = np.ones((points, n))
     v_im = np.zeros((points, n))
-    residuals = np.full((max_iter + 1, points), np.nan)
+    residuals = np.full((_NEWTON_ITERATIONS + 1, points), np.nan)
     n_residuals = np.zeros(points, dtype=int)
     converged = np.zeros(points, dtype=bool)
     iterations = np.zeros(points, dtype=int)
@@ -523,7 +525,7 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
             failure[b] = reason
 
     live = np.arange(points)    # points still iterating
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_ITERATIONS + 1):
         rows = live if live.size < points else slice(None)
         vr, vi, pl, ql = v_re[rows], v_im[rows], p[rows], q[rows]
         v2 = vr ** 2 + vi ** 2
@@ -538,7 +540,7 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         n_residuals[live] = it + 1
         done = resid <= tol
         converged[live[done]] = True
-        if it == max_iter:
+        if it == _NEWTON_ITERATIONS:
             stop(live[~done], "max_iterations")
             break
         live, vr, vi, pl, ql, v2, yv = _keep(~done, live, vr, vi, pl, ql, v2,

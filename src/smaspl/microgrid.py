@@ -494,21 +494,13 @@ def constraint_return_stack(index: ConstraintIndex, actions,
 
 
 def constraint_returns(actions, obs: Observables, specs, table, gamma: float,
-                       *, prev_dg=None, ids=None) -> dict[str, float]:
+                       *, prev_dg=None) -> dict[str, float]:
     """Discounted window return of every constraint row.
 
     actions: (n_mg, 6T) joint action matrix; obs from converged solutions.
-    When ids is given, only those rows are evaluated (unknown ids rejected).
     The one-sample case of constraint_return_stack.
     """
-    rows = table
-    if ids is not None:
-        by_id = {r.id: r for r in table}
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise KeyError(f"unknown constraint id(s): {missing}")
-        rows = [by_id[i] for i in ids]
-    index = ConstraintIndex.of(rows)
+    index = ConstraintIndex.of(table)
     one = Observables(*(x[None] for x in (obs.v_mag, obs.i_mag, obs.pcc_p,
                                           obs.pcc_q)))
     values = constraint_return_stack(index, np.asarray(actions)[None], one,

@@ -191,29 +191,33 @@ def fisher_information(jac_mu: np.ndarray, jac_cov_diag: np.ndarray,
     return 0.5 * (h + h.T)
 
 
-def _clamped_delta(a, mu, sigma2, rel_clamp):
-    """a - mu with magnitude kept >= rel_clamp * sigma (sign preserved)."""
+# |a - mu| is kept >= this many standard deviations in the chain factors
+_DELTA_CLAMP = 1e-6
+
+
+def _clamped_delta(a, mu, sigma2):
+    """a - mu with magnitude kept >= _DELTA_CLAMP * sigma (sign preserved)."""
     sigma = np.sqrt(sigma2)
     delta = a - mu
-    floor = rel_clamp * sigma
+    floor = _DELTA_CLAMP * sigma
     small = np.abs(delta) < floor
     safe = np.where(small, np.where(delta < 0, -floor, floor), delta)
     return safe
 
 
-def action_policy_reciprocal(a, mu, sigma2, *, rel_clamp=1e-6) -> np.ndarray:
+def action_policy_reciprocal(a, mu, sigma2) -> np.ndarray:
     """Elementwise reciprocal of the density's point gradient, diagonal cov.
 
     This is -(inv(cov) (a - mu) f)^{-1} per dimension, with |a_d - mu_d|
     clamped away from zero so the reciprocal stays finite.
     """
     delta = _clamped_delta(np.asarray(a, float), np.asarray(mu, float),
-                           np.asarray(sigma2, float), rel_clamp)
+                           np.asarray(sigma2, float))
     f = gaussian_pdf(a, mu, np.asarray(sigma2, float))
     return -np.asarray(sigma2, float) / (f * delta)
 
 
-def cov_chain_factor(a, mu, sigma2, *, rel_clamp=1e-6) -> np.ndarray:
+def cov_chain_factor(a, mu, sigma2) -> np.ndarray:
     """Composed factor (da/d pi)(d pi/d Sigma_dd) along a density level set.
 
     Equals (delta^2 - sigma^2) / (2 sigma^2 delta) per dimension with
@@ -221,7 +225,7 @@ def cov_chain_factor(a, mu, sigma2, *, rel_clamp=1e-6) -> np.ndarray:
     """
     sigma2 = np.asarray(sigma2, float)
     delta = _clamped_delta(np.asarray(a, float), np.asarray(mu, float),
-                           sigma2, rel_clamp)
+                           sigma2)
     return (delta ** 2 - sigma2) / (2.0 * sigma2 * delta)
 
 

@@ -161,9 +161,13 @@ def save_profiles(path, series: ProfileSeries) -> None:
             w.writerow(row)
 
 
+# first timestamp of the generated profile series
+_PROFILE_EPOCH = datetime(2024, 6, 1)
+
+
 def synth_profiles(seed: int, days: int, mg_count: int, *,
-                   load_base_kw: float = 20.0, load_peak_kw: float = 15.0,
-                   start: datetime | None = None) -> ProfileSeries:
+                   load_base_kw: float = 20.0,
+                   load_peak_kw: float = 15.0) -> ProfileSeries:
     """Deterministic daily patterns: solar bell, evening load peak.
 
     Irradiance is zero outside 06:00-18:00 and never exceeds 1.2; load is
@@ -171,8 +175,8 @@ def synth_profiles(seed: int, days: int, mg_count: int, *,
     """
     rng = np.random.default_rng(seed)
     steps = days * 96
-    t0 = start or datetime(2024, 6, 1)
-    stamps = [t0 + timedelta(minutes=STEP_MINUTES * k) for k in range(steps)]
+    stamps = [_PROFILE_EPOCH + timedelta(minutes=STEP_MINUTES * k)
+              for k in range(steps)]
     load = np.empty((steps, mg_count))
     irr = np.empty((steps, mg_count))
     scale = 1.0 + 0.3 * rng.standard_normal(mg_count) * 0.5
@@ -195,11 +199,11 @@ def synth_profiles(seed: int, days: int, mg_count: int, *,
     return ProfileSeries(stamps, load, irr)
 
 
-def constant_profiles(steps: int, mg_count: int, load_kw, irradiance,
-                      start: datetime | None = None) -> ProfileSeries:
+def constant_profiles(steps: int, mg_count: int, load_kw,
+                      irradiance) -> ProfileSeries:
     """Flat series, handy for small training fixtures."""
-    t0 = start or datetime(2024, 6, 1)
-    stamps = [t0 + timedelta(minutes=STEP_MINUTES * k) for k in range(steps)]
+    stamps = [_PROFILE_EPOCH + timedelta(minutes=STEP_MINUTES * k)
+              for k in range(steps)]
     load = np.broadcast_to(np.asarray(load_kw, dtype=float),
                            (steps, mg_count)).copy()
     irr = np.broadcast_to(np.asarray(irradiance, dtype=float),
@@ -499,13 +503,17 @@ def _default_mg_spec(mg_id: int, root: int, host: int) -> MicrogridSpec:
     )
 
 
-def networked_feeder_case(attach=(5, 9, 14, 21, 26), *,
-                          pcc_r_pu: float = 0.01, pcc_x_pu: float = 0.02):
-    """33-bus host feeder with one 13-bus network grafted per attach bus.
+# host-feeder buses the five microgrids attach to, and the p.u.
+# impedance of each coupling branch
+_FEEDER_ATTACH = (5, 9, 14, 21, 26)
+_PCC_R_PU, _PCC_X_PU = 0.01, 0.02
 
-    Returns (GridModel, [MicrogridSpec]); with the default five attach
-    points the combined model has 98 buses.  The coupling branch
-    impedance is an explicit parameter (p.u.).
+
+def networked_feeder_case():
+    """33-bus host feeder with one 13-bus network grafted at each of the
+    buses _FEEDER_ATTACH.
+
+    Returns (GridModel, [MicrogridSpec]); the combined model has 98 buses.
     """
     base_kva = 100.0
     host_kv, mg_kv = 12.66, 4.16
@@ -517,7 +525,7 @@ def networked_feeder_case(attach=(5, 9, 14, 21, 26), *,
                 for f, t, r, x in case33_branches()]
     specs = []
     z_mg = mg_kv ** 2 * 1000.0 / base_kva
-    for m, host_bus in enumerate(attach):
+    for m, host_bus in enumerate(_FEEDER_ATTACH):
         root = len(buses)
         buses += [Bus(root + k, "load", 0.90, 1.10, mg_owner=m)
                   for k in range(13)]
@@ -527,7 +535,7 @@ def networked_feeder_case(attach=(5, 9, 14, 21, 26), *,
             for f, t, r, x in mg13_branches()
         ]
         branches.append(Branch.from_impedance(root, host_bus,
-                                              pcc_r_pu, pcc_x_pu, 50.0))
+                                              _PCC_R_PU, _PCC_X_PU, 50.0))
         specs.append(_default_mg_spec(m, root, host_bus))
     grid = GridModel(buses, branches, base_kva, base_kv)
     return grid, specs

@@ -203,19 +203,6 @@ class AgentChannelGraph:
         """Complete graph with uniform weights 1/n (self-loops included)."""
         return cls(np.full((n, n), 1.0 / n))
 
-    @classmethod
-    def metropolis(cls, n: int, edges):
-        """Metropolis-Hastings weights, doubly stochastic on any graph."""
-        deg = np.zeros(n, dtype=int)
-        for i, j in edges:
-            deg[i] += 1
-            deg[j] += 1
-        w = np.zeros((n, n))
-        for i, j in edges:
-            w[i, j] = w[j, i] = 1.0 / (1 + max(deg[i], deg[j]))
-        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-        return cls(w)
-
 
 def consensus_average(graph: AgentChannelGraph,
                       lambdas: np.ndarray) -> np.ndarray:
@@ -245,51 +232,49 @@ def trust_quadratic(factor: np.ndarray, d: np.ndarray) -> float:
     return 0.5 * float(r @ r + 1e-8 * (d @ d))
 
 
+# stopping tolerance and sweep cap of project_local
+_PROJECT_TOL = 1e-6
+_PROJECT_SWEEPS = 500
+
+
 def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
-                  rows_b: np.ndarray, rows_c: np.ndarray,
-                  factor: np.ndarray, delta: float, *, tol: float = 1e-6,
-                  max_iter: int = 500, nu0: np.ndarray | None = None,
-                  return_nu: bool = False):
+                  rows: np.ndarray, rows_c: np.ndarray, factor: np.ndarray,
+                  delta: float, nu: np.ndarray):
     """Project onto {b_m^T theta <= c_m} inside the Fisher trust region.
 
     The region is trust_quadratic(factor, theta - theta0) <= delta, i.e.
-    the metric H = F^T F + 1e-8 I given by its rows F = `factor`.
-    Cyclic row corrections with multiplier memory (warm-startable via
-    nu0), followed by radial scaling into the ball after each sweep.
-    Exact on a single halfspace, on a ball-only instance, and the
-    identity on already-feasible input.  The sweeps read the rows of
-    `rows_b.T`; passing the transpose of a C-contiguous (m, P) array
-    spares the copy.
+    the metric H = F^T F + 1e-8 I given by its rows F = `factor`.  The
+    rows b_m are those of `rows`, (m, P), ideally C-contiguous.  Cyclic
+    row corrections with multiplier memory, warm-started from the
+    multipliers nu (m,), followed by radial scaling into the ball after
+    each sweep.  Exact on a single halfspace, on a ball-only instance,
+    and the identity on already-feasible input when nu is zero.
+    Returns (theta, multipliers).
 
     Rows unreachable inside the trust region yield the stationary
     compromise on the ball boundary (the outer loop keeps shrinking the
     residual episode over episode); a violated row with a zero gradient
     is genuinely inconsistent and raises so the caller can escalate.
-    Running out of max_iter sweeps before either stopping rule fires
-    emits a RuntimeWarning.
+    Running out of _PROJECT_SWEEPS sweeps before either stopping rule
+    fires emits a RuntimeWarning.
     """
-    theta = theta_bar.copy()
-    m = rows_b.shape[1] if rows_b.size else 0
-    rows = np.ascontiguousarray(rows_b.T)
-    nu = np.zeros(m) if nu0 is None else np.asarray(nu0, dtype=float)
-    if nu.shape != (m,):
-        raise ValueError("nu0 shape mismatch")
-    norms = np.einsum("mp,mp->m", rows, rows) if m else np.zeros(0)
+    tol = _PROJECT_TOL
+    m = rows.shape[0]
+    norms = np.einsum("mp,mp->m", rows, rows)
     scale = max(1.0, float(np.abs(rows_c).max())) if m else 1.0
     if m:
         dead = (norms < 1e-30) & (rows_c < -tol * scale)
         if np.any(dead):
             raise ProjectionInfeasible(
                 f"{int(dead.sum())} local row(s) violated with zero gradient")
-    if nu0 is not None and m:
-        theta = theta - nu @ rows
+    theta = theta_bar - nu @ rows
 
     # the row sweep is sequential, so it runs on Python floats
     live = [j for j in range(m) if norms[j] >= 1e-30]
     row_list, norm_list, c_list = list(rows), norms.tolist(), rows_c.tolist()
     nu_list = nu.tolist()
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_SWEEPS):
         moved = 0.0
         for j in live:
             r = float(row_list[j] @ theta) - c_list[j]
@@ -313,10 +298,10 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
             break  # stationary compromise between rows and trust region
         prev = theta.copy()
     else:
-        warnings.warn(f"project_local: {max_iter} sweeps ended before "
+        warnings.warn(f"project_local: {_PROJECT_SWEEPS} sweeps ended before "
                       "either stopping rule fired", RuntimeWarning,
                       stacklevel=2)
-    return (theta, np.array(nu_list)) if return_nu else theta
+    return theta, np.array(nu_list)
 
 
 def dual_step(lam_bar: np.ndarray, j0: np.ndarray, b_global: np.ndarray,
@@ -774,7 +759,7 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     traj: list[np.ndarray] = []
     converged = False
     iterations = 0
-    nus: list[np.ndarray | None] = [None] * n
+    nus = [np.zeros(len(li)) for li in layout.local_idx]
     for k in range(1, cfg.kmax + 1):
         for a in range(n):
             bus.post(LambdaMessage(sender=a, iteration=k,
@@ -786,8 +771,8 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
             theta_bar = primal_step(thetas[a], batch.g[a], b_glob[a],
                                     lam_bar[a], cfg.rho1)
             theta_new, nus[a] = project_local(
-                theta_bar, thetas0[a], rows[a].T, rows_c[a], factors[a],
-                cfg.delta, nu0=nus[a], return_nu=True)
+                theta_bar, thetas0[a], rows[a], rows_c[a], factors[a],
+                cfg.delta, nus[a])
             lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a],
                                    theta_new, thetas0[a], cfg.rho2, d_global)
             lambdas[a, removed_mask] = 0.0
@@ -855,13 +840,14 @@ def _anchored_update(dec: _Decision, graph: AgentChannelGraph, anchor,
     return batch, out
 
 
-def _gate(dec: _Decision, draw, reupdate, backtracking: bool):
+def _gate(dec: _Decision, draw, reupdate):
     """The power-flow feasibility gate on the agents' dispatch.
 
     draw() returns the joint action (N, 6T) the agents would dispatch.
-    While rows are violated and backtracking is on, each round tightens
-    the violated rows' bounds by tau, calls reupdate(bounds, round) to
-    re-anchor and re-update the agents, and checks the new dispatch.
+    While rows are violated, for at most cfg.backtrack_rounds rounds
+    (none when it is 0 or tau is 1), each round tightens the violated
+    rows' bounds by tau, calls reupdate(bounds, round) to re-anchor and
+    re-update the agents, and checks the new dispatch.
     Returns (actions, window evaluation, verdict, rounds) of the last
     check; the verdict is 'clean', 'restored', 'violated:<sorted ids>' or
     'pf-failure' (a power flow diverged; the evaluation is then None).
@@ -877,8 +863,7 @@ def _gate(dec: _Decision, draw, reupdate, backtracking: bool):
             return actions, None, "pf-failure", rounds
         if not violated.size:
             return actions, ev, "clean" if rounds == 0 else "restored", rounds
-        if (not backtracking or rounds >= cfg.backtrack_rounds
-                or cfg.tau >= 1.0):
+        if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
             ids = sorted(world.index.ids[m] for m in violated)
             return actions, ev, "violated:" + ",".join(ids), rounds
         rounds += 1
@@ -888,8 +873,7 @@ def _gate(dec: _Decision, draw, reupdate, backtracking: bool):
 
 def train_episode(world: World, agents: list[GaussianPolicy],
                   state: TrainingState, graph: AgentChannelGraph, *,
-                  removed: set[str] = frozenset(),
-                  backtracking: bool = True) -> EpisodeRecord:
+                  removed: set[str] = frozenset()) -> EpisodeRecord:
     cfg = world.cfg
     n = world.n_agents
     episode = state.episode
@@ -911,7 +895,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
     mean_actions, disp, verdict, rounds = _gate(
         dec, lambda: _dispatch_actions_mean(agents, dec.states,
                                             world.horizon),
-        reupdate, backtracking)
+        reupdate)
 
     disp_rewards, j_dispatch = [float("nan")] * n, {}
     if disp is not None:
@@ -952,7 +936,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
 
 def train(world: World, agents: list[GaussianPolicy] | None = None, *,
           episodes: int | None = None, mode: str = "smas-pl",
-          removed_tokens=(), backtracking: bool = True):
+          removed_tokens=()):
     """Run the outer loop; returns (records, agents, state)."""
     import time
 
@@ -974,8 +958,7 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
     records = []
     for _ in range(episodes if episodes is not None else 50):
         t0 = time.perf_counter()
-        rec = train_episode(world, agents, state, graph, removed=removed,
-                            backtracking=backtracking)
+        rec = train_episode(world, agents, state, graph, removed=removed)
         rec.wall_clock_s = time.perf_counter() - t0
         records.append(rec)
     return records, agents, state
@@ -987,20 +970,19 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
 
 def select_actions_online(world: World, agents: list[GaussianPolicy],
                           window_start: int, *, sample_count: int = 100,
-                          seed: int | None = None, backtracking: bool = True,
-                          removed: set[str] = frozenset(), prev_dg=None):
+                          seed: int | None = None):
     """Dispatch decision: average of policy samples, gated by the PFE.
 
     Returns (actions (N, 6T), verdict, backtrack_rounds).  Complementarity
     is post-processed by zeroing the smaller of charge/discharge per step.
-    prev_dg carries the previously dispatched DG setpoints for the ramp
-    rows (zeros when absent).  Raises EpisodeAborted when the power flow
-    will not converge for the dispatch (dispatch refused).
+    Every row is checked, and the ramp rows start from zero DG setpoints.
+    Raises EpisodeAborted when the power flow will not converge for the
+    dispatch (dispatch refused).
     """
     n = world.n_agents
     seed = world.seed if seed is None else seed
-    dec = _Decision.of(world, agents, removed, window_start, seed,
-                       window_start, prev_dg)
+    dec = _Decision.of(world, agents, frozenset(), window_start, seed,
+                       window_start, None)
 
     def draw_actions():
         acts = np.empty((n, 6 * world.horizon))
@@ -1022,8 +1004,7 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
             dec, AgentChannelGraph.complete(n), anchor, lambdas, d_work,
             [window_start, rounds])
 
-    actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate,
-                                        backtracking)
+    actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate)
     if verdict == "pf-failure":
         raise EpisodeAborted("dispatch refused: power flow did not converge")
     return actions, verdict, rounds

@@ -54,6 +54,13 @@ __all__ = ["AuditResult", "run_all_audits", "FAULTS"]
 FD_H_KW = 0.01          # 1e-4 p.u. at the 100 kVA base
 PF_TOL = 1e-12          # oracle re-solves run tighter than production
 
+# pass tolerance on the worst relative error, per family
+TOL_INJECTION = 1e-8
+TOL_NETWORK = 1e-4
+TOL_PDF = 1e-5
+TOL_DNN = 1e-5
+TOL_LOCAL_ROWS = 1e-6
+
 FAULTS = ("table3-qdg-sign",)
 
 
@@ -149,7 +156,7 @@ _CONTROL_LOAD_SIGN = {
 }
 
 
-def audit_injection_jacobian(rng, trials=50, tol=1e-8, fault=None,
+def audit_injection_jacobian(rng, trials=50, fault=None,
                              dump=None) -> AuditResult:
     worst = 0.0
     base = 100.0
@@ -176,14 +183,14 @@ def audit_injection_jacobian(rng, trials=50, tol=1e-8, fault=None,
             worst = max(worst, err)
             _record(dump, "injection-jacobian", control,
                     dire[0], fd_re[0], scale)
-    return AuditResult("injection-jacobian", tol, trials, worst)
+    return AuditResult("injection-jacobian", TOL_INJECTION, trials, worst)
 
 
 # ---------------------------------------------------------------------------
 # Families 2-5: network sensitivities vs full re-solves
 # ---------------------------------------------------------------------------
 
-def audit_network_sensitivities(rng, trials=50, tol=1e-4,
+def audit_network_sensitivities(rng, trials=50,
                                 dump=None) -> list[AuditResult]:
     worst = {"voltage-sensitivity": 0.0, "voltage-magnitude": 0.0,
              "branch-current-magnitude": 0.0, "pcc-power": 0.0}
@@ -223,14 +230,14 @@ def audit_network_sensitivities(rng, trials=50, tol=1e-4,
             flat = np.argmax(np.abs(analytic - fd))
             _record(dump, family, int(flat), analytic.ravel()[flat],
                     fd.ravel()[flat], scale)
-    return [AuditResult(f, tol, trials, w) for f, w in worst.items()]
+    return [AuditResult(f, TOL_NETWORK, trials, w) for f, w in worst.items()]
 
 
 # ---------------------------------------------------------------------------
 # Family 6: Gaussian density gradients
 # ---------------------------------------------------------------------------
 
-def audit_pdf_gradients(rng, trials=100, tol=1e-5, dump=None) -> AuditResult:
+def audit_pdf_gradients(rng, trials=100, dump=None) -> AuditResult:
     worst = 0.0
     h = 1e-5
     for _ in range(trials):
@@ -259,14 +266,14 @@ def audit_pdf_gradients(rng, trials=100, tol=1e-5, dump=None) -> AuditResult:
             err = float(np.abs(an - fd).max()) / scale
             worst = max(worst, err)
             _record(dump, "gaussian-pdf-gradients", name, an[0], fd[0], scale)
-    return AuditResult("gaussian-pdf-gradients", tol, trials, worst)
+    return AuditResult("gaussian-pdf-gradients", TOL_PDF, trials, worst)
 
 
 # ---------------------------------------------------------------------------
 # Family 7: network-output Jacobians
 # ---------------------------------------------------------------------------
 
-def audit_dnn_jacobian(rng, trials=100, tol=1e-5, dump=None) -> AuditResult:
+def audit_dnn_jacobian(rng, trials=100, dump=None) -> AuditResult:
     worst = 0.0
     h = 1e-6
     for _ in range(trials):
@@ -293,15 +300,14 @@ def audit_dnn_jacobian(rng, trials=100, tol=1e-5, dump=None) -> AuditResult:
         flat = int(np.argmax(np.abs(J - fd)))
         _record(dump, "dnn-jacobian", flat, J.ravel()[flat],
                 fd.ravel()[flat], scale)
-    return AuditResult("dnn-jacobian", tol, trials, worst)
+    return AuditResult("dnn-jacobian", TOL_DNN, trials, worst)
 
 
 # ---------------------------------------------------------------------------
 # Family 8: local constraint rows vs return re-evaluation
 # ---------------------------------------------------------------------------
 
-def audit_local_row_gradients(rng, trials=25, tol=1e-6,
-                              dump=None) -> AuditResult:
+def audit_local_row_gradients(rng, trials=25, dump=None) -> AuditResult:
     worst = 0.0
     horizon = 4
     gamma = 0.99
@@ -341,7 +347,8 @@ def audit_local_row_gradients(rng, trials=25, tol=1e-6,
         i, m = np.unravel_index(np.argmax(err), err.shape)
         _record(dump, "local-constraint-gradients", f"{index.ids[m]}:{i}",
                 grads[i, m], fd[i, m], scale[i, m])
-    return AuditResult("local-constraint-gradients", tol, trials, worst)
+    return AuditResult("local-constraint-gradients", TOL_LOCAL_ROWS, trials,
+                       worst)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ from smaspl.training import ProjectionInfeasible, build_world
 from smaspl.verify import run_all_audits
 
 TINY = "scenarios/tiny_oracle.yaml"
+BACKTRACK = "scenarios/two_mg_backtrack.yaml"
 
 
-def tiny_scenario_copy(tmp_path, old, new):
-    """The tiny scenario with one text replaced, written under tmp_path."""
-    grid = Path(TINY).resolve().parent / "grids" / "tiny.yaml"
-    text = Path(TINY).read_text().replace(
-        "grid_file: grids/tiny.yaml", f"grid_file: {grid}")
+def scenario_copy(tmp_path, old, new, source=TINY):
+    """A shipped scenario with one text replaced, written under tmp_path."""
+    grids = Path(source).resolve().parent / "grids"
+    text = Path(source).read_text().replace(
+        "grid_file: grids/", f"grid_file: {grids}/")
     assert old in text
     path = tmp_path / "scenario.yaml"
     path.write_text(text.replace(old, new))
@@ -90,7 +91,7 @@ class TestTrainArtifacts:
 
     def test_retired_consensus_weight_is_validation_failure(self, tmp_path,
                                                            capsys):
-        old = tiny_scenario_copy(
+        old = scenario_copy(
             tmp_path, "sigma_span_frac: 0.15}",
             "sigma_span_frac: 0.15, consensus_weight: 1.0}")
         code = main(["train", "--scenario", str(old),
@@ -108,7 +109,7 @@ class TestTrainArtifacts:
 
     def test_zero_episodes_in_scenario_is_validation_failure(self, tmp_path,
                                                              capsys):
-        path = tiny_scenario_copy(tmp_path, "episodes: 60", "episodes: 0")
+        path = scenario_copy(tmp_path, "episodes: 60", "episodes: 0")
         code = main(["train", "--scenario", str(path),
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
@@ -210,11 +211,47 @@ class TestDispatch:
         assert err.startswith("numerical failure: dispatch refused")
         assert err.count("\n") == 1
 
-    def test_missing_checkpoints(self, tmp_path):
+    def test_missing_checkpoints(self, tmp_path, capsys):
         code = main(["dispatch", "--scenario", TINY,
                      "--checkpoints", str(tmp_path / "void"),
                      "--out", str(tmp_path / "a.csv")])
         assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(tmp_path / "void" / "agent_0.json"))
+
+
+class TestNoBacktracking:
+    """--no-backtracking is the scenario's training backtrack_rounds: 0."""
+
+    def test_train_flag_equals_zero_backtrack_rounds(self, tmp_path):
+        flag, field = tmp_path / "flag", tmp_path / "field"
+        assert main(["train", "--scenario", BACKTRACK, "--out", str(flag),
+                     "--no-backtracking"]) == EXIT_OK
+        path = scenario_copy(tmp_path, "sigma_span_frac: 0.15}",
+                             "sigma_span_frac: 0.15, backtrack_rounds: 0}",
+                             source=BACKTRACK)
+        assert main(["train", "--scenario", str(path),
+                     "--out", str(field)]) == EXIT_OK
+        log = (flag / "episodes.jsonl").read_bytes()
+        assert log == (field / "episodes.jsonl").read_bytes()
+        first = read_episode_jsonl(flag / "episodes.jsonl")[0]
+        assert (first.pfe_verdict, first.backtrack_rounds) == \
+            ("violated:mg0.pcc_p_hi", 0)
+        echo = json.loads((flag / "run_config.json").read_text())
+        assert echo["backtracking"] is False
+
+    def test_dispatch_flag_checks_once(self, tmp_path, capsys):
+        from smaspl.policy import save_checkpoint
+        from smaspl.training import build_agents
+
+        world = build_world(load_scenario(BACKTRACK))
+        for a, ag in enumerate(build_agents(world)):
+            save_checkpoint(ag, tmp_path / f"agent_{a}.json")
+        code = main(["dispatch", "--scenario", BACKTRACK, "--checkpoints",
+                     str(tmp_path), "--out", str(tmp_path / "a.csv"),
+                     "--no-backtracking"])
+        assert code == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "verdict: violated:mg0.pcc_p_hi (backtrack rounds: 0)" in out
 
 
 class TestReport:

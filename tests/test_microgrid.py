@@ -178,13 +178,6 @@ class TestConstraintReturns:
         assert vals["mg0.comp_hi"] == pytest.approx(6.0)
         assert vals["mg0.comp_lo"] == pytest.approx(-6.0)
 
-    def test_unknown_id_rejected(self):
-        obs = solve_window(self.grid, [self.spec], zero_actions(),
-                           np.zeros((T, 1)), np.zeros((T, 1)))
-        with pytest.raises(KeyError, match="nope"):
-            constraint_returns(zero_actions(), obs, [self.spec], self.table,
-                               0.99, ids=["nope"])
-
     def test_dg_monotonicity_and_locality(self):
         # two MGs on separate laterals of the host bus
         buses = [Bus(0, "slack"), Bus(1), Bus(2, mg_owner=0), Bus(3, mg_owner=1)]

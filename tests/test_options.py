@@ -1,0 +1,45 @@
+"""The settable options of the program's entry points.
+
+Each entry point's keyword parameters (those with a default) are listed
+here.  An option is added only when two callers need different values,
+so adding one means editing this census.
+"""
+
+import inspect
+
+import pytest
+
+from smaspl import (gradients, grid, microgrid, policy, scenario, training,
+                    verify)
+
+CENSUS = [
+    (training.train, {"agents", "episodes", "mode", "removed_tokens"}),
+    (training.train_episode, {"removed"}),
+    (training.select_actions_online, {"sample_count", "seed"}),
+    (training.project_local, set()),
+    (grid.solve_power_flow, {"tol"}),
+    (grid.solve_power_flow_stack, {"tol"}),
+    (policy.cov_chain_factor, set()),
+    (policy.action_policy_reciprocal, set()),
+    (scenario.networked_feeder_case, set()),
+    (microgrid.constraint_returns, {"prev_dg"}),
+    (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),
+    (scenario.constant_profiles, set()),
+    (verify.audit_injection_jacobian, {"trials", "fault", "dump"}),
+    (verify.audit_network_sensitivities, {"trials", "dump"}),
+    (verify.audit_pdf_gradients, {"trials", "dump"}),
+    (verify.audit_dnn_jacobian, {"trials", "dump"}),
+    (verify.audit_local_row_gradients, {"trials", "dump"}),
+]
+
+
+@pytest.mark.parametrize("fn, expected", CENSUS,
+                         ids=[fn.__name__ for fn, _ in CENSUS])
+def test_keyword_parameters(fn, expected):
+    params = inspect.signature(fn).parameters.values()
+    assert {p.name for p in params if p.default is not p.empty} == expected
+
+
+def test_deleted_names_stay_deleted():
+    assert not hasattr(training.AgentChannelGraph, "metropolis")
+    assert not hasattr(gradients, "reset_factorization_count")

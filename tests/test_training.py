@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from smaspl import training
 from smaspl.scenario import load_scenario
 from smaspl.training import (
     AgentChannelGraph,
@@ -30,6 +31,20 @@ def small_world(name="two_mg_binding.yaml", **training):
     sc = load_scenario(f"scenarios/{name}")
     sc.training.update(training)
     return build_world(sc)
+
+
+def metropolis_graph(n, edges):
+    """Metropolis-Hastings weights (Xiao & Boyd 2004), doubly stochastic
+    on any connected graph."""
+    deg = np.zeros(n, dtype=int)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0 / (1 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return AgentChannelGraph(w)
 
 
 class TestLambdaBus:
@@ -71,7 +86,7 @@ class TestChannelGraph:
             AgentChannelGraph(w)
 
     def test_metropolis_on_irregular_graph(self):
-        g = AgentChannelGraph.metropolis(4, [(0, 1), (1, 2), (1, 3)])
+        g = metropolis_graph(4, [(0, 1), (1, 2), (1, 3)])
         assert np.allclose(g.weights.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(g.weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -91,7 +106,7 @@ class TestConsensus:
         # frozen-parameter price dynamics on a (non-complete) connected
         # graph: the max-min spread of each row shrinks by at least the
         # graph's mixing factor every averaging round
-        g = AgentChannelGraph.metropolis(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g = metropolis_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         rng = np.random.default_rng(2)
         lam = rng.uniform(0, 4, (5, 3))
         spreads = []
@@ -105,7 +120,7 @@ class TestConsensus:
 
     def test_repeated_averaging_reaches_mean(self):
         # power-iteration oracle on the weight matrix
-        g = AgentChannelGraph.metropolis(4, [(0, 1), (1, 2), (2, 3)])
+        g = metropolis_graph(4, [(0, 1), (1, 2), (2, 3)])
         rng = np.random.default_rng(0)
         lam = rng.uniform(0, 3, (4, 2))
         target = lam.mean(axis=0)
@@ -149,17 +164,15 @@ class TestPrimalStep:
                         np.zeros((2, 1)), np.zeros(1), 0.01)
 
 
-def dense_project_local(theta_bar, theta0, rows_b, rows_c, H, delta, *,
-                        tol=1e-6, max_iter=500, nu0=None):
+def dense_project_local(theta_bar, theta0, rows, rows_c, H, delta, nu,
+                        tol=1e-6, max_iter=500):
     """Projection with a dense (P, P) metric H: the reference that the
     factored metric of `project_local` must reproduce."""
-    theta = theta_bar.copy()
-    m = rows_b.shape[1] if rows_b.size else 0
-    nu = np.zeros(m) if nu0 is None else nu0.copy()
-    norms = np.einsum("pm,pm->m", rows_b, rows_b) if m else np.zeros(0)
+    m = rows.shape[0]
+    nu = nu.copy()
+    norms = np.einsum("mp,mp->m", rows, rows)
     scale = max(1.0, float(np.abs(rows_c).max())) if m else 1.0
-    if nu0 is not None and m:
-        theta = theta - rows_b @ nu
+    theta = theta_bar - rows.T @ nu
 
     def ball_excess(th):
         d = th - theta0
@@ -171,11 +184,11 @@ def dense_project_local(theta_bar, theta0, rows_b, rows_c, H, delta, *,
         for j in range(m):
             if norms[j] < 1e-30:
                 continue
-            r = float(rows_b[:, j] @ theta - rows_c[j])
+            r = float(rows[j] @ theta - rows_c[j])
             step = max(-nu[j], r / norms[j])
             if step != 0.0:
                 nu[j] += step
-                theta = theta - step * rows_b[:, j]
+                theta = theta - step * rows[j]
                 moved = max(moved, abs(step) * np.sqrt(norms[j]))
         q = ball_excess(theta)
         if q > 0:
@@ -183,7 +196,7 @@ def dense_project_local(theta_bar, theta0, rows_b, rows_c, H, delta, *,
             shrink = np.sqrt(delta / (q + delta))
             theta = theta0 + d * shrink
             moved = max(moved, float(np.linalg.norm(d) * (1 - shrink)))
-        viol = float((rows_b.T @ theta - rows_c).max()) if m else 0.0
+        viol = float((rows @ theta - rows_c).max()) if m else 0.0
         if moved <= tol and viol <= tol * scale and ball_excess(theta) <= tol:
             break
         if prev is not None and float(np.linalg.norm(theta - prev)) <= tol:
@@ -194,14 +207,15 @@ def dense_project_local(theta_bar, theta0, rows_b, rows_c, H, delta, *,
 
 class TestProjection:
     """The metric is passed by its rows F (H = F^T F); a diagonal H has
-    the factor diag(sqrt(h))."""
+    the factor diag(sqrt(h)).  The constraint rows are (m, P)."""
 
     def test_identity_when_feasible(self):
         theta_bar = np.array([0.1, 0.2])
         theta0 = np.zeros(2)
-        rows_b = np.array([[1.0], [0.0]])
+        rows = np.array([[1.0, 0.0]])
         rows_c = np.array([10.0])
-        out = project_local(theta_bar, theta0, rows_b, rows_c, np.eye(2), 10.0)
+        out, _ = project_local(theta_bar, theta0, rows, rows_c, np.eye(2),
+                               10.0, np.zeros(1))
         assert np.allclose(out, theta_bar, atol=1e-12)
 
     def test_single_halfspace_closed_form(self):
@@ -209,8 +223,8 @@ class TestProjection:
         theta_bar = rng.normal(size=4)
         b = rng.normal(size=4)
         c = b @ theta_bar - 1.3  # violated by 1.3
-        out = project_local(theta_bar, np.zeros(4), b[:, None],
-                            np.array([c]), np.eye(4), 1e9)
+        out, _ = project_local(theta_bar, np.zeros(4), b[None, :],
+                               np.array([c]), np.eye(4), 1e9, np.zeros(1))
         expect = theta_bar - (b @ theta_bar - c) / (b @ b) * b
         assert np.allclose(out, expect, atol=1e-9)
 
@@ -218,8 +232,8 @@ class TestProjection:
         theta0 = np.zeros(3)
         theta_bar = np.array([3.0, 0.0, 4.0])
         delta = 0.5
-        out = project_local(theta_bar, theta0, np.zeros((3, 0)),
-                            np.zeros(0), np.eye(3), delta)
+        out, _ = project_local(theta_bar, theta0, np.zeros((0, 3)),
+                               np.zeros(0), np.eye(3), delta, np.zeros(0))
         expect = theta_bar * min(1.0, np.sqrt(2 * delta) / 5.0)
         assert np.allclose(out, expect, rtol=1e-6)
 
@@ -228,15 +242,16 @@ class TestProjection:
         H = np.diag(rng.uniform(0.5, 4.0, 6))
         theta0 = rng.normal(size=6)
         theta_bar = theta0 + rng.normal(size=6)
-        out = project_local(theta_bar, theta0, rng.normal(size=(6, 3)),
-                            rng.normal(size=3), np.sqrt(H), 0.01)
+        rows = rng.normal(size=(6, 3)).T
+        out, _ = project_local(theta_bar, theta0, rows, rng.normal(size=3),
+                               np.sqrt(H), 0.01, np.zeros(3))
         q = 0.5 * (out - theta0) @ H @ (out - theta0)
         assert q <= 0.01 + 1e-8
 
     def test_inconsistent_zero_row_raises(self):
         with pytest.raises(ProjectionInfeasible):
-            project_local(np.zeros(2), np.zeros(2),
-                          np.zeros((2, 1)), np.array([-1.0]), np.eye(2), 1.0)
+            project_local(np.zeros(2), np.zeros(2), np.zeros((1, 2)),
+                          np.array([-1.0]), np.eye(2), 1.0, np.zeros(1))
 
     def test_matches_dense_metric_oracle(self):
         rng = np.random.default_rng(11)
@@ -245,13 +260,13 @@ class TestProjection:
         H = factor.T @ factor + 1e-8 * np.eye(p)
         theta0 = rng.normal(size=p)
         theta_bar = theta0 + rng.normal(size=p)
-        rows_b = rng.normal(size=(p, m))
-        rows_c = rows_b.T @ theta_bar - rng.uniform(0.5, 2.0, m)
-        for nu0 in (None, rng.uniform(0.0, 0.05, m)):
-            out, nu = project_local(theta_bar, theta0, rows_b, rows_c, factor,
-                                    delta, nu0=nu0, return_nu=True)
-            ref, ref_nu = dense_project_local(theta_bar, theta0, rows_b,
-                                              rows_c, H, delta, nu0=nu0)
+        rows = np.ascontiguousarray(rng.normal(size=(p, m)).T)
+        rows_c = rows @ theta_bar - rng.uniform(0.5, 2.0, m)
+        for warm in (np.zeros(m), rng.uniform(0.0, 0.05, m)):
+            out, nu = project_local(theta_bar, theta0, rows, rows_c, factor,
+                                    delta, warm)
+            ref, ref_nu = dense_project_local(theta_bar, theta0, rows,
+                                              rows_c, H, delta, warm)
             # both the ball and some rows bind at the oracle's answer
             d = ref - theta0
             assert 0.5 * d @ H @ d == pytest.approx(delta, rel=1e-9)
@@ -259,14 +274,15 @@ class TestProjection:
             assert np.allclose(out, ref, rtol=0, atol=1e-10)
             assert np.allclose(nu, ref_nu, rtol=0, atol=1e-10)
 
-    def test_sweep_cap_warns(self):
+    def test_sweep_cap_warns(self, monkeypatch):
         # two violated rows at 45 degrees: cyclic projection needs many
         # sweeps, so one sweep ends with neither stopping rule met
-        rows_b = np.array([[1.0, 1.0], [0.0, 1.0]])
+        monkeypatch.setattr(training, "_PROJECT_SWEEPS", 1)
+        rows = np.array([[1.0, 0.0], [1.0, 1.0]])
         rows_c = np.array([-1.0, -1.0])
         with pytest.warns(RuntimeWarning, match="1 sweeps"):
-            project_local(np.zeros(2), np.zeros(2), rows_b, rows_c,
-                          np.eye(2), 1e9, max_iter=1)
+            project_local(np.zeros(2), np.zeros(2), rows, rows_c,
+                          np.eye(2), 1e9, np.zeros(2))
 
     def test_closed_form_cases_do_not_warn(self):
         with warnings.catch_warnings():
@@ -350,11 +366,10 @@ class TestTrainingLoop:
         # by any stochastic initialization, so they are excluded here):
         # zero step sizes leave parameters and prices untouched
         world = small_world("two_mg_feasible.yaml", rho1=0.0, rho2=0.0,
-                            batch=8)
+                            batch=8, backtrack_rounds=0)
         agents = build_agents(world)
         theta_before = [ag.get_theta().copy() for ag in agents]
         records, agents, state = train(world, agents=agents, episodes=1,
-                                       backtracking=False,
                                        removed_tokens=["ess-complementarity"])
         assert records[0].inner_iterations == 1
         assert records[0].inner_converged
@@ -363,9 +378,8 @@ class TestTrainingLoop:
         assert not np.any(np.asarray(records[0].lambda_final))
 
     def test_upl_all_removed_is_plain_ascent(self):
-        world = small_world("tiny_oracle.yaml", batch=32)
-        records, _, _ = train(world, episodes=8, mode="u-pl",
-                              backtracking=False)
+        world = small_world("tiny_oracle.yaml", batch=32, backtrack_rounds=0)
+        records, _, _ = train(world, episodes=8, mode="u-pl")
         # unconstrained profit seeking: reward trend strictly improves
         first = np.mean(records[0].rewards)
         last = np.mean(records[-1].rewards)
@@ -393,7 +407,7 @@ class TestTrainingLoop:
 class TestEpisodeInvariants:
     def test_trust_region_respected_at_episode_end(self):
         from smaspl.microgrid import make_state_vector
-        world = small_world(batch=16, kmax=60)
+        world = small_world(batch=16, kmax=60, backtrack_rounds=0)
         agents = build_agents(world)
         theta0 = [ag.get_theta().copy() for ag in agents]
         irr, load = world.profiles.window(0, world.horizon)
@@ -402,8 +416,7 @@ class TestEpisodeInvariants:
         for a, ag in enumerate(agents):
             ag.set_theta(theta0[a])
             fims.append(ag.fisher(states[a]) + 1e-8 * np.eye(ag.n_params))
-        _, agents, state = train(world, agents=agents, episodes=1,
-                                 backtracking=False)
+        _, agents, state = train(world, agents=agents, episodes=1)
         for a in range(2):
             d = state.thetas[a] - theta0[a]
             q = 0.5 * d @ fims[a] @ d
@@ -429,8 +442,7 @@ class TestEpisodeInvariants:
             assert np.all(diff <= 6.0 * se + 1e-12)
 
     def test_one_factorization_per_sample_step(self):
-        from smaspl.gradients import (factorization_count,
-                                      reset_factorization_count)
+        from smaspl.gradients import factorization_count
         from smaspl.microgrid import make_state_vector
         from smaspl.training import _evaluate_batch
         world = small_world(batch=4)
@@ -438,9 +450,10 @@ class TestEpisodeInvariants:
         irr, load = world.profiles.window(0, 4)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-        reset_factorization_count()
+        before = factorization_count()
         _evaluate_batch(world, agents, evals, [0], irr, load, np.zeros(2))
-        assert factorization_count() == 4 * 4  # batch x window steps
+        # batch x window steps
+        assert factorization_count() - before == 4 * 4
 
 
 class TestBatchChain:
@@ -716,16 +729,18 @@ class TestFeasibilityGate:
     def two_rows_over():
         # mg0's PV reactive cap is halved while its action range stays
         # [-2, 2] kvar: the fresh dispatch then violates mg0.pv_q_hi and
-        # mg0.pcc_p_hi, which the table lists in that (unsorted) order
+        # mg0.pcc_p_hi, which the table lists in that (unsorted) order;
+        # the gate checks once
         sc = load_scenario("scenarios/two_mg_backtrack.yaml")
+        sc.training["backtrack_rounds"] = 0
         mg0 = sc.specs[0]
         sc.specs[0] = replace(mg0, pv=replace(mg0.pv, q_max_kvar=1.0),
                               action_ranges={"q_pv": (-2.0, 2.0)})
         return build_world(sc)
 
     def test_training_without_backtracking_reports_its_check(self):
-        world = small_world("two_mg_backtrack.yaml")
-        records, _, _ = train(world, episodes=1, backtracking=False)
+        world = small_world("two_mg_backtrack.yaml", backtrack_rounds=0)
+        records, _, _ = train(world, episodes=1)
         rec = records[0]
         assert rec.pfe_verdict == "violated:mg0.pcc_p_hi"
         assert rec.backtrack_rounds == 0
@@ -739,9 +754,9 @@ class TestFeasibilityGate:
         assert ids.index("mg0.pv_q_hi") < ids.index("mg0.pcc_p_hi")
         expected = "violated:mg0.pcc_p_hi,mg0.pv_q_hi"
         _, verdict, rounds = select_actions_online(
-            world, build_agents(world), 0, backtracking=False)
+            world, build_agents(world), 0)
         assert (verdict, rounds) == (expected, 0)
-        records, _, _ = train(world, episodes=1, backtracking=False)
+        records, _, _ = train(world, episodes=1)
         assert (records[0].pfe_verdict, records[0].backtrack_rounds) == \
             (expected, 0)
 
