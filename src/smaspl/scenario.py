@@ -309,6 +309,17 @@ TRAINING_DEFAULTS = {
     "hidden_layers": [10, 10, 10],
 }
 
+# value ranges of the training keys that have one, checked at load time
+# so that a bad value fails before any batch runs
+_TRAINING_RANGES = {
+    "tau": (lambda x: 0 < x < 1, "in (0, 1)"),
+    "batch": (lambda x: x >= 1, ">= 1"),
+    "kmax": (lambda x: x >= 1, ">= 1"),
+    "delta": (lambda x: x > 0, "> 0"),
+    "backtrack_rounds": (lambda x: x >= 0, ">= 0"),
+    "gamma": (lambda x: 0 < x <= 1, "in (0, 1]"),
+}
+
 
 @dataclass
 class Scenario:
@@ -428,6 +439,11 @@ def load_scenario(path) -> Scenario:
     if unknown:
         raise ScenarioError(f"{path}: unknown training key(s) {unknown}")
     training.update(extra)
+    for key, (ok, rule) in _TRAINING_RANGES.items():
+        value = training[key]
+        if not (isinstance(value, (int, float)) and ok(value)):
+            raise ScenarioError(
+                f"{path}: training.{key} = {value!r}, must be {rule}")
     return Scenario(
         grid=grid, specs=specs, profiles=series, window=window,
         episodes=episodes, seed=seed, host_loads=host_loads,

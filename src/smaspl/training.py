@@ -244,7 +244,8 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
 
     The region is trust_quadratic(factor, theta - theta0) <= delta, i.e.
     the metric H = F^T F + 1e-8 I given by its rows F = `factor`.  The
-    rows b_m are those of `rows`, (m, P), ideally C-contiguous.  Cyclic
+    rows b_m are those of `rows`, (m, len(theta)), ideally C-contiguous;
+    the inner loop passes span coordinates and factor diag(S).  Cyclic
     row corrections with multiplier memory, warm-started from the
     multipliers nu (m,), followed by radial scaling into the ball after
     each sweep.  Exact on a single halfspace, on a ball-only instance,
@@ -286,16 +287,18 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
         d = theta - theta0
         q = trust_quadratic(factor, d) - delta
         if q > 0:
-            shrink = np.sqrt(delta / (q + delta))
+            shrink = math.sqrt(delta / (q + delta))
             theta = theta0 + d * shrink
-            moved = max(moved, float(np.linalg.norm(d) * (1 - shrink)))
+            moved = max(moved, math.sqrt(float(d @ d)) * (1 - shrink))
         # the scaling leaves theta on the ball up to rounding, so only the
         # rows and the step size decide convergence
         viol = float((rows @ theta - rows_c).max()) if m else 0.0
         if moved <= tol and viol <= tol * scale:
             break
-        if prev is not None and float(np.linalg.norm(theta - prev)) <= tol:
-            break  # stationary compromise between rows and trust region
+        if prev is not None:
+            diff = theta - prev
+            if math.sqrt(float(diff @ diff)) <= tol:
+                break  # stationary compromise between rows and trust region
         prev = theta.copy()
     else:
         warnings.warn(f"project_local: {_PROJECT_SWEEPS} sweeps ended before "
@@ -732,30 +735,55 @@ class _RowLayout:
         return cls(global_idx, local_idx, removed_mask)
 
 
+def _span_basis(factor: np.ndarray):
+    """Orthonormal basis V (P, k) of the span of the Fisher rows F and
+    the singular values S (k,) of F in it, so that F V = U S.
+
+    From the eigendecomposition of the small Gram matrix F F^T.  Its
+    eigenvalues at or below its round-off, k * eps * max, are zero to
+    working precision and are dropped, so rank-deficient rows give a
+    smaller k and no spurious directions.
+    """
+    w, u = np.linalg.eigh(factor @ factor.T)
+    keep = w > w[-1] * w.size * np.finfo(float).eps
+    s = np.sqrt(w[keep])
+    return (factor.T @ u[:, keep]) / s, s
+
+
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
                 factors, d_vec, layout: _RowLayout):
     """Stages II-V iterated to the parameter-change stopping rule.
 
     factors[a] holds the Fisher rows of agent a at the anchor (see
-    PolicyEval.fisher_factor).  The row algebra that stays fixed over
-    the iterations is formed once per agent here.  The prices start at
-    lambdas0, or at zero when it is None.
+    PolicyEval.fisher_factor).  The reward gradient, every row gradient
+    and so every step lie in the span of those rows, so agent a iterates
+    on the coordinates z of theta = thetas0[a] + V z in the orthonormal
+    basis V of _span_basis, at most 2 * 6T of them.  There the trust
+    quadratic is trust_quadratic(diag(S), z) and |dz| = |dtheta|.  The
+    reduced algebra is formed once per agent here; no parameter-length
+    vector is touched inside the loop.  The prices start at lambdas0, or
+    at zero when it is None.
     """
     cfg = world.cfg
     n = world.n_agents
     bus = LambdaBus(n)
-    thetas = [t.copy() for t in thetas0]
     lambdas = (np.zeros((n, len(layout.global_idx))) if lambdas0 is None
                else lambdas0.copy())
     removed_mask = layout.removed_mask
     d_global = d_vec[layout.global_idx]
     j0_global = batch.j_values[layout.global_idx]
-    b_glob = [b[:, layout.global_idx] for b in batch.b]
-    # local rows as C-contiguous (m, P) so the projection sweeps read rows
-    rows = [np.ascontiguousarray(b.T[li])
-            for b, li in zip(batch.b, layout.local_idx)]
-    rows_c = [d_vec[li] - batch.j_values[li] + r @ t0
-              for r, li, t0 in zip(rows, layout.local_idx, thetas0)]
+    bases, metrics, g, b_glob, rows, rows_c = [], [], [], [], [], []
+    for a, li in enumerate(layout.local_idx):
+        v, s = _span_basis(factors[a])
+        bases.append(v)
+        metrics.append(np.diag(s))
+        g.append(v.T @ batch.g[a])
+        b_glob.append(v.T @ batch.b[a][:, layout.global_idx])
+        # local rows as C-contiguous (m, k) so the projection sweeps read rows
+        rows.append(np.ascontiguousarray(batch.b[a][:, li].T @ v))
+        rows_c.append(d_vec[li] - batch.j_values[li])
+    origins = [np.zeros(v.shape[1]) for v in bases]
+    zs = [o.copy() for o in origins]
     traj: list[np.ndarray] = []
     converged = False
     iterations = 0
@@ -768,21 +796,22 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
         lam_bar[:, removed_mask] = 0.0
         change = 0.0
         for a in range(n):
-            theta_bar = primal_step(thetas[a], batch.g[a], b_glob[a],
-                                    lam_bar[a], cfg.rho1)
-            theta_new, nus[a] = project_local(
-                theta_bar, thetas0[a], rows[a], rows_c[a], factors[a],
-                cfg.delta, nus[a])
-            lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a],
-                                   theta_new, thetas0[a], cfg.rho2, d_global)
+            z_bar = primal_step(zs[a], g[a], b_glob[a], lam_bar[a], cfg.rho1)
+            z_new, nus[a] = project_local(z_bar, origins[a], rows[a],
+                                          rows_c[a], metrics[a], cfg.delta,
+                                          nus[a])
+            lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a], z_new,
+                                   origins[a], cfg.rho2, d_global)
             lambdas[a, removed_mask] = 0.0
-            change = max(change, float(np.linalg.norm(theta_new - thetas[a])))
-            thetas[a] = theta_new
+            dz = z_new - zs[a]
+            change = max(change, math.sqrt(float(dz @ dz)))
+            zs[a] = z_new
         traj.append(lambdas.copy())
         iterations = k
         if change <= cfg.dtheta:
             converged = True
             break
+    thetas = [t0 + v @ z for t0, v, z in zip(thetas0, bases, zs)]
     return thetas, lambdas, iterations, converged, traj
 
 

@@ -115,6 +115,22 @@ class TestTrainArtifacts:
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, "episode count must be >= 1, got 0")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, tau: 0.0}",
+         "training.tau = 0.0, must be in (0, 1)"),
+        ("batch: 64", "batch: 0", "training.batch = 0, must be >= 1"),
+        ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, kmax: 0}",
+         "training.kmax = 0, must be >= 1"),
+    ], ids=["tau", "batch", "kmax"])
+    def test_training_value_out_of_range_is_validation_failure(
+            self, tmp_path, capsys, old, new, message):
+        path = scenario_copy(tmp_path, old, new)
+        code = main(["train", "--scenario", str(path),
+                     "--out", str(tmp_path / "x"), "--episodes", "1"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(path), message)
+        assert not (tmp_path / "x").exists()
+
     def test_bad_removal_token_is_validation_failure(self, tmp_path):
         code = main(["train", "--scenario", TINY,
                      "--out", str(tmp_path / "x"), "--episodes", "1",
