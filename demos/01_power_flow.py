@@ -7,13 +7,17 @@ solution back into the power balance, and compare a two-bus case against
 a bisection oracle that never touches linear algebra.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from smaspl.grid import Branch, Bus, GridModel, power_mismatch, solve_power_flow
-from smaspl.scenario import networked_feeder_case, nominal_loads_98
+from smaspl.scenario import load_scenario, nominal_loads_98
 
-grid, specs = networked_feeder_case()
-p, q = nominal_loads_98(grid, specs)
+case = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                     / "paper98.yaml")
+grid = case.grid
+p, q = nominal_loads_98(grid, case.specs)
 sol = solve_power_flow(grid, p, q)
 print(f"combined network: {grid.n_bus} buses, {grid.n_branch} branches")
 print(f"converged in {sol.iterations} Newton steps, "

@@ -286,7 +286,7 @@ def _cmd_train(args) -> int:
         "mode": args.mode,
         "episodes": episodes,
         "remove_constraints": removed,
-        "backtracking": not args.no_backtracking,
+        "backtracking": scenario.training["backtrack_rounds"] > 0,
         "network_noise_variance": scenario.network_noise_variance,
     }
     (out / "run_config.json").write_text(json.dumps(config_echo, indent=2))
@@ -353,6 +353,12 @@ def _cmd_report(args) -> int:
     records = read_episode_jsonl(args.log)
     scenario = load_scenario(args.scenario)
     world = build_world(scenario)
+    known = set(world.index.ids)
+    for rec in records:
+        for rid in (*rec.j_values, *rec.j_dispatch, *rec.lambda_traj):
+            if rid not in known:
+                raise ValueError(f"{args.log}: row id {rid!r} is not a "
+                                 f"constraint row of {args.scenario}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_summaries(records, world, out)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .grid import Branch, Bus, GridModel, GridError, load_grid_file
+from .grid import Branch, GridModel, load_grid_file
 from .microgrid import (
     BusMap,
     DGSpec,
@@ -50,10 +50,7 @@ __all__ = [
     "perturb_network",
     "load_scenario",
     "TRAINING_DEFAULTS",
-    "case33_branches",
     "case33_loads",
-    "mg13_branches",
-    "networked_feeder_case",
     "nominal_loads_98",
 ]
 
@@ -386,6 +383,21 @@ def _mg_from_dict(row: dict) -> MicrogridSpec:
         raise ScenarioError(f"bad mg entry ({exc}): {row!r}") from exc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _convert(path, key, value, kind):
+    """kind(value), where a value of the wrong type raises ScenarioError
+    naming the file and the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise ScenarioError(
+            f"{path}: {key} = {value!r}, must be {what}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Load a scenario file; relative paths resolve against its directory."""
     path = Path(path)
@@ -397,11 +409,9 @@ def load_scenario(path) -> Scenario:
     try:
         grid = load_grid_file(base / data["grid_file"])
         specs = [_mg_from_dict(r) for r in data["mgs"]]
-        window = int(data["window"])
-        episodes = int(data.get("episodes", 50))
-        seed = int(data["seed"])
-    except GridError:
-        raise
+        window = _convert(path, "window", data["window"], int)
+        episodes = _convert(path, "episodes", data.get("episodes", 50), int)
+        seed = _convert(path, "seed", data["seed"], int)
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing required key {exc}") from exc
 
@@ -439,45 +449,34 @@ def load_scenario(path) -> Scenario:
     if unknown:
         raise ScenarioError(f"{path}: unknown training key(s) {unknown}")
     training.update(extra)
-    for key, (ok, rule) in _TRAINING_RANGES.items():
-        value = training[key]
-        if not (isinstance(value, (int, float)) and ok(value)):
+    for key, value in training.items():
+        if key == "hidden_layers":
+            ok = (isinstance(value, list) and len(value) > 0
+                  and all(_is_number(h) and isinstance(h, int) and h >= 1
+                          for h in value))
+            rule = "a non-empty list of positive integers"
+        elif not _is_number(value):
+            ok, rule = False, "a number"
+        else:
+            check, rule = _TRAINING_RANGES.get(key, (None, None))
+            ok = check is None or check(value)
+        if not ok:
             raise ScenarioError(
                 f"{path}: training.{key} = {value!r}, must be {rule}")
     return Scenario(
         grid=grid, specs=specs, profiles=series, window=window,
         episodes=episodes, seed=seed, host_loads=host_loads,
         forecast_error=err,
-        network_noise_variance=float(data.get("network_noise_variance", 0.0)),
+        network_noise_variance=_convert(
+            path, "network_noise_variance",
+            data.get("network_noise_variance", 0.0), float),
         training=training,
     )
 
 
 # ---------------------------------------------------------------------------
-# Reference networks
+# Nominal loads of the 98-bus study case
 # ---------------------------------------------------------------------------
-
-def case33_branches():
-    """Classic 33-bus radial feeder line data: (from, to, r_ohm, x_ohm)."""
-    return [
-        (0, 1, 0.0922, 0.0470), (1, 2, 0.4930, 0.2511),
-        (2, 3, 0.3660, 0.1864), (3, 4, 0.3811, 0.1941),
-        (4, 5, 0.8190, 0.7070), (5, 6, 0.1872, 0.6188),
-        (6, 7, 1.7114, 1.2351), (7, 8, 1.0300, 0.7400),
-        (8, 9, 1.0440, 0.7400), (9, 10, 0.1966, 0.0650),
-        (10, 11, 0.3744, 0.1238), (11, 12, 1.4680, 1.1550),
-        (12, 13, 0.5416, 0.7129), (13, 14, 0.5910, 0.5260),
-        (14, 15, 0.7463, 0.5450), (15, 16, 1.2890, 1.7210),
-        (16, 17, 0.7320, 0.5740), (1, 18, 0.1640, 0.1565),
-        (18, 19, 1.5042, 1.3554), (19, 20, 0.4095, 0.4784),
-        (20, 21, 0.7089, 0.9373), (2, 22, 0.4512, 0.3083),
-        (22, 23, 0.8980, 0.7091), (23, 24, 0.8960, 0.7011),
-        (5, 25, 0.2030, 0.1034), (25, 26, 0.2842, 0.1447),
-        (26, 27, 1.0590, 0.9337), (27, 28, 0.8042, 0.7006),
-        (28, 29, 0.5075, 0.2585), (29, 30, 0.9744, 0.9630),
-        (30, 31, 0.3105, 0.3619), (31, 32, 0.3410, 0.5302),
-    ]
-
 
 def case33_loads():
     """Nominal feeder loads {bus: (p_kw, q_kvar)} for the 33-bus case."""
@@ -492,73 +491,9 @@ def case33_loads():
     }
 
 
-def mg13_branches():
-    """Radial 13-bus low-voltage template: (from, to, r_ohm, x_ohm)."""
-    return [
-        (0, 1, 0.12, 0.20), (1, 2, 0.17, 0.25), (2, 3, 0.21, 0.28),
-        (3, 4, 0.15, 0.22), (1, 5, 0.19, 0.27), (5, 6, 0.14, 0.21),
-        (6, 7, 0.22, 0.30), (1, 8, 0.16, 0.24), (8, 9, 0.18, 0.26),
-        (9, 10, 0.13, 0.20), (10, 11, 0.20, 0.29), (11, 12, 0.15, 0.23),
-    ]
-
-
-def _default_mg_spec(mg_id: int, root: int, host: int) -> MicrogridSpec:
-    """The reference microgrid on the 13-bus template rooted at bus root,
-    coupled to bus host of the feeder."""
-    return MicrogridSpec(
-        mg_id=mg_id,
-        dg=DGSpec(p_max_kw=60.0, q_max_kvar=30.0, ramp_kw=30.0,
-                  fuel_price=0.57, a_f=0.0001773, b_f=0.1709, c_f=14.67),
-        ess=ESSSpec(e_cap_kwh=20.0, p_ch_max_kw=4.0, p_dis_max_kw=4.0,
-                    eta_ch=0.95, eta_dis=0.90, soc_min=0.1, soc_max=0.9,
-                    q_max_kvar=3.0, soc_init=0.5),
-        pv=PVSpec(p_rated_kw=25.0, q_max_kvar=10.0),
-        pcc=PCCSpec(p_max_kw=120.0, q_max_kvar=60.0, price_per_kwh=0.046),
-        bus_map=BusMap(dg=root + 3, ess=root + 6, pv=root + 9,
-                       load=root + 11, pcc_mg=root, pcc_host=host),
-    )
-
-
-# host-feeder buses the five microgrids attach to, and the p.u.
-# impedance of each coupling branch
-_FEEDER_ATTACH = (5, 9, 14, 21, 26)
-_PCC_R_PU, _PCC_X_PU = 0.01, 0.02
-
-
-def networked_feeder_case():
-    """33-bus host feeder with one 13-bus network grafted at each of the
-    buses _FEEDER_ATTACH.
-
-    Returns (GridModel, [MicrogridSpec]); the combined model has 98 buses.
-    """
-    base_kva = 100.0
-    host_kv, mg_kv = 12.66, 4.16
-    buses = [Bus(0, "slack", 0.90, 1.10)]
-    buses += [Bus(i, "load", 0.90, 1.10) for i in range(1, 33)]
-    base_kv = [host_kv] * 33
-    z_host = host_kv ** 2 * 1000.0 / base_kva
-    branches = [Branch.from_impedance(f, t, r / z_host, x / z_host, 200.0)
-                for f, t, r, x in case33_branches()]
-    specs = []
-    z_mg = mg_kv ** 2 * 1000.0 / base_kva
-    for m, host_bus in enumerate(_FEEDER_ATTACH):
-        root = len(buses)
-        buses += [Bus(root + k, "load", 0.90, 1.10, mg_owner=m)
-                  for k in range(13)]
-        base_kv += [mg_kv] * 13
-        branches += [
-            Branch.from_impedance(root + f, root + t, r / z_mg, x / z_mg, 50.0)
-            for f, t, r, x in mg13_branches()
-        ]
-        branches.append(Branch.from_impedance(root, host_bus,
-                                              _PCC_R_PU, _PCC_X_PU, 50.0))
-        specs.append(_default_mg_spec(m, root, host_bus))
-    grid = GridModel(buses, branches, base_kva, base_kv)
-    return grid, specs
-
-
 def nominal_loads_98(grid: GridModel, specs):
-    """Representative net loads (kW, kvar) for the combined feeder case."""
+    """Representative net loads (kW, kvar) for the 98-bus study case, whose
+    grid and microgrids are those of scenarios/paper98.yaml."""
     p = np.zeros(grid.n_bus)
     q = np.zeros(grid.n_bus)
     for bus, (pk, qk) in case33_loads().items():

@@ -661,7 +661,6 @@ class TrainingState:
     lambdas: np.ndarray            # (N, M_global)
     episode: int = 0
     prev_dg: np.ndarray | None = None
-    outer_converged: bool = False
 
 
 @dataclass
@@ -937,7 +936,6 @@ def train_episode(world: World, agents: list[GaussianPolicy],
     state.lambdas = lambdas
     state.prev_dg = mean_actions[:, 0].copy()  # step-0 DG dispatch
     state.episode = episode + 1
-    state.outer_converged = max(theta_change) <= cfg.dtheta
 
     lam_traj: dict[str, list] = {}
     if traj:

@@ -121,7 +121,16 @@ class TestTrainArtifacts:
         ("batch: 64", "batch: 0", "training.batch = 0, must be >= 1"),
         ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, kmax: 0}",
          "training.kmax = 0, must be >= 1"),
-    ], ids=["tau", "batch", "kmax"])
+        ("window: 1", "window: [4]", "window = [4], must be an integer"),
+        ("sigma_span_frac: 0.15}",
+         "sigma_span_frac: 0.15, hidden_layers: 5}",
+         "training.hidden_layers = 5, must be a non-empty list of positive "
+         "integers"),
+        ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, rho1: fast}",
+         "training.rho1 = 'fast', must be a number"),
+        ("seed: 777", "seed: abc", "seed = 'abc', must be an integer"),
+    ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
+            "rho1-string", "seed-string"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)
@@ -252,8 +261,9 @@ class TestNoBacktracking:
         first = read_episode_jsonl(flag / "episodes.jsonl")[0]
         assert (first.pfe_verdict, first.backtrack_rounds) == \
             ("violated:mg0.pcc_p_hi", 0)
-        echo = json.loads((flag / "run_config.json").read_text())
-        assert echo["backtracking"] is False
+        for out in (flag, field):
+            echo = json.loads((out / "run_config.json").read_text())
+            assert echo["backtracking"] is False
 
     def test_dispatch_flag_checks_once(self, tmp_path, capsys):
         from smaspl.policy import save_checkpoint
@@ -300,6 +310,20 @@ class TestReport:
                      "--out", str(tmp_path / "rep")])
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, where)
+
+    def test_log_of_another_scenario_is_validation_failure(self, tmp_path,
+                                                          capsys):
+        # a row id of a larger grid, unknown to the 4-bus tiny case
+        row = {**dict.fromkeys(EPISODE_FIELDS, 0), "rewards": [1.0],
+               "j_values": {"v_hi[4]": 1.0}, "j_dispatch": {},
+               "lambda_traj": {}}
+        path = tmp_path / "log.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        code = main(["report", "--log", str(path), "--scenario", TINY,
+                     "--out", str(tmp_path / "rep")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{path}: row id 'v_hi[4]'", TINY)
+        assert not (tmp_path / "rep").exists()
 
 
 class TestVerify:

@@ -22,6 +22,7 @@ from smaspl.grid import (
     system_block_diagonal,
 )
 from smaspl.microgrid import network_observables
+from smaspl.scenario import load_scenario, nominal_loads_98
 
 
 def two_bus(r=0.01, x=0.01):
@@ -98,19 +99,15 @@ class TestBuildAdmittance:
             grid_of(2, [Branch(0, 5, 1.0, 0.0, 1.0)])
 
     @pytest.mark.parametrize("which", [
-        "feeder-case", "five_mg_binding", "five_mg_feasible",
-        "networked_98", "tiny", "two_mg"])
+        "five_mg_binding", "five_mg_feasible", "networked_98", "tiny",
+        "two_mg"])
     def test_equals_stamping_oracle(self, which):
-        from smaspl.scenario import networked_feeder_case
-
-        grid = (networked_feeder_case()[0] if which == "feeder-case"
-                else load_grid_file(f"scenarios/grids/{which}.yaml"))
+        grid = load_grid_file(f"scenarios/grids/{which}.yaml")
         assert np.array_equal(grid.y_bus.toarray(), stamped_admittance(grid))
 
     def test_paper_topology_98_bus(self):
-        from smaspl.scenario import networked_feeder_case
-
-        grid, specs = networked_feeder_case()
+        case = load_scenario("scenarios/paper98.yaml")
+        grid, specs = case.grid, case.specs
         assert grid.n_bus == 98
         assert grid.y_bus.shape == (98, 98)
         assert grid.y_bus.nnz == 98 + 2 * grid.n_branch
@@ -198,10 +195,9 @@ class TestPowerFlow:
         assert sol.v_re[0] == 1.0 and sol.v_im[0] == 0.0
 
     def test_residual_recheck_98_bus(self):
-        from smaspl.scenario import networked_feeder_case, nominal_loads_98
-
-        grid, specs = networked_feeder_case()
-        p, q = nominal_loads_98(grid, specs)
+        case = load_scenario("scenarios/paper98.yaml")
+        grid = case.grid
+        p, q = nominal_loads_98(grid, case.specs)
         sol = solve_power_flow(grid, p, q)
         assert sol.converged
         miss = power_mismatch(grid, sol)

@@ -21,7 +21,6 @@ CENSUS = [
     (grid.solve_power_flow_stack, {"tol"}),
     (policy.cov_chain_factor, set()),
     (policy.action_policy_reciprocal, set()),
-    (scenario.networked_feeder_case, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
     (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),
     (scenario.constant_profiles, set()),

@@ -14,7 +14,6 @@ from smaspl.scenario import (
     forecast_with_error,
     load_profiles,
     load_scenario,
-    networked_feeder_case,
     perturb_network,
     save_profiles,
     synth_profiles,
@@ -240,7 +239,8 @@ class TestScenarioFiles:
 
 class TestReferenceNetwork:
     def test_combined_case_scale(self):
-        grid, specs = networked_feeder_case()
+        case = load_scenario(f"{SCENARIOS}/paper98.yaml")
+        grid, specs = case.grid, case.specs
         assert grid.n_bus == 98
         assert len(specs) == 5
         assert grid.n_branch == 32 + 5 * 12 + 5
