@@ -42,6 +42,7 @@ from .scenario import (
     ForecastErrorParams,
     ProfileSeries,
     Scenario,
+    TrainerConfig,
     load_profiles,
     load_scenario,
     perturb_network,
@@ -49,7 +50,6 @@ from .scenario import (
 )
 from .training import (
     AgentChannelGraph,
-    TrainerConfig,
     World,
     build_agents,
     build_world,

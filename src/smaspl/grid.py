@@ -44,6 +44,9 @@ __all__ = [
     "grid_from_dict",
 ]
 
+# libyaml's parser where PyYAML has it; both build the same tree
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class GridError(ValueError):
     """Invalid network description (topology, parameters, or file contents)."""
@@ -623,7 +626,7 @@ def grid_from_dict(data: dict) -> GridModel:
 def load_grid_file(path) -> GridModel:
     """Load and validate a YAML grid description, converting to p.u."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=YAML_LOADER)
     if not isinstance(data, dict):
         raise GridError(f"{path}: grid file must be a mapping")
     return grid_from_dict(data)

@@ -18,30 +18,24 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
-from .grid import Branch, GridModel, load_grid_file
-from .microgrid import (
-    BusMap,
-    DGSpec,
-    ESSSpec,
-    MicrogridSpec,
-    PCCSpec,
-    PVSpec,
-    STEP_MINUTES,
-    find_pcc_branch,
-)
+from .grid import YAML_LOADER, Branch, GridModel, load_grid_file
+from .microgrid import MicrogridSpec, STEP_MINUTES, find_pcc_branch
 
 __all__ = [
     "ProfileSeries",
     "ForecastErrorParams",
     "Scenario",
     "ScenarioError",
+    "TrainerConfig",
     "load_profiles",
     "save_profiles",
     "synth_profiles",
@@ -79,8 +73,9 @@ class ProfileSeries:
         for k in range(1, n):
             if self.timestamps[k] - self.timestamps[k - 1] != step:
                 raise ScenarioError(
-                    f"profile gap between rows {k} and {k + 1}: "
-                    f"{self.timestamps[k - 1]} -> {self.timestamps[k]}"
+                    f"profile gap: missing 15-minute slot between "
+                    f"{self.timestamps[k - 1]} and {self.timestamps[k]} "
+                    f"(data rows {k}-{k + 1})"
                 )
         if np.any(self.load_kw < 0):
             raise ScenarioError("negative load in profile")
@@ -133,14 +128,10 @@ def load_profiles(path) -> ProfileSeries:
                 raise ScenarioError(f"{path}:{lineno}: negative load")
             loads.append(vals[0::2])
             irrs.append(vals[1::2])
-    step = timedelta(minutes=STEP_MINUTES)
-    for k in range(1, len(stamps)):
-        if stamps[k] - stamps[k - 1] != step:
-            raise ScenarioError(
-                f"{path}: missing 15-minute slot between {stamps[k - 1]} "
-                f"and {stamps[k]} (rows {k + 1}-{k + 2})"
-            )
-    return ProfileSeries(stamps, np.asarray(loads), np.asarray(irrs))
+    try:
+        return ProfileSeries(stamps, np.asarray(loads), np.asarray(irrs))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def save_profiles(path, series: ProfileSeries) -> None:
@@ -290,24 +281,29 @@ def perturb_network(grid: GridModel, variance: float,
 # Scenario file
 # ---------------------------------------------------------------------------
 
-TRAINING_DEFAULTS = {
-    "gamma": 0.99,
-    "delta": 1e-3,
-    "kmax": 200,
-    "rho1": 0.01,
-    "rho2": 0.01,
-    "dtheta": 1e-4,
-    "tau": 0.9,
-    "batch": 128,
-    "sigma_floor": 0.01,
-    "sigma_span_frac": 0.2,
-    "eps_complementarity": 1e-3,
-    "backtrack_rounds": 3,
-    "hidden_layers": [10, 10, 10],
-}
+@dataclass
+class TrainerConfig:
+    """The training settings of a scenario, with their production defaults."""
 
-# value ranges of the training keys that have one, checked at load time
-# so that a bad value fails before any batch runs
+    gamma: float = 0.99
+    delta: float = 1e-3
+    kmax: int = 200
+    rho1: float = 0.01
+    rho2: float = 0.01
+    dtheta: float = 1e-4
+    tau: float = 0.9
+    batch: int = 128
+    sigma_floor: float = 0.01
+    sigma_span_frac: float = 0.2
+    eps_complementarity: float = 1e-3
+    backtrack_rounds: int = 3
+    hidden_layers: list = field(default_factory=lambda: [10, 10, 10])
+
+
+TRAINING_DEFAULTS = asdict(TrainerConfig())
+
+# value rules of the training keys that have one beyond their type,
+# checked at load time so that a bad value fails before any batch runs
 _TRAINING_RANGES = {
     "tau": (lambda x: 0 < x < 1, "in (0, 1)"),
     "batch": (lambda x: x >= 1, ">= 1"),
@@ -315,6 +311,10 @@ _TRAINING_RANGES = {
     "delta": (lambda x: x > 0, "> 0"),
     "backtrack_rounds": (lambda x: x >= 0, ">= 0"),
     "gamma": (lambda x: 0 < x <= 1, "in (0, 1]"),
+    "hidden_layers": (
+        lambda x: isinstance(x, list) and len(x) > 0
+        and all(type(h) is int and h >= 1 for h in x),
+        "a non-empty list of positive integers"),
 }
 
 
@@ -329,7 +329,7 @@ class Scenario:
     host_loads: dict = field(default_factory=dict)
     forecast_error: ForecastErrorParams = ForecastErrorParams()
     network_noise_variance: float = 0.0
-    training: dict = field(default_factory=lambda: dict(TRAINING_DEFAULTS))
+    training: dict = field(default_factory=lambda: asdict(TrainerConfig()))
 
     def __post_init__(self):
         if self.window < 1:
@@ -366,111 +366,139 @@ class Scenario:
                 raise ScenarioError(f"host load bus {bus} outside the grid")
 
 
-def _mg_from_dict(row: dict) -> MicrogridSpec:
-    try:
-        return MicrogridSpec(
-            mg_id=int(row["mg_id"]),
-            dg=DGSpec(**{k: float(v) for k, v in row["dg"].items()}),
-            ess=ESSSpec(**{k: float(v) for k, v in row["ess"].items()}),
-            pv=PVSpec(**{k: float(v) for k, v in row["pv"].items()}),
-            pcc=PCCSpec(**{k: float(v) for k, v in row["pcc"].items()}),
-            bus_map=BusMap(**{k: int(v) for k, v in row["bus_map"].items()}),
-            q_load_ratio=float(row.get("q_load_ratio", 0.2)),
-            action_ranges={k: (float(v[0]), float(v[1]))
-                           for k, v in row.get("action_ranges", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad mg entry ({exc}): {row!r}") from exc
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _convert(path, key, value, kind):
-    """kind(value), where a value of the wrong type raises ScenarioError
-    naming the file and the key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+def _number(path, key, value, kind=float):
+    """value as kind: a YAML number, no bool or string; for int, an int."""
+    if isinstance(value, bool) or not isinstance(
+            value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{path}: {key} = {value!r}, must be {what}")
+    return kind(value)
+
+
+def _mapping(path, key, value) -> dict:
+    """value, which must be a mapping; a key given no value reads as {}."""
+    if not isinstance(value, (dict, type(None))):
+        raise ScenarioError(f"{path}: {key} = {value!r}, must be a mapping")
+    return value or {}
+
+
+def _file(path, key, value) -> Path:
+    """The file that value names, relative to the scenario's directory."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path}: {key} = {value!r}, must be a file name")
+    return path.parent / value
+
+
+def _pair(path, key, value) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(
-            f"{path}: {key} = {value!r}, must be {what}") from exc
+            f"{path}: {key} = {value!r}, must be a pair of numbers")
+    return tuple(_number(path, f"{key}[{i}]", v) for i, v in enumerate(value))
+
+
+def _section(path, key, schema, mapping) -> dict:
+    """The entries of the mapping at key that the file gives, typed by
+    schema: a dataclass, whose fields name the keys, their types and the
+    required ones, or a dict {key: type} of optional keys.  Numbers go
+    through _number, dataclass-typed entries are read as sections, and
+    other entries pass unchanged."""
+    mapping = _mapping(path, key, mapping)
+    kinds = schema if isinstance(schema, dict) else get_type_hints(schema)
+    unknown = sorted(str(k) for k in mapping if k not in kinds)
+    if unknown:
+        raise ScenarioError(f"{path}: unknown {key} key(s) {unknown}")
+    for f in fields(schema) if is_dataclass(schema) else ():
+        if (f.name not in mapping and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ScenarioError(
+                f"{path}: missing required key '{key}.{f.name}'")
+    out = {}
+    for name, value in mapping.items():
+        kind, sub = kinds[name], f"{key}.{name}"
+        if kind in (int, float):
+            value = _number(path, sub, value, kind)
+        elif is_dataclass(kind):
+            value = kind(**_section(path, sub, kind, value))
+        out[name] = value
+    return out
+
+
+def _mg_spec(path, i, row) -> MicrogridSpec:
+    key = f"mgs[{i}]"
+    given = _section(path, key, MicrogridSpec, row)
+    if "action_ranges" in given:
+        given["action_ranges"] = {
+            c: _pair(path, f"{key}.action_ranges.{c}", v) for c, v in
+            _mapping(path, f"{key}.action_ranges",
+                     given["action_ranges"]).items()}
+    try:
+        return MicrogridSpec(**given)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _training(path, mapping) -> dict:
+    """The file's training settings, checked, over the defaults."""
+    given = _section(path, "training", TrainerConfig, mapping)
+    for key, value in given.items():
+        check, rule = _TRAINING_RANGES.get(key, (None, None))
+        if check is not None and not check(value):
+            raise ScenarioError(
+                f"{path}: training.{key} = {value!r}, must be {rule}")
+    return asdict(TrainerConfig(**given))
 
 
 def load_scenario(path) -> Scenario:
     """Load a scenario file; relative paths resolve against its directory."""
     path = Path(path)
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=YAML_LOADER)
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
-    base = path.parent
     try:
-        grid = load_grid_file(base / data["grid_file"])
-        specs = [_mg_from_dict(r) for r in data["mgs"]]
-        window = _convert(path, "window", data["window"], int)
-        episodes = _convert(path, "episodes", data.get("episodes", 50), int)
-        seed = _convert(path, "seed", data["seed"], int)
+        grid = load_grid_file(_file(path, "grid_file", data["grid_file"]))
+        rows, window, seed = data["mgs"], data["window"], data["seed"]
     except KeyError as exc:
         raise ScenarioError(f"{path}: missing required key {exc}") from exc
+    if not isinstance(rows, list):
+        raise ScenarioError(f"{path}: mgs = {rows!r}, must be a list")
+    specs = [_mg_spec(path, i, row) for i, row in enumerate(rows)]
+    seed = _number(path, "seed", seed, int)
 
-    prof = data.get("profiles", {})
+    prof = _mapping(path, "profiles", data.get("profiles"))
     if "file" in prof:
-        series = load_profiles(base / prof["file"])
+        series = load_profiles(_file(path, "profiles.file", prof["file"]))
     elif "synthetic" in prof:
-        p = prof["synthetic"]
-        series = synth_profiles(
-            int(p.get("seed", seed)), int(p.get("days", 2)), len(specs),
-            load_base_kw=float(p.get("load_base_kw", 20.0)),
-            load_peak_kw=float(p.get("load_peak_kw", 15.0)),
-        )
+        p = _section(path, "profiles.synthetic",
+                     {"seed": int, "days": int, "load_base_kw": float,
+                      "load_peak_kw": float}, prof["synthetic"])
+        series = synth_profiles(p.pop("seed", seed), p.pop("days", 2),
+                                len(specs), **p)
     elif "constant" in prof:
-        p = prof["constant"]
-        steps = int(p.get("steps", 96))
-        series = constant_profiles(steps, len(specs),
+        p = _section(path, "profiles.constant",
+                     {"steps": int, "load_kw": float, "irradiance": float},
+                     prof["constant"])
+        series = constant_profiles(p.get("steps", 96), len(specs),
                                    p.get("load_kw", 20.0),
                                    p.get("irradiance", 0.5))
     else:
         raise ScenarioError(f"{path}: profiles must name file/synthetic/constant")
 
-    fe = data.get("forecast_error", {})
-    err = ForecastErrorParams(
-        solar_scale=float(fe.get("solar_scale", 0.0)),
-        beta_a=float(fe.get("beta_a", 2.0)),
-        beta_b=float(fe.get("beta_b", 2.0)),
-        load_std_frac=float(fe.get("load_std_frac", 0.0)),
-    )
-    host_loads = {int(k): (float(v[0]), float(v[1]))
-                  for k, v in (data.get("host_loads") or {}).items()}
-    training = dict(TRAINING_DEFAULTS)
-    extra = data.get("training") or {}
-    unknown = sorted(set(extra) - set(TRAINING_DEFAULTS))
-    if unknown:
-        raise ScenarioError(f"{path}: unknown training key(s) {unknown}")
-    training.update(extra)
-    for key, value in training.items():
-        if key == "hidden_layers":
-            ok = (isinstance(value, list) and len(value) > 0
-                  and all(_is_number(h) and isinstance(h, int) and h >= 1
-                          for h in value))
-            rule = "a non-empty list of positive integers"
-        elif not _is_number(value):
-            ok, rule = False, "a number"
-        else:
-            check, rule = _TRAINING_RANGES.get(key, (None, None))
-            ok = check is None or check(value)
-        if not ok:
-            raise ScenarioError(
-                f"{path}: training.{key} = {value!r}, must be {rule}")
+    host_loads = {_number(path, "host_loads bus", bus, int):
+                  _pair(path, f"host_loads.{bus}", v) for bus, v in
+                  _mapping(path, "host_loads", data.get("host_loads")).items()}
+    optional = {key: _number(path, key, data[key])
+                for key in ("network_noise_variance",) if key in data}
     return Scenario(
-        grid=grid, specs=specs, profiles=series, window=window,
-        episodes=episodes, seed=seed, host_loads=host_loads,
-        forecast_error=err,
-        network_noise_variance=_convert(
-            path, "network_noise_variance",
-            data.get("network_noise_variance", 0.0), float),
-        training=training,
+        grid=grid, specs=specs, profiles=series,
+        window=_number(path, "window", window, int),
+        episodes=_number(path, "episodes", data.get("episodes", 50), int),
+        seed=seed, host_loads=host_loads,
+        forecast_error=ForecastErrorParams(**_section(
+            path, "forecast_error", ForecastErrorParams,
+            data.get("forecast_error"))),
+        training=_training(path, data.get("training")),
+        **optional,
     )
 
 

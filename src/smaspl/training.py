@@ -57,13 +57,13 @@ from .microgrid import (
     window_bounds,
 )
 from .policy import ActionScaling, GaussianPolicy, PolicyEval
-from .scenario import Scenario, forecast_with_error, perturb_network
+from .scenario import (Scenario, TrainerConfig, forecast_with_error,
+                       perturb_network)
 
 __all__ = [
     "LambdaMessage",
     "LambdaBus",
     "AgentChannelGraph",
-    "TrainerConfig",
     "TrainingState",
     "EpisodeRecord",
     "World",
@@ -330,31 +330,6 @@ def backtrack_bounds(d: np.ndarray, violated_indices, tau: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainerConfig:
-    """The training settings of a scenario; their defaults live in
-    scenario.TRAINING_DEFAULTS."""
-
-    gamma: float
-    delta: float
-    kmax: int
-    rho1: float
-    rho2: float
-    dtheta: float
-    tau: float
-    batch: int
-    sigma_floor: float
-    sigma_span_frac: float
-    eps_complementarity: float
-    backtrack_rounds: int
-    hidden_layers: tuple
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainerConfig":
-        """From a complete training dict (Scenario.training)."""
-        return cls(**{**d, "hidden_layers": tuple(d["hidden_layers"])})
-
-
-@dataclass
 class World:
     """Everything a training run needs, built once from a scenario."""
 
@@ -403,7 +378,7 @@ class World:
 
 
 def build_world(scenario: Scenario) -> World:
-    cfg = TrainerConfig.from_dict(scenario.training)
+    cfg = TrainerConfig(**scenario.training)
     table = build_constraint_table(
         scenario.grid, scenario.specs,
         eps_complementarity=cfg.eps_complementarity)
@@ -420,9 +395,8 @@ def build_world(scenario: Scenario) -> World:
     )
 
 
-def build_agents(world: World, seed: int | None = None) -> list[GaussianPolicy]:
-    """Fresh policies, one per microgrid, seeded deterministically."""
-    seed = world.seed if seed is None else seed
+def build_agents(world: World) -> list[GaussianPolicy]:
+    """Fresh policies, one per microgrid, seeded by the world's seed."""
     horizon = world.horizon
     agents = []
     for n, spec in enumerate(world.specs):
@@ -436,7 +410,7 @@ def build_agents(world: World, seed: int | None = None) -> list[GaussianPolicy]:
             state_scale=np.concatenate([np.ones(horizon),
                                         np.full(horizon, load_scale)]),
         )
-        rng = np.random.default_rng([seed, _STREAM_INIT, n])
+        rng = np.random.default_rng([world.seed, _STREAM_INIT, n])
         agents.append(GaussianPolicy.initialize(
             2 * horizon, 6 * horizon, scaling, rng,
             hidden=world.cfg.hidden_layers))
@@ -658,7 +632,6 @@ def _batch_gradients(evals: list[PolicyEval], actions: np.ndarray,
 @dataclass
 class TrainingState:
     thetas: list
-    lambdas: np.ndarray            # (N, M_global)
     episode: int = 0
     prev_dg: np.ndarray | None = None
 
@@ -933,7 +906,6 @@ def train_episode(world: World, agents: list[GaussianPolicy],
     theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
                     for a in range(n)]
     state.thetas = thetas
-    state.lambdas = lambdas
     state.prev_dg = mean_actions[:, 0].copy()  # step-0 DG dispatch
     state.episode = episode + 1
 
@@ -976,12 +948,8 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
     removed = resolve_removed_rows(world.table, tokens)
     n = world.n_agents
     graph = AgentChannelGraph.complete(n)
-    n_global = sum(1 for r in world.table if r.scope == "global")
-    state = TrainingState(
-        thetas=[ag.get_theta() for ag in agents],
-        lambdas=np.zeros((n, n_global)),
-        prev_dg=np.zeros(n),
-    )
+    state = TrainingState(thetas=[ag.get_theta() for ag in agents],
+                          prev_dg=np.zeros(n))
     records = []
     for _ in range(episodes if episodes is not None else 50):
         t0 = time.perf_counter()

@@ -129,8 +129,44 @@ class TestTrainArtifacts:
         ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, rho1: fast}",
          "training.rho1 = 'fast', must be a number"),
         ("seed: 777", "seed: abc", "seed = 'abc', must be an integer"),
+        ("host_loads: {1: [3, 1]}", "host_loads: {1: 5}",
+         "host_loads.1 = 5, must be a pair of numbers"),
+        ("solar_scale: 0.0", "solar_scale: [1]",
+         "forecast_error.solar_scale = [1], must be a number"),
+        ("batch: 64", "batch: 64.5",
+         "training.batch = 64.5, must be an integer"),
+        ("sigma_span_frac: 0.15}", "sigma_span_frac: 0.15, kmax: 2.5}",
+         "training.kmax = 2.5, must be an integer"),
+        ("dg: {p_max_kw: 60, q_max_kvar: 6, ramp_kw: 60, fuel_price: 0.57,\n"
+         "         a_f: 0.004, b_f: 0.1709, c_f: 2.0}", "dg: 5",
+         "mgs[0].dg = 5, must be a mapping"),
+        ("profiles:\n  constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}",
+         "profiles: 5", "profiles = 5, must be a mapping"),
+        # a later duplicate key replaces the earlier value in PyYAML
+        ("network_noise_variance: 0.0", "network_noise_variance: 0.0\nmgs: 3",
+         "mgs = 3, must be a list"),
+        ("window: 1", "window: 1.9", "window = 1.9, must be an integer"),
+        ("window: 1", "window: true", "window = True, must be an integer"),
+        ("solar_scale: 0.0", "solar_scal: 0.0",
+         "unknown forecast_error key(s) ['solar_scal']"),
+        ("p_max_kw: 60,", "p_max_kw: lots,",
+         "mgs[0].dg.p_max_kw = 'lots', must be a number"),
+        ("steps: 96", "steps: many",
+         "profiles.constant.steps = 'many', must be an integer"),
+        ("solar_scale: 0.0", "solar_scale: big",
+         "forecast_error.solar_scale = 'big', must be a number"),
+        ("network_noise_variance: 0.0",
+         "network_noise_variance: 0.0\ngrid_file: 5",
+         "grid_file = 5, must be a file name"),
+        ("constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}", "file: 5",
+         "profiles.file = 5, must be a file name"),
     ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
-            "rho1-string", "seed-string"])
+            "rho1-string", "seed-string", "host-load-scalar",
+            "solar-scale-list", "batch-fraction", "kmax-fraction",
+            "dg-scalar", "profiles-scalar", "mgs-scalar", "window-fraction",
+            "window-bool", "forecast-error-unknown-key", "p-max-string",
+            "steps-string", "solar-scale-string", "grid-file-int",
+            "profile-file-int"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)

@@ -17,6 +17,7 @@ CENSUS = [
     (training.train_episode, {"removed"}),
     (training.select_actions_online, {"sample_count", "seed"}),
     (training.project_local, set()),
+    (training.build_agents, set()),
     (grid.solve_power_flow, {"tol"}),
     (grid.solve_power_flow_stack, {"tol"}),
     (policy.cov_chain_factor, set()),

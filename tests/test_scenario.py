@@ -1,15 +1,18 @@
 """Profile, forecast-error, perturbation, and scenario-file tests."""
 
+from dataclasses import asdict
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+import yaml
 
 from smaspl.grid import Branch, Bus, GridModel
 from smaspl.scenario import (
     ForecastErrorParams,
     ProfileSeries,
     ScenarioError,
+    TrainerConfig,
     constant_profiles,
     forecast_with_error,
     load_profiles,
@@ -217,14 +220,13 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="no branch"):
             load_scenario(tmp_path / "bad2.yaml")
 
-    def test_trainer_config_fields_are_the_training_defaults(self):
-        from dataclasses import fields
-        from smaspl.scenario import TRAINING_DEFAULTS
-        from smaspl.training import TrainerConfig
-        assert [f.name for f in fields(TrainerConfig)] == \
-            list(TRAINING_DEFAULTS)
-        cfg = TrainerConfig.from_dict(TRAINING_DEFAULTS)
-        assert cfg.hidden_layers == (10, 10, 10)
+    def test_reference_file_shows_the_defaults(self):
+        # scenario_reference.yaml says its training and forecast_error
+        # keys show the defaults; every key is given there
+        with open(f"{SCENARIOS}/scenario_reference.yaml") as fh:
+            data = yaml.safe_load(fh)
+        assert data["training"] == asdict(TrainerConfig())
+        assert data["forecast_error"] == asdict(ForecastErrorParams())
 
     def test_negative_variance_rejected(self, tmp_path):
         src = open(f"{SCENARIOS}/tiny_oracle.yaml").read()
