@@ -13,7 +13,6 @@ from .grid import (
     GridModel,
     PowerFlowSolution,
     PowerFlowStack,
-    load_grid_file,
     solve_power_flow,
     solve_power_flow_stack,
 )
@@ -43,6 +42,7 @@ from .scenario import (
     ProfileSeries,
     Scenario,
     TrainerConfig,
+    load_grid_file,
     load_profiles,
     load_scenario,
     perturb_network,
@@ -62,14 +62,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "Bus", "GridModel", "PowerFlowSolution", "PowerFlowStack",
-    "load_grid_file",
     "solve_power_flow", "solve_power_flow_stack",
     "BusMap", "ConstraintSpec", "DGSpec", "ESSSpec", "MicrogridSpec",
     "PCCSpec", "PVSpec", "build_constraint_table", "constraint_returns",
     "fuel_consumption", "reward_return", "soc_trajectory",
     "ActionScaling", "FeedforwardNet", "GaussianPolicy",
     "load_checkpoint", "save_checkpoint",
-    "ForecastErrorParams", "ProfileSeries", "Scenario", "load_profiles",
+    "ForecastErrorParams", "ProfileSeries", "Scenario", "load_grid_file",
+    "load_profiles",
     "load_scenario", "perturb_network", "synth_profiles",
     "AgentChannelGraph", "TrainerConfig", "World", "build_agents",
     "build_world", "select_actions_online", "train",

@@ -300,8 +300,7 @@ def _cmd_dispatch(args) -> int:
     if args.no_backtracking:
         scenario.training["backtrack_rounds"] = 0
     world = build_world(scenario)
-    ckpt_dir = Path(args.checkpoints)
-    agents = [load_checkpoint(ckpt_dir / f"agent_{a}.json")
+    agents = [_checkpoint(Path(args.checkpoints) / f"agent_{a}.json", world)
               for a in range(world.n_agents)]
     seed = args.seed if args.seed is not None else scenario.seed
     actions, verdict, rounds = select_actions_online(
@@ -324,6 +323,19 @@ def _cmd_dispatch(args) -> int:
     print(f"window operating cost: {ev.cost:.4f} $")
     print(f"actions -> {out}")
     return EXIT_OK if not verdict.startswith("violated") else EXIT_NUMERICAL
+
+
+def _checkpoint(path, world: World):
+    """The policy checkpointed at path, which must map the world's states
+    (2T inputs) to its actions (6T controls)."""
+    agent = load_checkpoint(path)
+    dims, want = ((agent.state_dim, agent.action_dim),
+                  (2 * world.horizon, 6 * world.horizon))
+    if dims != want:
+        raise ValueError(
+            f"{path}: checkpoint maps {dims[0]} inputs to {dims[1]} "
+            f"controls, window = {world.horizon} needs {want[0]} to {want[1]}")
+    return agent
 
 
 def _cmd_verify(args) -> int:

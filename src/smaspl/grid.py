@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
-import yaml
 
 __all__ = [
     "Bus",
@@ -40,16 +39,10 @@ __all__ = [
     "power_flow_system_values",
     "system_block_diagonal",
     "solve_system_stack",
-    "load_grid_file",
-    "grid_from_dict",
 ]
 
-# libyaml's parser where PyYAML has it; both build the same tree
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 class GridError(ValueError):
-    """Invalid network description (topology, parameters, or file contents)."""
+    """Invalid network description (topology or parameters)."""
 
 
 @dataclass(frozen=True)
@@ -569,64 +562,3 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         converged=converged, iterations=iterations, residuals=residuals,
         n_residuals=n_residuals, failure=failure, p_load_pu=p, q_load_pu=q,
     )
-
-
-# ---------------------------------------------------------------------------
-# Grid description file
-# ---------------------------------------------------------------------------
-
-def grid_from_dict(data: dict) -> GridModel:
-    """Build a GridModel from the parsed key-value tree of a grid file."""
-    try:
-        base_kva = float(data["base_power_kva"])
-        bus_rows = data["buses"]
-        branch_rows = data["branches"]
-    except KeyError as exc:
-        raise GridError(f"grid file missing section {exc}") from exc
-
-    buses = []
-    base_kv = np.zeros(len(bus_rows))
-    for row in bus_rows:
-        try:
-            b = Bus(
-                id=int(row["id"]),
-                kind=str(row.get("kind", "load")),
-                v_min=float(row.get("v_min", 0.95)),
-                v_max=float(row.get("v_max", 1.05)),
-                mg_owner=(None if row.get("mg_owner") is None
-                          else int(row["mg_owner"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GridError(f"bad bus entry {row!r}: {exc}") from exc
-        buses.append(b)
-        if not (0 <= b.id < len(bus_rows)):
-            raise GridError(f"bus id {b.id} outside 0..{len(bus_rows) - 1}")
-        base_kv[b.id] = float(row.get("base_kv", 1.0))
-
-    branches = []
-    for row in branch_rows:
-        try:
-            i, j = int(row["from"]), int(row["to"])
-            units = str(row.get("units", "pu"))
-            r, x = float(row["r"]), float(row["x"])
-            i_max = float(row.get("i_max", 1e9))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GridError(f"bad branch entry {row!r}: {exc}") from exc
-        if units == "ohm":
-            kv = base_kv[j]
-            z_base = kv ** 2 * 1000.0 / base_kva
-            r, x = r / z_base, x / z_base
-        elif units != "pu":
-            raise GridError(f"branch {i}-{j}: units must be 'ohm' or 'pu'")
-        branches.append(Branch.from_impedance(i, j, r, x, i_max))
-
-    return GridModel(buses, branches, base_kva, base_kv)
-
-
-def load_grid_file(path) -> GridModel:
-    """Load and validate a YAML grid description, converting to p.u."""
-    with open(path) as fh:
-        data = yaml.load(fh, Loader=YAML_LOADER)
-    if not isinstance(data, dict):
-        raise GridError(f"{path}: grid file must be a mapping")
-    return grid_from_dict(data)

@@ -426,20 +426,29 @@ def save_checkpoint(policy: GaussianPolicy, path) -> None:
 
 
 def load_checkpoint(path) -> GaussianPolicy:
+    """The policy save_checkpoint wrote to path.  A file that is not a
+    JSON object of this format, or lacks one of its keys, raises
+    ValueError naming the file."""
     with open(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {data.get('format')!r}")
-    scaling = ActionScaling(
-        lo=np.array(data["lo"]), hi=np.array(data["hi"]),
-        sigma_span=np.array(data["sigma_span"]),
-        sigma_floor=float(data["sigma_floor"]),
-        state_offset=np.array(data["state_offset"]),
-        state_scale=np.array(data["state_scale"]),
-    )
-    mean_net = FeedforwardNet(data["mean_sizes"])
-    mean_net.unflatten(np.array(data["theta_mu"]))
-    cov_net = FeedforwardNet(data["cov_sizes"])
-    cov_net.unflatten(np.array(data["theta_sigma"]))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: unsupported checkpoint format {fmt!r}")
+    try:
+        scaling = ActionScaling(
+            lo=np.array(data["lo"]), hi=np.array(data["hi"]),
+            sigma_span=np.array(data["sigma_span"]),
+            sigma_floor=float(data["sigma_floor"]),
+            state_offset=np.array(data["state_offset"]),
+            state_scale=np.array(data["state_scale"]),
+        )
+        mean_net = FeedforwardNet(data["mean_sizes"])
+        mean_net.unflatten(np.array(data["theta_mu"]))
+        cov_net = FeedforwardNet(data["cov_sizes"])
+        cov_net.unflatten(np.array(data["theta_sigma"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no key {exc}") from None
     return GaussianPolicy(mean_net, cov_net, scaling)

@@ -21,13 +21,15 @@ import math
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from datetime import datetime, timedelta
+from functools import cache
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
 
-from .grid import YAML_LOADER, Branch, GridModel, load_grid_file
+from .grid import Branch, Bus, GridError, GridModel
 from .microgrid import MicrogridSpec, STEP_MINUTES, find_pcc_branch
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "forecast_with_error",
     "perturb_network",
     "load_scenario",
+    "load_grid_file",
     "TRAINING_DEFAULTS",
     "case33_loads",
     "nominal_loads_98",
@@ -50,7 +53,11 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario or profile file contents."""
+    """Invalid scenario, grid or profile file contents."""
+
+
+# libyaml's parser where PyYAML has it; both build the same tree
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +331,8 @@ class Scenario:
     specs: list[MicrogridSpec]
     profiles: ProfileSeries
     window: int
-    episodes: int
     seed: int
+    episodes: int = 50
     host_loads: dict = field(default_factory=dict)
     forecast_error: ForecastErrorParams = ForecastErrorParams()
     network_noise_variance: float = 0.0
@@ -334,6 +341,10 @@ class Scenario:
     def __post_init__(self):
         if self.window < 1:
             raise ScenarioError("window length must be >= 1")
+        if self.profiles.n_steps < self.window:
+            raise ScenarioError(
+                f"profiles hold {self.profiles.n_steps} steps, window = "
+                f"{self.window} needs at least {self.window}")
         if self.episodes < 1:
             raise ScenarioError(f"episode count must be >= 1, got "
                                 f"{self.episodes}")
@@ -382,6 +393,12 @@ def _mapping(path, key, value) -> dict:
     return value or {}
 
 
+def _list(path, key, value) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: {key} = {value!r}, must be a list")
+    return value
+
+
 def _file(path, key, value) -> Path:
     """The file that value names, relative to the scenario's directory."""
     if not isinstance(value, str):
@@ -396,31 +413,93 @@ def _pair(path, key, value) -> tuple:
     return tuple(_number(path, f"{key}[{i}]", v) for i, v in enumerate(value))
 
 
-def _section(path, key, schema, mapping) -> dict:
-    """The entries of the mapping at key that the file gives, typed by
-    schema: a dataclass, whose fields name the keys, their types and the
-    required ones, or a dict {key: type} of optional keys.  Numbers go
-    through _number, dataclass-typed entries are read as sections, and
-    other entries pass unchanged."""
+@cache
+def _schema(cls) -> tuple[dict, tuple]:
+    """The key types and the required keys of a dataclass, resolved once
+    per class; a field typed `X | None` is given as an X."""
+    kinds = get_type_hints(cls)
+    for name, kind in kinds.items():
+        if isinstance(kind, UnionType):
+            (kinds[name],) = set(get_args(kind)) - {type(None)}
+    return kinds, tuple(f.name for f in fields(cls) if f.default is MISSING
+                        and f.default_factory is MISSING)
+
+
+def _section(path, key, schema, mapping, required=()) -> dict:
+    """The entries of the mapping at key ("" for a file's top level) that
+    the file gives, typed by schema: a dataclass, whose fields name the
+    keys, their types and the required ones, or a dict {key: type} whose
+    keys in required must be given.  Numbers go through _number,
+    dataclass-typed entries are read as sections, and other entries pass
+    unchanged."""
     mapping = _mapping(path, key, mapping)
-    kinds = schema if isinstance(schema, dict) else get_type_hints(schema)
-    unknown = sorted(str(k) for k in mapping if k not in kinds)
+    kinds, required = ((schema, required) if isinstance(schema, dict)
+                       else _schema(schema))
+    prefix = f"{key}." if key else ""
+    unknown = [f"{prefix}{k}" for k in mapping if k not in kinds]
     if unknown:
-        raise ScenarioError(f"{path}: unknown {key} key(s) {unknown}")
-    for f in fields(schema) if is_dataclass(schema) else ():
-        if (f.name not in mapping and f.default is MISSING
-                and f.default_factory is MISSING):
+        raise ScenarioError(f"{path}: unknown key(s) {', '.join(unknown)}")
+    for name in required:
+        if name not in mapping:
             raise ScenarioError(
-                f"{path}: missing required key '{key}.{f.name}'")
+                f"{path}: missing required key '{prefix}{name}'")
     out = {}
     for name, value in mapping.items():
-        kind, sub = kinds[name], f"{key}.{name}"
+        kind, sub = kinds[name], f"{prefix}{name}"
         if kind in (int, float):
             value = _number(path, sub, value, kind)
         elif is_dataclass(kind):
             value = kind(**_section(path, sub, kind, value))
         out[name] = value
     return out
+
+
+def _read_yaml(path, what, schema, required) -> dict:
+    """The top level of a YAML file, read as a _section."""
+    with open(path) as fh:
+        data = yaml.load(fh, Loader=YAML_LOADER)
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{path}: {what} must be a mapping")
+    return _section(path, "", schema, data, required)
+
+
+# the keys of a grid file and of one of its branch rows; a bus row takes
+# the fields of Bus plus base_kv
+_GRID_FILE = {"base_power_kva": float, "buses": list, "branches": list}
+_BRANCH_ROW = {"from": int, "to": int, "r": float, "x": float, "units": str,
+               "i_max": float}
+
+
+def load_grid_file(path) -> GridModel:
+    """Load and validate a YAML grid file, converting to p.u.  Every
+    failure is a ScenarioError naming the file."""
+    data = _read_yaml(path, "grid file", _GRID_FILE, tuple(_GRID_FILE))
+    buses, base_kv, branches = [], {}, []
+    try:
+        for i, row in enumerate(_list(path, "buses", data["buses"])):
+            key = f"buses[{i}]"
+            row = dict(_mapping(path, key, row))
+            kv = _number(path, f"{key}.base_kv", row.pop("base_kv", 1.0))
+            buses.append(Bus(**_section(path, key, Bus, row)))
+            base_kv[buses[-1].id] = kv
+        for i, row in enumerate(_list(path, "branches", data["branches"])):
+            key = f"branches[{i}]"
+            b = _section(path, key, _BRANCH_ROW, row, ("from", "to", "r", "x"))
+            f, t, r, x = b["from"], b["to"], b["r"], b["x"]
+            units = b.get("units", "pu")
+            if units not in ("ohm", "pu"):
+                raise ScenarioError(f"{path}: {key}.units = {units!r}, "
+                                    f"must be 'ohm' or 'pu'")
+            # a branch to no bus is left for GridModel to reject
+            if units == "ohm" and t in base_kv:
+                z_base = base_kv[t] ** 2 * 1000.0 / data["base_power_kva"]
+                r, x = r / z_base, x / z_base
+            branches.append(
+                Branch.from_impedance(f, t, r, x, b.get("i_max", 1e9)))
+        return GridModel(buses, branches, data["base_power_kva"],
+                         [kv for _, kv in sorted(base_kv.items())])
+    except GridError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _mg_spec(path, i, row) -> MicrogridSpec:
@@ -448,32 +527,32 @@ def _training(path, mapping) -> dict:
     return asdict(TrainerConfig(**given))
 
 
+# the keys of a scenario file; the ones a file leaves out that Scenario
+# declares take its defaults
+_SCENARIO_FILE = {"grid_file": str, "mgs": list, "window": int, "seed": int,
+                  "episodes": int, "profiles": dict, "host_loads": dict,
+                  "forecast_error": ForecastErrorParams,
+                  "network_noise_variance": float, "training": dict}
+
+
 def load_scenario(path) -> Scenario:
     """Load a scenario file; relative paths resolve against its directory."""
     path = Path(path)
-    with open(path) as fh:
-        data = yaml.load(fh, Loader=YAML_LOADER)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: scenario must be a mapping")
-    try:
-        grid = load_grid_file(_file(path, "grid_file", data["grid_file"]))
-        rows, window, seed = data["mgs"], data["window"], data["seed"]
-    except KeyError as exc:
-        raise ScenarioError(f"{path}: missing required key {exc}") from exc
-    if not isinstance(rows, list):
-        raise ScenarioError(f"{path}: mgs = {rows!r}, must be a list")
-    specs = [_mg_spec(path, i, row) for i, row in enumerate(rows)]
-    seed = _number(path, "seed", seed, int)
+    data = _read_yaml(path, "scenario", _SCENARIO_FILE,
+                      ("grid_file", "mgs", "window", "seed"))
+    grid = load_grid_file(_file(path, "grid_file", data.pop("grid_file")))
+    specs = [_mg_spec(path, i, row) for i, row in
+             enumerate(_list(path, "mgs", data.pop("mgs")))]
 
-    prof = _mapping(path, "profiles", data.get("profiles"))
+    prof = _mapping(path, "profiles", data.pop("profiles", None))
     if "file" in prof:
         series = load_profiles(_file(path, "profiles.file", prof["file"]))
     elif "synthetic" in prof:
         p = _section(path, "profiles.synthetic",
                      {"seed": int, "days": int, "load_base_kw": float,
                       "load_peak_kw": float}, prof["synthetic"])
-        series = synth_profiles(p.pop("seed", seed), p.pop("days", 2),
-                                len(specs), **p)
+        series = synth_profiles(p.pop("seed", data["seed"]),
+                                p.pop("days", 2), len(specs), **p)
     elif "constant" in prof:
         p = _section(path, "profiles.constant",
                      {"steps": int, "load_kw": float, "irradiance": float},
@@ -484,22 +563,15 @@ def load_scenario(path) -> Scenario:
     else:
         raise ScenarioError(f"{path}: profiles must name file/synthetic/constant")
 
-    host_loads = {_number(path, "host_loads bus", bus, int):
-                  _pair(path, f"host_loads.{bus}", v) for bus, v in
-                  _mapping(path, "host_loads", data.get("host_loads")).items()}
-    optional = {key: _number(path, key, data[key])
-                for key in ("network_noise_variance",) if key in data}
-    return Scenario(
-        grid=grid, specs=specs, profiles=series,
-        window=_number(path, "window", window, int),
-        episodes=_number(path, "episodes", data.get("episodes", 50), int),
-        seed=seed, host_loads=host_loads,
-        forecast_error=ForecastErrorParams(**_section(
-            path, "forecast_error", ForecastErrorParams,
-            data.get("forecast_error"))),
-        training=_training(path, data.get("training")),
-        **optional,
-    )
+    data["host_loads"] = {
+        _number(path, "host_loads bus", bus, int):
+        _pair(path, f"host_loads.{bus}", v) for bus, v in
+        _mapping(path, "host_loads", data.get("host_loads")).items()}
+    data["training"] = _training(path, data.get("training"))
+    try:
+        return Scenario(grid=grid, specs=specs, profiles=series, **data)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -934,7 +934,7 @@ def train_episode(world: World, agents: list[GaussianPolicy],
 
 
 def train(world: World, agents: list[GaussianPolicy] | None = None, *,
-          episodes: int | None = None, mode: str = "smas-pl",
+          episodes: int, mode: str = "smas-pl",
           removed_tokens=()):
     """Run the outer loop; returns (records, agents, state)."""
     import time
@@ -951,7 +951,7 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
     state = TrainingState(thetas=[ag.get_theta() for ag in agents],
                           prev_dg=np.zeros(n))
     records = []
-    for _ in range(episodes if episodes is not None else 50):
+    for _ in range(episodes):
         t0 = time.perf_counter()
         rec = train_episode(world, agents, state, graph, removed=removed)
         rec.wall_clock_s = time.perf_counter() - t0

@@ -37,6 +37,19 @@ def scenario_copy(tmp_path, old, new, source=TINY):
     return path
 
 
+def grid_copy(tmp_path, old, new):
+    """tiny_oracle.yaml and its grid written under tmp_path, one text of
+    the grid replaced; returns the scenario and the grid path."""
+    text = Path("scenarios/grids/tiny.yaml").read_text()
+    assert text.count(old) == 1
+    grid = tmp_path / "grids" / "tiny.yaml"
+    grid.parent.mkdir()
+    grid.write_text(text.replace(old, new))
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(Path(TINY).read_text())
+    return scenario, grid
+
+
 def assert_one_error_line(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -98,7 +111,7 @@ class TestTrainArtifacts:
                      "--out", str(tmp_path / "x"), "--episodes", "1"])
         assert code == EXIT_VALIDATION
         assert_one_error_line(
-            capsys, "unknown training key(s) ['consensus_weight']")
+            capsys, "unknown key(s) training.consensus_weight")
 
     def test_zero_episodes_flag_is_validation_failure(self, tmp_path,
                                                       capsys):
@@ -148,7 +161,7 @@ class TestTrainArtifacts:
         ("window: 1", "window: 1.9", "window = 1.9, must be an integer"),
         ("window: 1", "window: true", "window = True, must be an integer"),
         ("solar_scale: 0.0", "solar_scal: 0.0",
-         "unknown forecast_error key(s) ['solar_scal']"),
+         "unknown key(s) forecast_error.solar_scal"),
         ("p_max_kw: 60,", "p_max_kw: lots,",
          "mgs[0].dg.p_max_kw = 'lots', must be a number"),
         ("steps: 96", "steps: many",
@@ -160,13 +173,15 @@ class TestTrainArtifacts:
          "grid_file = 5, must be a file name"),
         ("constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}", "file: 5",
          "profiles.file = 5, must be a file name"),
+        ("network_noise_variance: 0.0", "network_noise_variance: 0.0\n"
+         "episode: 5", "unknown key(s) episode"),
     ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
             "rho1-string", "seed-string", "host-load-scalar",
             "solar-scale-list", "batch-fraction", "kmax-fraction",
             "dg-scalar", "profiles-scalar", "mgs-scalar", "window-fraction",
             "window-bool", "forecast-error-unknown-key", "p-max-string",
             "steps-string", "solar-scale-string", "grid-file-int",
-            "profile-file-int"])
+            "profile-file-int", "top-level-unknown-key"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)
@@ -181,6 +196,50 @@ class TestTrainArtifacts:
                      "--out", str(tmp_path / "x"), "--episodes", "1",
                      "--remove-constraints", "not-a-row"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("units: pu, i_max: 10.0}\n  - {from: 2",
+         "units: pu, i_mx: 0.01}\n  - {from: 2",
+         "unknown key(s) branches[1].i_mx"),
+        ("{id: 1, kind: load, base_kv: 12.66, v_min: 0.90,",
+         '{id: 1, kind: load, base_kv: 12.66, v_min: "0.90",',
+         "buses[1].v_min = '0.90', must be a number"),
+        ("{id: 3,", "{id: 3.7,", "buses[3].id = 3.7, must be an integer"),
+        ("base_power_kva: 100", "base_power_kva: true",
+         "base_power_kva = True, must be a number"),
+        # a later duplicate key replaces the earlier value in PyYAML
+        ("{from: 2, to: 3, r: 0.005, x: 0.010, units: pu, i_max: 10.0}",
+         "{from: 2, to: 3, r: 0.005, x: 0.010, units: pu, i_max: 10.0}\n"
+         "buses: 3", "buses = 3, must be a list"),
+        ("r: 0.010, x: 0.020,", "r: 0.010,",
+         "missing required key 'branches[1].x'"),
+        ("mg_owner: 0}\n  - {id: 3", "mg_owner: zero}\n  - {id: 3",
+         "buses[2].mg_owner = 'zero', must be an integer"),
+    ], ids=["misspelt-i-max", "v-min-string", "id-fraction", "base-bool",
+            "buses-scalar", "branch-without-x", "mg-owner-string"])
+    def test_malformed_grid_is_validation_failure(self, tmp_path, capsys,
+                                                  old, new, message):
+        scenario, grid = grid_copy(tmp_path, old, new)
+        code = main(["train", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x"), "--episodes", "1"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{grid}: {message}")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("source, old, new, message", [
+        (TINY, "steps: 96", "steps: 0",
+         "profiles hold 0 steps, window = 1 needs at least 1"),
+        ("scenarios/two_mg_binding.yaml", "steps: 96", "steps: 1",
+         "profiles hold 1 steps, window = 4 needs at least 4"),
+    ], ids=["no-steps", "shorter-than-window"])
+    def test_profile_shorter_than_window_is_validation_failure(
+            self, tmp_path, capsys, source, old, new, message):
+        path = scenario_copy(tmp_path, old, new, source)
+        code = main(["train", "--scenario", str(path),
+                     "--out", str(tmp_path / "x"), "--episodes", "1"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{path}: {message}")
+        assert not (tmp_path / "x").exists()
 
 
 class TestDispatch:
@@ -271,6 +330,36 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: dispatch refused")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, edit, message", [
+        (TINY, "drop-lo", "checkpoint has no key 'lo'"),
+        ("scenarios/two_mg_binding.yaml", "copy",
+         "checkpoint maps 2 inputs to 6 controls, window = 4 needs 8 to 24"),
+        (TINY, "not-json", "not JSON"),
+        (TINY, "json-list", "unsupported checkpoint format None"),
+    ], ids=["missing-key", "other-window", "not-json", "json-list"])
+    def test_broken_checkpoint_is_validation_failure(self, tmp_path, capsys,
+                                                     scenario, edit, message):
+        from smaspl.policy import save_checkpoint
+        from smaspl.training import build_agents
+
+        # the policy of the one-step tiny_oracle window
+        path = tmp_path / "agent_0.json"
+        save_checkpoint(build_agents(build_world(load_scenario(TINY)))[0],
+                        path)
+        if edit == "drop-lo":
+            data = json.loads(path.read_text())
+            del data["lo"]
+            path.write_text(json.dumps(data))
+        elif edit == "copy":
+            (tmp_path / "agent_1.json").write_text(path.read_text())
+        else:
+            path.write_text("[1]" if edit == "json-list" else "not json")
+        code = main(["dispatch", "--scenario", scenario,
+                     "--checkpoints", str(tmp_path),
+                     "--out", str(tmp_path / "a.csv")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{path}: {message}")
 
     def test_missing_checkpoints(self, tmp_path, capsys):
         code = main(["dispatch", "--scenario", TINY,

@@ -13,8 +13,6 @@ from smaspl.grid import (
     GridError,
     GridModel,
     PowerFlowStack,
-    grid_from_dict,
-    load_grid_file,
     power_flow_system_matrix,
     power_flow_system_values,
     power_mismatch,
@@ -22,7 +20,8 @@ from smaspl.grid import (
     system_block_diagonal,
 )
 from smaspl.microgrid import network_observables
-from smaspl.scenario import load_scenario, nominal_loads_98
+from smaspl.scenario import (ScenarioError, load_grid_file, load_scenario,
+                             nominal_loads_98)
 
 
 def two_bus(r=0.01, x=0.01):
@@ -289,18 +288,22 @@ branches:
         assert z.imag == pytest.approx(0.1, rel=1e-9)
         assert g.buses[1].v_min == 0.9
 
-    def test_missing_section(self):
-        with pytest.raises(GridError, match="missing"):
-            grid_from_dict({"base_power_kva": 100})
+    def test_missing_section(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text("base_power_kva: 100\n")
+        with pytest.raises(ScenarioError,
+                           match="missing required key 'buses'"):
+            load_grid_file(path)
 
-    def test_bad_units_flag(self):
-        data = {
-            "base_power_kva": 100,
-            "buses": [{"id": 0, "kind": "slack"}, {"id": 1}],
-            "branches": [{"from": 0, "to": 1, "r": 1, "x": 1, "units": "furlong"}],
-        }
-        with pytest.raises(GridError, match="units"):
-            grid_from_dict(data)
+    def test_bad_units_flag(self, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text("""
+base_power_kva: 100
+buses: [{id: 0, kind: slack}, {id: 1}]
+branches: [{from: 0, to: 1, r: 1, x: 1, units: furlong}]
+""")
+        with pytest.raises(ScenarioError, match=r"branches\[0\]\.units"):
+            load_grid_file(path)
 
 
 class TestSparsePaths:

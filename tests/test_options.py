@@ -13,7 +13,7 @@ from smaspl import (gradients, grid, microgrid, policy, scenario, training,
                     verify)
 
 CENSUS = [
-    (training.train, {"agents", "episodes", "mode", "removed_tokens"}),
+    (training.train, {"agents", "mode", "removed_tokens"}),
     (training.train_episode, {"removed"}),
     (training.select_actions_online, {"sample_count", "seed"}),
     (training.project_local, set()),
