@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -189,11 +188,11 @@ DEFAULT_GRID_POINTS = {"p_dg": 9, "p_ch": 2, "p_dis": 2,
 
 def _dispatched_window(world: World, actions: np.ndarray,
                        window_start: int, what: str) -> WindowEval:
-    """The window evaluation of dispatched actions; a power flow that does
-    not converge aborts `what`."""
+    """The window evaluation of dispatched actions (N, 6T), a stack of
+    one; a power flow that does not converge aborts `what`."""
     irr, load = world.profiles.window(window_start, world.horizon)
-    ev = evaluate_window(world, actions, irr, load)
-    if ev is None:
+    ev = evaluate_window(world, actions[None], irr, load)
+    if not ev.accepted[0]:
         raise EpisodeAborted(f"{what}: power flow diverged")
     return ev
 
@@ -202,7 +201,12 @@ def dispatch_cost(world: World, actions: np.ndarray,
                   window_start: int = 0) -> float:
     """Window operating cost in $ (negative of the summed agent rewards)."""
     return _dispatched_window(world, actions, window_start,
-                              "cost evaluation").cost
+                              "cost evaluation").cost(0)
+
+
+# candidates per window evaluation of the oracle: bounds the memory of
+# one power-flow stack
+_ORACLE_CHUNK = 4096
 
 
 def brute_force_opf(world: World, *, window_start: int = 0,
@@ -213,8 +217,9 @@ def brute_force_opf(world: World, *, window_start: int = 0,
     Desk-scale stand-in for a centralized solver: at most 2 microgrids,
     5 buses, a one-step window, and at most 9 points per control.  Every
     candidate is power-flow checked against the full constraint table;
-    the cheapest feasible point wins.  Infeasibility of the entire grid
-    is reported explicitly rather than raised.
+    the first of the cheapest feasible points, in the order of
+    itertools.product over the controls, wins.  Infeasibility of the
+    entire grid is reported explicitly rather than raised.
     """
     if world.horizon != 1:
         raise ValueError("oracle requires a single-step window")
@@ -235,21 +240,25 @@ def brute_force_opf(world: World, *, window_start: int = 0,
     total = int(np.prod([len(a) for a in axes]))
     if total > max_evaluations:
         raise ValueError(f"{total} grid points exceed the evaluation cap")
+    # (total, N, 6), the last control varying fastest
+    candidates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        total, world.n_agents, 6)
 
     irr, load = world.profiles.window(window_start, 1)
-    n = world.n_agents
     best_cost = np.inf
     best_actions = None
     n_feasible = 0
-    for combo in itertools.product(*axes):
-        actions = np.asarray(combo, dtype=float).reshape(n, 6)
-        ev = evaluate_window(world, actions, irr, load)
-        if ev is None or world.violated(ev.returns).size:
+    for first in range(0, total, _ORACLE_CHUNK):
+        ev = evaluate_window(world, candidates[first:first + _ORACLE_CHUNK],
+                             irr, load)
+        feasible = np.flatnonzero(~world.over(ev.returns).any(axis=1))
+        n_feasible += feasible.size
+        if not feasible.size:
             continue
-        n_feasible += 1
-        if ev.cost < best_cost:
-            best_cost = ev.cost
-            best_actions = actions
+        # argmin keeps the first of equal costs
+        k = feasible[np.argmin(-ev.rewards[feasible].sum(axis=1))]
+        if ev.cost(k) < best_cost:
+            best_cost, best_actions = ev.cost(k), ev.actions[k]
     return BruteForceResult(best_actions is not None, best_actions,
                             float(best_cost), total, n_feasible)
 
@@ -258,10 +267,18 @@ def brute_force_opf(world: World, *, window_start: int = 0,
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _at_least(flag: str, value, low) -> None:
+    """Reject a flag's value below low, or NaN, naming the flag; a flag
+    not given (None) passes."""
+    if value is not None and not value >= low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_train(args) -> int:
+    _at_least("--episodes", args.episodes, 1)
+    _at_least("--seed", args.seed, 0)
+    _at_least("--network-noise", args.network_noise, 0)
     scenario = load_scenario(args.scenario)
-    if args.episodes is not None and args.episodes < 1:
-        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     episodes = args.episodes if args.episodes is not None else scenario.episodes
     if args.seed is not None:
         scenario.seed = args.seed
@@ -296,6 +313,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_dispatch(args) -> int:
+    _at_least("--seed", args.seed, 0)
     scenario = load_scenario(args.scenario)
     if args.no_backtracking:
         scenario.training["backtrack_rounds"] = 0
@@ -318,9 +336,9 @@ def _cmd_dispatch(args) -> int:
     # constraint audit and operating cost of the dispatched window
     ev = _dispatched_window(world, actions, args.window, "dispatch audit")
     write_constraint_report(out.with_name(out.stem + "_constraints.csv"),
-                            world.table, ev.returns, world.row_bounds)
+                            world.table, ev.returns[0], world.row_bounds)
     print(f"dispatch verdict: {verdict} (backtrack rounds: {rounds})")
-    print(f"window operating cost: {ev.cost:.4f} $")
+    print(f"window operating cost: {ev.cost(0):.4f} $")
     print(f"actions -> {out}")
     return EXIT_OK if not verdict.startswith("violated") else EXIT_NUMERICAL
 
@@ -339,6 +357,8 @@ def _checkpoint(path, world: World):
 
 
 def _cmd_verify(args) -> int:
+    _at_least("--seed", args.seed, 0)
+    _at_least("--trials", args.trials, 1)
     dump: list | None = [] if args.dump else None
     results = run_all_audits(seed=args.seed, trials_network=args.trials,
                              fault=args.inject_fault, dump=dump)

@@ -106,6 +106,11 @@ class ProfileSeries:
                 self.load_kw[start:start + horizon])
 
 
+# value rules of a profile's load (kW) and irradiance; NaN passes neither
+_LOAD_RULE = (lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_IRRADIANCE_RULE = (lambda x: 0 <= x <= 1.2, "in [0, 1.2]")
+
+
 def load_profiles(path) -> ProfileSeries:
     """Parse and validate a profile CSV, reporting offending line numbers."""
     with open(path, newline="") as fh:
@@ -131,8 +136,12 @@ def load_profiles(path) -> ProfileSeries:
                 vals = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise ScenarioError(f"{path}:{lineno}: {exc}") from exc
-            if any(v < 0 for v in vals[0::2]):
-                raise ScenarioError(f"{path}:{lineno}: negative load")
+            for name, v in zip(header[1:], vals):
+                check, rule = (_IRRADIANCE_RULE if name.endswith(
+                    "_irradiance") else _LOAD_RULE)
+                if not check(v):
+                    raise ScenarioError(
+                        f"{path}:{lineno}: {name} = {v!r}, must be {rule}")
             loads.append(vals[0::2])
             irrs.append(vals[1::2])
     try:
@@ -309,16 +318,30 @@ class TrainerConfig:
 
 TRAINING_DEFAULTS = asdict(TrainerConfig())
 
-# value rules of the training keys that have one beyond their type,
-# checked at load time so that a bad value fails before any batch runs
-_TRAINING_RANGES = {
-    "tau": (lambda x: 0 < x < 1, "in (0, 1)"),
-    "batch": (lambda x: x >= 1, ">= 1"),
-    "kmax": (lambda x: x >= 1, ">= 1"),
-    "delta": (lambda x: x > 0, "> 0"),
-    "backtrack_rounds": (lambda x: x >= 0, ">= 0"),
-    "gamma": (lambda x: 0 < x <= 1, "in (0, 1]"),
-    "hidden_layers": (
+# value rules of the scenario-file keys that have one beyond their type,
+# by dotted key; _section checks them at load time so that a bad value
+# fails, naming its file and key, before any batch runs
+_RANGES = {
+    "seed": (lambda x: x >= 0, ">= 0"),
+    "network_noise_variance": (lambda x: x >= 0, ">= 0"),
+    "forecast_error.solar_scale": (lambda x: x >= 0, ">= 0"),
+    "forecast_error.load_std_frac": (lambda x: x >= 0, ">= 0"),
+    "forecast_error.beta_a": (lambda x: x > 0, "> 0"),
+    "forecast_error.beta_b": (lambda x: x > 0, "> 0"),
+    "profiles.synthetic.seed": (lambda x: x >= 0, ">= 0"),
+    "profiles.synthetic.days": (lambda x: x >= 1, ">= 1"),
+    "profiles.synthetic.load_base_kw": _LOAD_RULE,
+    "profiles.synthetic.load_peak_kw": _LOAD_RULE,
+    "profiles.constant.steps": (lambda x: x >= 0, ">= 0"),
+    "profiles.constant.load_kw": _LOAD_RULE,
+    "profiles.constant.irradiance": _IRRADIANCE_RULE,
+    "training.tau": (lambda x: 0 < x < 1, "in (0, 1)"),
+    "training.batch": (lambda x: x >= 1, ">= 1"),
+    "training.kmax": (lambda x: x >= 1, ">= 1"),
+    "training.delta": (lambda x: x > 0, "> 0"),
+    "training.backtrack_rounds": (lambda x: x >= 0, ">= 0"),
+    "training.gamma": (lambda x: 0 < x <= 1, "in (0, 1]"),
+    "training.hidden_layers": (
         lambda x: isinstance(x, list) and len(x) > 0
         and all(type(h) is int and h >= 1 for h in x),
         "a non-empty list of positive integers"),
@@ -431,7 +454,7 @@ def _section(path, key, schema, mapping, required=()) -> dict:
     keys, their types and the required ones, or a dict {key: type} whose
     keys in required must be given.  Numbers go through _number,
     dataclass-typed entries are read as sections, and other entries pass
-    unchanged."""
+    unchanged; a key with a rule in _RANGES must then keep it."""
     mapping = _mapping(path, key, mapping)
     kinds, required = ((schema, required) if isinstance(schema, dict)
                        else _schema(schema))
@@ -450,6 +473,9 @@ def _section(path, key, schema, mapping, required=()) -> dict:
             value = _number(path, sub, value, kind)
         elif is_dataclass(kind):
             value = kind(**_section(path, sub, kind, value))
+        check, rule = _RANGES.get(sub, (None, None))
+        if check is not None and not check(value):
+            raise ScenarioError(f"{path}: {sub} = {value!r}, must be {rule}")
         out[name] = value
     return out
 
@@ -516,17 +542,6 @@ def _mg_spec(path, i, row) -> MicrogridSpec:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _training(path, mapping) -> dict:
-    """The file's training settings, checked, over the defaults."""
-    given = _section(path, "training", TrainerConfig, mapping)
-    for key, value in given.items():
-        check, rule = _TRAINING_RANGES.get(key, (None, None))
-        if check is not None and not check(value):
-            raise ScenarioError(
-                f"{path}: training.{key} = {value!r}, must be {rule}")
-    return asdict(TrainerConfig(**given))
-
-
 # the keys of a scenario file; the ones a file leaves out that Scenario
 # declares take its defaults
 _SCENARIO_FILE = {"grid_file": str, "mgs": list, "window": int, "seed": int,
@@ -567,7 +582,8 @@ def load_scenario(path) -> Scenario:
         _number(path, "host_loads bus", bus, int):
         _pair(path, f"host_loads.{bus}", v) for bus, v in
         _mapping(path, "host_loads", data.get("host_loads")).items()}
-    data["training"] = _training(path, data.get("training"))
+    data["training"] = asdict(TrainerConfig(**_section(
+        path, "training", TrainerConfig, data.get("training"))))
     try:
         return Scenario(grid=grid, specs=specs, profiles=series, **data)
     except ScenarioError as exc:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.csgraph
 
-from .grid import GridModel, solve_power_flow_stack
+from .grid import GridModel, PowerFlowStack, solve_power_flow_stack
 from .gradients import (
     chain_reward_samples,
     chain_sample_to_parameters,
@@ -367,12 +367,16 @@ class World:
     def bounds(self, row) -> float:
         return row.window_bound(self.cfg.gamma, self.horizon)
 
+    def over(self, returns: np.ndarray) -> np.ndarray:
+        """Mask (..., M) of the window returns (..., M) that exceed their
+        row's bound by more than 1e-9."""
+        return returns > self.row_bounds + 1e-9
+
     def violated(self, returns: np.ndarray,
                  removed=frozenset()) -> np.ndarray:
         """Table positions, in order, of the rows whose window returns
-        (M,) exceed their bounds by more than 1e-9, rows in removed
-        excepted."""
-        over = np.flatnonzero(returns > self.row_bounds + 1e-9)
+        (M,) are over their bounds, rows in removed excepted."""
+        over = np.flatnonzero(self.over(returns))
         return np.array([m for m in over if self.index.ids[m] not in removed],
                         dtype=int)
 
@@ -450,50 +454,51 @@ def resolve_removed_rows(table, tokens) -> set[str]:
 # Joint action evaluation
 # ---------------------------------------------------------------------------
 
-def _returns_of(world: World, actions: np.ndarray, pf, prev_dg):
-    """Observables (fields (S, T, ...)), returns (S, M) in table order and
-    rewards (S, N) of S joint actions (S, N, 6T) whose S x T converged
-    operating points, sample-major, are the stack pf."""
-    def per_sample(x):
-        return x.reshape(actions.shape[0], world.horizon, *x.shape[1:])
-
-    obs = network_observables(world.grid, pf, world.specs)
-    obs = Observables(*map(per_sample, (obs.v_mag, obs.i_mag, obs.pcc_p,
-                                        obs.pcc_q)))
-    gamma = world.cfg.gamma
-    j_values = constraint_return_stack(world.index, actions, obs, world.specs,
-                                       gamma, prev_dg=prev_dg)
-    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma)
-    return obs, j_values, rewards
-
-
 @dataclass
 class WindowEval:
-    """One joint action evaluated over its decision window."""
+    """A stack of S joint actions evaluated over their decision window.
 
-    obs: Observables             # fields (T, ...)
-    returns: np.ndarray          # (M,) window returns in table order
-    rewards: np.ndarray          # (N,) discounted reward per agent
+    Every array but `accepted` covers the accepted actions only, in
+    stack order: A of them, those whose every step's power flow
+    converged.
+    """
 
-    @property
-    def cost(self) -> float:
-        """Window operating cost in $ (negative of the summed rewards)."""
-        return -float(sum(self.rewards.tolist()))
+    accepted: np.ndarray         # (S,)
+    actions: np.ndarray          # (A, N, 6T)
+    pf: PowerFlowStack           # their A x T operating points, action-major
+    obs: Observables             # fields (A, T, ...)
+    returns: np.ndarray          # (A, M) window returns in table order
+    rewards: np.ndarray          # (A, N) discounted reward per agent
+
+    def cost(self, a: int) -> float:
+        """Window operating cost in $ of accepted action a (negative of
+        its summed rewards)."""
+        return -float(sum(self.rewards[a].tolist()))
 
 
 def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
-                    prev_dg=None) -> WindowEval | None:
-    """Injections, the T power flows as one stack, observables, returns
-    and rewards of a joint action (N, 6T); None when a step's power flow
-    does not converge.  prev_dg (zeros when None) feeds the ramp rows."""
+                    prev_dg=None) -> WindowEval:
+    """Injections, the S x T power flows as one stack, observables,
+    returns and rewards of a stack of joint actions (S, N, 6T).  prev_dg
+    (zeros when None) feeds the ramp rows."""
+    samples, horizon, n_bus = actions.shape[0], world.horizon, world.grid.n_bus
     p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
-                                 world.grid.n_bus, world.host_loads)
-    pf = solve_power_flow_stack(world.grid, p, q)
-    if not pf.converged.all():
-        return None
-    obs, j_values, rewards = _returns_of(world, actions[None], pf, prev_dg)
-    return WindowEval(Observables(obs.v_mag[0], obs.i_mag[0], obs.pcc_p[0],
-                                  obs.pcc_q[0]), j_values[0], rewards[0])
+                                 n_bus, world.host_loads)
+    pf = solve_power_flow_stack(world.grid, p.reshape(-1, n_bus),
+                                q.reshape(-1, n_bus))
+    accepted = pf.converged.reshape(samples, horizon).all(axis=1)
+    actions = actions[accepted]
+    count = actions.shape[0]
+    if count < samples:
+        pf = pf.take(np.flatnonzero(np.repeat(accepted, horizon)))
+    obs = network_observables(world.grid, pf, world.specs)
+    obs = Observables(*(x.reshape(count, horizon, *x.shape[1:]) for x in
+                        (obs.v_mag, obs.i_mag, obs.pcc_p, obs.pcc_q)))
+    gamma = world.cfg.gamma
+    returns = constraint_return_stack(world.index, actions, obs, world.specs,
+                                      gamma, prev_dg=prev_dg)
+    rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma)
+    return WindowEval(accepted, actions, pf, obs, returns, rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -507,49 +512,25 @@ def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
 _STACK_DRAWS = 16
 
 
-@dataclass
-class _DrawEval:
-    """A stack of joint draws evaluated at once; the arrays cover the
-    accepted draws only, in draw order."""
-
-    accepted: np.ndarray         # (S,) every step's power flow converged
-    actions: np.ndarray          # (A, N, 6T) the accepted draws
-    rewards: np.ndarray          # (A, N)
-    j_values: np.ndarray         # (A, M) in table order
-    cols: np.ndarray             # (A, N, 6T, M+1) gradients: reward, rows
-
-
 def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
-                    prev_dg, cols_out: np.ndarray | None = None) -> _DrawEval:
-    """Physics, returns and action-space gradient columns of S joint
-    draws (S, N, 6T): all S x T power flows as one stack, then one
-    sensitivity stack over the points of the accepted draws.  The
+                    prev_dg, cols_out: np.ndarray | None = None):
+    """The window evaluation of S joint draws (S, N, 6T) and the
+    action-space gradient columns (A, N, 6T, M+1), reward then rows, of
+    its A accepted draws: one sensitivity stack over their points.  The
     columns are written into the leading rows of cols_out when given."""
-    samples, n, width = draws.shape
-    horizon, n_bus = world.horizon, world.grid.n_bus
-    p, q = actions_to_injections(draws, load_truth, irr_truth, world.specs,
-                                 n_bus, world.host_loads)
-    pf = solve_power_flow_stack(world.grid, p.reshape(-1, n_bus),
-                                q.reshape(-1, n_bus))
-    accepted = pf.converged.reshape(samples, horizon).all(axis=1)
-    actions = draws[accepted]
-    count = actions.shape[0]
-    m = len(world.table)
-    if not count:
-        return _DrawEval(accepted, actions, np.empty((0, n)),
-                         np.empty((0, m)), np.empty((0, n, width, m + 1)))
-    if count < samples:
-        pf = pf.take(np.flatnonzero(np.repeat(accepted, horizon)))
-    _, j_values, rewards = _returns_of(world, actions, pf, prev_dg)
-    gamma = world.cfg.gamma
-    sens = step_sensitivity_stack(world.sens_grid, pf, world.specs).map(
-        lambda x: x.reshape(count, horizon, *x.shape[1:]))
-    cols = (np.empty((count, n, width, m + 1)) if cols_out is None
-            else cols_out[:count])
-    cols[..., 0] = reward_gradient_stack(sens, actions, world.specs, gamma)
-    row_gradient_stack(world.index, sens, actions, world.specs, gamma,
-                       out=cols[..., 1:])
-    return _DrawEval(accepted, actions, rewards, j_values, cols)
+    ev = evaluate_window(world, draws, irr_truth, load_truth, prev_dg)
+    count, n, width = ev.actions.shape
+    cols = (np.empty((count, n, width, len(world.table) + 1))
+            if cols_out is None else cols_out[:count])
+    if count:
+        gamma = world.cfg.gamma
+        sens = step_sensitivity_stack(world.sens_grid, ev.pf, world.specs).map(
+            lambda x: x.reshape(count, world.horizon, *x.shape[1:]))
+        cols[..., 0] = reward_gradient_stack(sens, ev.actions, world.specs,
+                                             gamma)
+        row_gradient_stack(world.index, sens, ev.actions, world.specs, gamma,
+                           out=cols[..., 1:])
+    return ev, cols
 
 
 @dataclass
@@ -586,9 +567,10 @@ def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
             draws[:, a, :] = mu[None, :] + np.sqrt(s2)[None, :] * \
                 rng.standard_normal((need, width))
         for first in range(0, need, _STACK_DRAWS):
-            part = _evaluate_draws(world, draws[first:first + _STACK_DRAWS],
-                                   irr_truth, load_truth, prev_dg,
-                                   cols_out=cols[count:])
+            part, _ = _evaluate_draws(world,
+                                      draws[first:first + _STACK_DRAWS],
+                                      irr_truth, load_truth, prev_dg,
+                                      cols_out=cols[count:])
             for ok in part.accepted:
                 if not ok:
                     discards += 1
@@ -599,7 +581,7 @@ def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
             done = count + part.actions.shape[0]
             actions[count:done] = part.actions
             rewards[count:done] = part.rewards
-            j_values[count:done] = part.j_values
+            j_values[count:done] = part.returns
             count = done
     g, b, g_se = _batch_gradients(evals, actions, cols)
     return _BatchEval(g, b, j_values.mean(axis=0), rewards.mean(axis=0),
@@ -673,17 +655,6 @@ def _dispatch_actions_mean(agents, states, horizon) -> np.ndarray:
     raw = np.stack([ag.forward_mean(states[n])
                     for n, ag in enumerate(agents)])
     return postprocess_complementarity(raw, horizon)
-
-
-def _pfe_check(world: World, actions, irr_truth, load_truth, prev_dg,
-               removed: set[str]):
-    """Power-flow-engine verdict on a joint action: its window evaluation
-    and the table positions of the violated rows, both None when a power
-    flow does not converge."""
-    ev = evaluate_window(world, actions, irr_truth, load_truth, prev_dg)
-    if ev is None:
-        return None, None
-    return ev, world.violated(ev.returns, removed)
 
 
 @dataclass(frozen=True)
@@ -850,18 +821,20 @@ def _gate(dec: _Decision, draw, reupdate):
     rows' bounds by tau, calls reupdate(bounds, round) to re-anchor and
     re-update the agents, and checks the new dispatch.
     Returns (actions, window evaluation, verdict, rounds) of the last
-    check; the verdict is 'clean', 'restored', 'violated:<sorted ids>' or
-    'pf-failure' (a power flow diverged; the evaluation is then None).
+    check, the evaluation a stack of that one action; the verdict is
+    'clean', 'restored', 'violated:<sorted ids>' or 'pf-failure' (a power
+    flow diverged; the evaluation is then None).
     """
     world, cfg = dec.world, dec.world.cfg
     d_work = world.row_bounds
     rounds = 0
     while True:
         actions = draw()
-        ev, violated = _pfe_check(world, actions, dec.irr_truth,
-                                  dec.load_truth, dec.prev_dg, dec.removed)
-        if ev is None:
+        ev = evaluate_window(world, actions[None], dec.irr_truth,
+                             dec.load_truth, dec.prev_dg)
+        if not ev.accepted[0]:
             return actions, None, "pf-failure", rounds
+        violated = world.violated(ev.returns[0], dec.removed)
         if not violated.size:
             return actions, ev, "clean" if rounds == 0 else "restored", rounds
         if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
@@ -900,8 +873,8 @@ def train_episode(world: World, agents: list[GaussianPolicy],
 
     disp_rewards, j_dispatch = [float("nan")] * n, {}
     if disp is not None:
-        disp_rewards = disp.rewards.tolist()
-        j_dispatch = dict(zip(world.index.ids, disp.returns.tolist()))
+        disp_rewards = disp.rewards[0].tolist()
+        j_dispatch = dict(zip(world.index.ids, disp.returns[0].tolist()))
 
     theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
                     for a in range(n)]

@@ -1,6 +1,7 @@
 """End-to-end CLI contract tests: artifacts, schemas, exit codes."""
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -175,13 +176,31 @@ class TestTrainArtifacts:
          "profiles.file = 5, must be a file name"),
         ("network_noise_variance: 0.0", "network_noise_variance: 0.0\n"
          "episode: 5", "unknown key(s) episode"),
+        ("seed: 777", "seed: -4", "seed = -4, must be >= 0"),
+        ("constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}",
+         "synthetic: {seed: -3}",
+         "profiles.synthetic.seed = -3, must be >= 0"),
+        ("constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}",
+         "synthetic: {days: -1}",
+         "profiles.synthetic.days = -1, must be >= 1"),
+        ("load_kw: 5.0", "load_kw: -5.0",
+         "profiles.constant.load_kw = -5.0, must be a finite number >= 0"),
+        ("irradiance: 0.5", "irradiance: 7.5",
+         "profiles.constant.irradiance = 7.5, must be in [0, 1.2]"),
+        ("network_noise_variance: 0.0", "network_noise_variance: .nan",
+         "network_noise_variance = nan, must be >= 0"),
+        ("solar_scale: 0.0", "solar_scale: .nan",
+         "forecast_error.solar_scale = nan, must be >= 0"),
     ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
             "rho1-string", "seed-string", "host-load-scalar",
             "solar-scale-list", "batch-fraction", "kmax-fraction",
             "dg-scalar", "profiles-scalar", "mgs-scalar", "window-fraction",
             "window-bool", "forecast-error-unknown-key", "p-max-string",
             "steps-string", "solar-scale-string", "grid-file-int",
-            "profile-file-int", "top-level-unknown-key"])
+            "profile-file-int", "top-level-unknown-key", "seed-negative",
+            "synthetic-seed-negative", "synthetic-days-negative",
+            "constant-load-negative", "constant-irradiance-high",
+            "noise-nan", "solar-scale-nan"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)
@@ -240,6 +259,66 @@ class TestTrainArtifacts:
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, f"{path}: {message}")
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        (1, "nan", "mg0_load_kw = nan, must be a finite number >= 0"),
+        (1, "inf", "mg0_load_kw = inf, must be a finite number >= 0"),
+        (2, "7.5", "mg0_irradiance = 7.5, must be in [0, 1.2]"),
+        (2, "-0.1", "mg0_irradiance = -0.1, must be in [0, 1.2]"),
+    ], ids=["load-nan", "load-inf", "irradiance-high", "irradiance-negative"])
+    def test_profile_csv_value_is_validation_failure(self, tmp_path, capsys,
+                                                     column, value, message):
+        from smaspl.scenario import constant_profiles, save_profiles
+        csv_path = tmp_path / "profile.csv"
+        save_profiles(csv_path, constant_profiles(96, 1, 5.0, 0.5))
+        lines = csv_path.read_text().splitlines()
+        row = lines[4].split(",")
+        row[column] = value
+        lines[4] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        path = scenario_copy(
+            tmp_path, "constant: {steps: 96, load_kw: 5.0, irradiance: 0.5}",
+            "file: profile.csv")
+        code = main(["train", "--scenario", str(path),
+                     "--out", str(tmp_path / "x"), "--episodes", "1"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{csv_path}:5: {message}")
+        assert not (tmp_path / "x").exists()
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--network-noise", "-0.5"],
+         "--network-noise must be >= 0, got -0.5"),
+        (["train", "--network-noise", "nan"],
+         "--network-noise must be >= 0, got nan"),
+        (["train", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["dispatch", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["verify-gradients", "--trials", "0"],
+         "--trials must be >= 1, got 0"),
+        (["verify-gradients", "--trials", "-3"],
+         "--trials must be >= 1, got -3"),
+        (["verify-gradients", "--seed", "-2"], "--seed must be >= 0, got -2"),
+    ], ids=["train-noise-negative", "train-noise-nan", "train-seed-negative",
+            "dispatch-seed-negative", "verify-trials-zero",
+            "verify-trials-negative", "verify-seed-negative"])
+    def test_flag_out_of_range_is_validation_failure(self, tmp_path, capsys,
+                                                     argv, message):
+        from smaspl.policy import save_checkpoint
+        from smaspl.training import build_agents
+        out = tmp_path / "out"
+        world = build_world(load_scenario(TINY))
+        for a, ag in enumerate(build_agents(world)):
+            save_checkpoint(ag, tmp_path / f"agent_{a}.json")
+        extra = {"train": ["--scenario", TINY, "--out", str(out),
+                           "--episodes", "1"],
+                 "dispatch": ["--scenario", TINY, "--checkpoints",
+                              str(tmp_path), "--out", str(out / "a.csv")],
+                 "verify-gradients": []}[argv[0]]
+        code = main([*argv, *extra])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, message)
+        assert not out.exists()
 
 
 class TestDispatch:
@@ -322,8 +401,15 @@ class TestDispatch:
         world = build_world(load_scenario(TINY))
         for a, ag in enumerate(training.build_agents(world)):
             save_checkpoint(ag, tmp_path / f"agent_{a}.json")
-        # every window the gate checks diverges
-        monkeypatch.setattr(training, "evaluate_window", lambda *a, **k: None)
+        # every window the gate checks diverges: nothing is accepted
+        def nothing_accepted(world, actions, *args, **kwargs):
+            return training.WindowEval(
+                accepted=np.zeros(len(actions), dtype=bool),
+                actions=actions[:0], pf=None, obs=None,
+                returns=np.empty((0, len(world.table))),
+                rewards=np.empty((0, world.n_agents)))
+
+        monkeypatch.setattr(training, "evaluate_window", nothing_accepted)
         code = main(["dispatch", "--scenario", TINY, "--checkpoints",
                      str(tmp_path), "--out", str(tmp_path / "a.csv")])
         assert code == EXIT_NUMERICAL
@@ -515,6 +601,37 @@ class TestBruteForce:
         world = build_world(sc)
         with pytest.raises(ValueError, match="single-step"):
             brute_force_opf(world)
+
+    @pytest.mark.parametrize("a_f", [0.004, 0.0], ids=["quadratic", "linear"])
+    @pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "default"])
+    def test_matches_one_candidate_at_a_time(self, monkeypatch, a_f, chunk):
+        from smaspl.microgrid import CONTROLS, window_bounds
+        from smaspl.training import evaluate_window
+        sc = load_scenario(TINY)
+        object.__setattr__(sc.specs[0].dg, "a_f", a_f)
+        world = build_world(sc)
+        if chunk is not None:
+            monkeypatch.setattr(cli, "_ORACLE_CHUNK", chunk)
+        points = {**cli.DEFAULT_GRID_POINTS, "p_dg": 5}
+        res = brute_force_opf(world, window_start=30, grid_points=points)
+        # reference: every candidate on its own, in itertools.product
+        # order; the first of the cheapest feasible ones wins
+        lo, hi = window_bounds(world.specs[0], 1)
+        axes = [np.linspace(lo[c], hi[c], points[name]) if hi[c] > lo[c]
+                else np.array([lo[c]]) for c, name in enumerate(CONTROLS)]
+        irr, load = world.profiles.window(30, 1)
+        best, best_cost, n_feasible = None, np.inf, 0
+        for combo in itertools.product(*axes):
+            actions = np.array(combo).reshape(1, 6)
+            ev = evaluate_window(world, actions[None], irr, load)
+            if not ev.accepted[0] or world.violated(ev.returns[0]).size:
+                continue
+            n_feasible += 1
+            if ev.cost(0) < best_cost:
+                best, best_cost = actions, ev.cost(0)
+        assert (res.n_evaluated, res.n_feasible) == (540, n_feasible)
+        assert res.feasible and res.cost == best_cost
+        assert res.actions.tobytes() == best.tobytes()
 
     def test_grid_point_cap(self):
         world = self.world()

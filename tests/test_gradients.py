@@ -439,9 +439,10 @@ class TestBundleEndToEnd:
         acts0 = ev0.mu[None, :] + np.sqrt(ev0.sigma2)[None, :] * eps
         p_mu = agent.mean_net.n_params
         # the trainer's path: stacked action columns, then one batch chain
-        res = _evaluate_draws(world, acts0[:, None, :], irr, load, np.zeros(1))
+        res, cols = _evaluate_draws(world, acts0[:, None, :], irr, load,
+                                    np.zeros(1))
         assert res.accepted.all()
-        g_all, b_all, _ = _batch_gradients([ev0], res.actions, res.cols)
+        g_all, b_all, _ = _batch_gradients([ev0], res.actions, cols)
         g = g_all[0][:p_mu]
         b = b_all[0][:p_mu, m_row]
 

@@ -471,9 +471,9 @@ class TestBatchChain:
             np.stack([ev.mu + np.sqrt(ev.sigma2)
                       * rng.standard_normal(ev.mu.size) for ev in evals])
             for _ in range(6)])
-        res = _evaluate_draws(world, draws, irr, load, np.zeros(2))
+        res, res_cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        g, b, g_se = _batch_gradients(evals, res.actions, res.cols)
+        g, b, g_se = _batch_gradients(evals, res.actions, res_cols)
         s = len(draws)
         for a, ev in enumerate(evals):
             # reference: chain every sample, then average (unit mean
@@ -483,7 +483,7 @@ class TestBatchChain:
             acc = 0.0
             mag = 0.0
             sq = 0.0
-            for acts, cols in zip(res.actions[:, a], res.cols[:, a]):
+            for acts, cols in zip(res.actions[:, a], res_cols[:, a]):
                 u = cov_chain_factor(acts, ev.mu, ev.sigma2)
                 cols_sig = cols * u[:, None]
                 contrib = np.vstack([ev.jac_mu.T @ cols,
@@ -590,7 +590,7 @@ class TestStackedBatch:
         T = world.horizon
         draws[2, 1, T:2 * T] = 1e6          # a charge no feeder can carry
         prev = np.array([3.0, 1.0])
-        got = _evaluate_draws(world, draws, irr, load, prev)
+        got, got_cols = _evaluate_draws(world, draws, irr, load, prev)
         refs = [one_sample_reference(world, d, irr, load, prev)
                 for d in draws]
         assert got.accepted.tolist() == [r is not None for r in refs]
@@ -599,9 +599,9 @@ class TestStackedBatch:
         np.testing.assert_array_equal(got.actions, draws[got.accepted])
         for s, (rewards, j_values, cols) in enumerate(kept):
             np.testing.assert_allclose(got.rewards[s], rewards, rtol=1e-10)
-            np.testing.assert_allclose(got.j_values[s], j_values, rtol=1e-10,
+            np.testing.assert_allclose(got.returns[s], j_values, rtol=1e-10,
                                        atol=1e-12)
-            np.testing.assert_allclose(got.cols[s], cols, rtol=1e-10,
+            np.testing.assert_allclose(got_cols[s], cols, rtol=1e-10,
                                        atol=1e-12 * np.abs(cols).max())
 
     def test_discards_keep_draw_order(self, monkeypatch):
@@ -633,9 +633,9 @@ class TestStackedBatch:
         first = self.draw(rng, evals, 4)
         second = self.draw(rng, evals, 1)
         kept = np.concatenate([first[[0, 2, 3]], second])
-        ref = training._evaluate_draws(world, kept, irr, load, prev)
-        g, b, _ = training._batch_gradients(evals, ref.actions, ref.cols)
-        np.testing.assert_allclose(got.j_values, ref.j_values.mean(axis=0),
+        ref, ref_cols = training._evaluate_draws(world, kept, irr, load, prev)
+        g, b, _ = training._batch_gradients(evals, ref.actions, ref_cols)
+        np.testing.assert_allclose(got.j_values, ref.returns.mean(axis=0),
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(got.rewards, ref.rewards.mean(axis=0),
                                    rtol=1e-10)
@@ -799,7 +799,7 @@ class TestWindowEvaluation:
         from smaspl.training import evaluate_window
         world = build_world(load_scenario("scenarios/paper98.yaml"))
         actions, irr, load = self.mean_dispatch(world)
-        ev = evaluate_window(world, actions, irr, load)
+        ev = evaluate_window(world, actions[None], irr, load)
         p, q = actions_to_injections(actions, load, irr, world.specs,
                                      world.grid.n_bus, world.host_loads)
         sols = [solve_power_flow(world.grid, p[t], q[t])
@@ -807,27 +807,30 @@ class TestWindowEvaluation:
         assert all(s.converged for s in sols)
         ref = network_observables(world.grid, PowerFlowStack.of(sols),
                                   world.specs)
-        assert ev.obs.v_mag.shape == (world.horizon, world.grid.n_bus)
+        assert ev.obs.v_mag.shape == (1, world.horizon, world.grid.n_bus)
         for name in ("v_mag", "pcc_p", "pcc_q"):
-            np.testing.assert_allclose(getattr(ev.obs, name),
+            np.testing.assert_allclose(getattr(ev.obs, name)[0],
                                        getattr(ref, name), rtol=1e-10)
 
     def test_returns_and_rewards_match_the_one_sample_views(self):
-        from smaspl.microgrid import constraint_returns, reward_return
+        from smaspl.microgrid import (Observables, constraint_returns,
+                                      reward_return)
         from smaspl.training import evaluate_window
         world = small_world()
         actions, irr, load = self.mean_dispatch(world)
         prev = np.array([3.0, 7.0])
-        ev = evaluate_window(world, actions, irr, load, prev)
-        jc = constraint_returns(actions, ev.obs, world.specs, world.table,
+        ev = evaluate_window(world, actions[None], irr, load, prev)
+        obs = Observables(ev.obs.v_mag[0], ev.obs.i_mag[0], ev.obs.pcc_p[0],
+                          ev.obs.pcc_q[0])
+        jc = constraint_returns(actions, obs, world.specs, world.table,
                                 world.cfg.gamma, prev_dg=prev)
         assert list(jc) == [r.id for r in world.table]
-        assert ev.returns.tolist() == list(jc.values())
-        rewards = [reward_return(actions[a], ev.obs.pcc_p[:, a], spec,
+        assert ev.returns[0].tolist() == list(jc.values())
+        rewards = [reward_return(actions[a], obs.pcc_p[:, a], spec,
                                  world.cfg.gamma)
                    for a, spec in enumerate(world.specs)]
-        assert ev.rewards.tolist() == rewards
-        assert ev.cost == -sum(rewards)
+        assert ev.rewards[0].tolist() == rewards
+        assert ev.cost(0) == -sum(rewards)
 
     def test_bound_vector_is_the_per_row_window_bound(self):
         for name in ("two_mg_binding.yaml", "paper98.yaml"):
@@ -853,12 +856,14 @@ class TestWindowEvaluation:
 
     def test_diverged_window_refuses_dispatch(self):
         from smaspl.cli import dispatch_cost
-        from smaspl.training import EpisodeAborted, _pfe_check, evaluate_window
+        from smaspl.training import EpisodeAborted, evaluate_window
         world = small_world()
         actions, irr, load = self.mean_dispatch(world)
         actions[:, world.horizon:2 * world.horizon] = 1e7   # p_ch, kW
-        assert evaluate_window(world, actions, irr, load) is None
-        assert _pfe_check(world, actions, irr, load, None,
-                          frozenset()) == (None, None)
+        ev = evaluate_window(world, actions[None], irr, load)
+        assert ev.accepted.tolist() == [False]
+        # the gate then has no returns to check
+        assert ev.returns.shape == (0, len(world.table))
+        assert ev.rewards.shape == (0, world.n_agents)
         with pytest.raises(EpisodeAborted, match="diverged"):
             dispatch_cost(world, actions, 0)
