@@ -26,9 +26,8 @@ from .grid import (
     GridModel,
     PowerFlowSolution,
     PowerFlowStack,
-    power_flow_system_values,
+    power_flow_system_matrix,
     solve_system_stack,
-    system_block_diagonal,
 )
 from .microgrid import (
     CONSTRAINT_NETWORK_KINDS,
@@ -127,12 +126,12 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
     every point of pf, (B, n_bus, C) each.
 
     Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
-    ...).  The 2n x 2n linearizations of all points are factorized as one
-    block-diagonal sparse LU, with one multi-column solve; slack rows are
-    identity with zero right-hand side, pinning slack sensitivities to
-    zero.  Controls whose partials share a basis and a bus share a
-    right-hand side; the solve is exactly odd, so their columns are
-    signed copies."""
+    ...).  The 2n x 2n linearizations of all points are solved with one
+    multi-column solve_system_stack call (tree elimination on a radial
+    grid, SuperLU on a meshed one); slack rows are identity with zero
+    right-hand side, pinning slack sensitivities to zero.  Controls
+    whose partials share a basis and a bus share a right-hand side; the
+    solve is exactly odd, so their columns are signed copies."""
     n = grid.n_bus
     base = _partial_bases(pf)
     shared: dict = {}           # (basis, bus) -> right-hand-side column
@@ -152,19 +151,20 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
     s = grid.slack
     rhs[:, s, :] = 0.0
     rhs[:, n + s, :] = 0.0
-    values = power_flow_system_values(grid, pf.p_load_pu, pf.q_load_pu,
-                                      pf.v_re, pf.v_im)
-    x, solved = solve_system_stack(grid, values, -rhs)
+    x, solved = solve_system_stack(grid, pf.p_load_pu, pf.q_load_pu,
+                                   pf.v_re, pf.v_im, -rhs)
     _count_factorization(int(solved.sum()))
     bad = ~solved | ~np.isfinite(x).all(axis=(1, 2))
     if bad.any():
-        raise SensitivityError(_singular_message(grid, values[bad][:1]))
+        raise SensitivityError(_singular_message(grid, pf,
+                                                 np.flatnonzero(bad)[0]))
     dv = x[:, :, cols] * np.array(signs)
     return dv[:, :n], dv[:, n:]
 
 
-def _singular_message(grid: GridModel, values: np.ndarray) -> str:
-    cond = np.linalg.cond(system_block_diagonal(grid, values).toarray())
+def _singular_message(grid: GridModel, pf: PowerFlowStack, b: int) -> str:
+    cond = np.linalg.cond(power_flow_system_matrix(
+        grid, pf.p_load_pu[b], pf.q_load_pu[b], pf.v_re[b], pf.v_im[b]))
     return f"singular sensitivity system (cond={cond:.3e})"
 
 

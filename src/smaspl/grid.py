@@ -17,6 +17,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "Bus",
     "Branch",
     "GridModel",
+    "TreeSchedule",
     "PowerFlowSolution",
     "PowerFlowStack",
     "GridError",
@@ -150,6 +152,89 @@ def _system_template(y_bus, slack: int, nonslack: np.ndarray) -> tuple:
 
 
 @dataclass(frozen=True)
+class TreeSchedule:
+    """Leaves-up elimination order of a radial grid's slack-pinned system.
+
+    Without its slack bus a radial grid is a forest.  Each component is
+    rooted at its centre and the m non-slack buses are renumbered
+    breadth-first from the roots, so level L (the buses at depth L) is
+    the position slice levels[L], roots first.  order[k] is the bus at
+    position k, y_diag[k] its diagonal entry of Y, parent[k] the position
+    of its parent and y_parent[k] their entry of Y; children[L] holds the
+    positions of the children of level L's buses, one row per bus,
+    padded to a rectangle.  A root's parent and every pad is position m.
+    """
+
+    order: np.ndarray
+    y_diag: np.ndarray
+    parent: np.ndarray
+    y_parent: np.ndarray
+    levels: tuple
+    children: tuple
+
+
+def _tree_schedule(slack: int, f: np.ndarray, t: np.ndarray, y: np.ndarray,
+                   y_bus) -> TreeSchedule | None:
+    """The elimination schedule of a connected grid, None unless radial.
+
+    Peeling leaves finds each component's centre: a bus whose live
+    branches are down to one hangs on that branch's far end, and the
+    last bus of a component, with no live branch left, is a centre.  A
+    bus's XOR of live branch indices names its last branch, so the peel
+    is one pass.  Breadth-first order from the centres then lists the
+    children of each position, in position order, after the roots.
+    """
+    n = y_bus.shape[0]
+    if f.size != n - 1:
+        return None
+    m = n - 1
+    inner = np.flatnonzero((f != slack) & (t != slack))
+    ends = np.concatenate([f[inner], t[inner]])
+    last = np.zeros(n, dtype=int)
+    np.bitwise_xor.at(last, ends, np.tile(np.arange(inner.size), 2))
+    other = (f[inner] ^ t[inner]).tolist()      # i ^ j
+    degree = np.bincount(ends, minlength=n)     # 0 at the slack
+    live, last = degree.tolist(), last.tolist()
+    via = [-1] * n                      # branch to the parent
+    kids: list = [[] for _ in range(n)]
+    peel = [i for i in range(n) if live[i] <= 1 and i != slack]
+    for i in peel:                      # grows as buses become leaves
+        if live[i]:
+            e = last[i]
+            j = other[e] ^ i
+            via[i] = e
+            kids[j].append(i)
+            live[j] -= 1
+            last[j] ^= e
+            if live[j] == 1:
+                peel.append(j)
+    order = [i for i in peel if via[i] < 0]
+    roots = len(order)
+    for i in order:                     # grows: breadth-first from the roots
+        order += kids[i]
+    order = np.array(order, dtype=int)
+    # children are the neighbours but the parent, listed in position order
+    n_kids = degree[order] - (np.arange(m) >= roots)
+    after = roots + np.cumsum(n_kids)   # position after k's last child
+    count, past = n_kids.tolist(), after.tolist()
+    bounds = [0, roots]
+    while bounds[-1] < m:               # the next level: the children of this
+        bounds.append(past[bounds[-1] - 1])
+    levels = tuple(zip(bounds[:-1], bounds[1:]))
+    rank = np.arange(max(count, default=0))
+    slots = np.where(rank < n_kids[:, None], (after - n_kids)[:, None] + rank,
+                     m)
+    edge = inner[np.array(via, dtype=int)[order[roots:]]]
+    return TreeSchedule(
+        order=order, y_diag=y_bus.diagonal()[order],
+        parent=np.concatenate([np.full(roots, m),
+                               np.repeat(np.arange(m), n_kids)]),
+        y_parent=np.concatenate([np.zeros(roots), -y[edge]]), levels=levels,
+        children=tuple(slots[lo:hi, :max(count[lo:hi], default=0)]
+                       for lo, hi in levels))
+
+
+@dataclass(frozen=True)
 class GridModel:
     """Immutable network: buses, branches and per-unit bases.
 
@@ -160,8 +245,8 @@ class GridModel:
     (branch_from, branch_to) bus indices with the branch admittances
     branch_y, the complex nodal admittance y_bus (CSR), branch_lookup
     mapping an ordered bus pair to (branch index, +1 along / -1 against
-    the branch direction), and the sparse template of the power-flow
-    system matrix.
+    the branch direction), and tree, the elimination schedule of a
+    radial grid (None for a meshed one).
     """
 
     buses: tuple[Bus, ...]
@@ -176,7 +261,7 @@ class GridModel:
     y_bus: scipy.sparse.csr_matrix = field(init=False, repr=False,
                                            compare=False)
     branch_lookup: dict = field(init=False, repr=False, compare=False)
-    system_template: tuple = field(init=False, repr=False, compare=False)
+    tree: TreeSchedule | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.buses)
@@ -221,7 +306,13 @@ class GridModel:
         nonslack = np.delete(np.arange(n), slack[0])
         self._set(slack=slack[0], nonslack=nonslack, branch_from=f,
                   branch_to=t, branch_y=y, y_bus=y_bus, branch_lookup=lookup,
-                  system_template=_system_template(y_bus, slack[0], nonslack))
+                  tree=_tree_schedule(slack[0], f, t, y, y_bus))
+
+    @functools.cached_property
+    def system_template(self) -> tuple:
+        """The sparse template of the power-flow system matrix, built on
+        first use: SuperLU solves on meshed grids and the test oracle."""
+        return _system_template(self.y_bus, self.slack, self.nonslack)
 
     def _set(self, **values):
         for name, value in values.items():
@@ -407,19 +498,15 @@ def _splu(matrix):
                                     diag_pivot_thresh=0.1)
 
 
-def solve_system_stack(grid: GridModel, values: np.ndarray,
-                       rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve B system matrices, given by their (B, nnz) template values,
-    with one SuperLU factorization of their block-diagonal matrix.
-
-    rhs is (B, 2n) or (B, 2n, k).  Returns the solutions, shaped like
-    rhs, and a (B,) mask of the solved blocks.  Only when SuperLU reports
-    the block-diagonal matrix exactly singular is every block factorized
-    on its own; the singular ones stay unsolved, with NaN solutions.
-    The matrices are structurally symmetric: minimum-degree ordering on
+def _solve_superlu(grid: GridModel, values: np.ndarray,
+                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_system_stack for system matrices given by their (B, nnz)
+    template values: one SuperLU factorization of their block-diagonal
+    matrix.  Only when SuperLU reports it exactly singular is every block
+    factorized on its own; the singular ones stay unsolved.  The
+    matrices are structurally symmetric: minimum-degree ordering on
     A^T + A with threshold pivoting (0.1, preferring the diagonal) keeps
-    about a third less fill than the column ordering.
-    """
+    about a third less fill than the column ordering."""
     blocks = values.shape[0]
     size = grid.system_template[0].shape[0]
     flat = rhs.reshape(blocks * size, -1)
@@ -437,6 +524,88 @@ def solve_system_stack(grid: GridModel, values: np.ndarray,
                 continue
             x[rows] = lu.solve(flat[rows])
     return x.reshape(rhs.shape), solved
+
+
+def _solve_tree(grid: GridModel, p, q, v_re, v_im,
+                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_system_stack on a radial grid: block elimination along
+    grid.tree, leaves up, then substitution root down, vectorized over
+    the points and the right-hand sides.
+
+    A bus's 2x2 real block acts on its complex voltage as
+    x -> z x + w conj(x), whose inverse is
+    x -> (conj(z) x - w conj(x)) / (|z|^2 - |w|^2); a branch block is
+    multiplication by its entry of Y.  The arrays are bus-major, so each
+    level is a contiguous slice, and every operation is elementwise over
+    the points, so a point's solution does not depend on the stack."""
+    tree, n = grid.tree, grid.n_bus
+    k = tree.order
+    m = k.size
+    points = rhs.shape[0]
+    flat = rhs.reshape(points, 2 * n, -1)
+    d_rere, d_reim, d_imre, d_imim = load_current_voltage_jacobian(
+        p[:, k].T, q[:, k].T, v_re[:, k].T, v_im[:, k].T)
+    z = tree.y_diag[:, None] + 0.5 * (d_rere + d_imim
+                                      + 1j * (d_imre - d_reim))
+    w = 0.5 * (d_rere - d_imim + 1j * (d_imre + d_reim))
+    b = (flat[:, k] + 1j * flat[:, n + k]).transpose(1, 0, 2)
+    # per bus (z, -w, b), from which its children's shares are subtracted
+    own = np.concatenate([z[..., None], -w[..., None], b], axis=2)
+    share = np.zeros((m + 1,) + own.shape[1:], dtype=complex)
+    a = tree.y_parent[:, None]
+    inv, u, up = [], [], []             # per level, deepest first
+    with np.errstate(all="ignore"):     # a singular point turns to inf/NaN
+        for (lo, hi), kids in zip(tree.levels[::-1], tree.children[::-1]):
+            row = own[lo:hi]
+            for c in range(kids.shape[1]):
+                row = row - share[kids[:, c]]
+            zl, wl, bl = row[..., 0], -row[..., 1], row[..., 2:]
+            zl_conj = zl.conj()
+            il = 1.0 / ((zl_conj * zl).real - (wl.conj() * wl).real)
+            zcl, wcl = zl_conj * il, wl * il
+            ul = zcl[..., None] * bl - wcl[..., None] * bl.conj()
+            inv.append(il)
+            u.append(ul)
+            if lo:                      # not the roots
+                # the pivot block's inverse after the branch block:
+                # x_parent -> za x_parent - wa conj(x_parent)
+                al = a[lo:hi]
+                za, wa = zcl * al, wcl * al.conj()
+                share[lo:hi, :, 0] = za * al
+                share[lo:hi, :, 1] = wa * al
+                share[lo:hi, :, 2:] = al[..., None] * ul
+                up.append((za[..., None], wa[..., None]))
+        x = np.empty(b.shape, dtype=complex)
+        x[:tree.levels[0][1]] = u[-1]
+        for (lo, hi), ul, (za, wa) in zip(tree.levels[1:], u[-2::-1],
+                                          up[::-1]):
+            xp = x[tree.parent[lo:hi]]
+            x[lo:hi] = ul - (za * xp - wa * xp.conj())
+    inv = np.concatenate(inv)
+    solved = (np.isfinite(inv) & (inv != 0.0)).all(axis=0)
+    out = flat.copy()                   # the slack rows are identity
+    out[:, k] = x.real.transpose(1, 0, 2)
+    out[:, n + k] = x.imag.transpose(1, 0, 2)
+    out[~solved] = np.nan
+    return out.reshape(rhs.shape), solved
+
+
+def solve_system_stack(grid: GridModel, p, q, v_re, v_im,
+                       rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the slack-pinned system matrices of B operating points.
+
+    p, q, v_re, v_im are (B, n_bus) and rhs is (B, 2n) or (B, 2n, k).
+    Returns the solutions, shaped like rhs, and a (B,) mask of the
+    solved points; an unsolved point's solution is NaN.  A radial grid
+    is solved by tree elimination (_solve_tree), where a zero or
+    non-finite pivot leaves its point unsolved; a meshed one by SuperLU
+    on the template values (_solve_superlu), where an exactly singular
+    matrix does.
+    """
+    if grid.tree is None:
+        return _solve_superlu(
+            grid, power_flow_system_values(grid, p, q, v_re, v_im), rhs)
+    return _solve_tree(grid, p, q, v_re, v_im, rhs)
 
 
 def _branch_currents(grid: GridModel, v_re, v_im):
@@ -490,13 +659,15 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
     """Newton solves of B operating points at once, each as in
     solve_power_flow; p_net_kw/q_net_kvar are (B, n_bus).
 
-    Every iteration factorizes the system matrices of the points still
-    iterating as one block-diagonal sparse LU (SuperLU).  A point stops
-    on its own convergence or failure, so it takes the iterates it takes
-    alone; a point whose own matrix is exactly singular fails with
-    "singular_jacobian" and leaves the others iterating.  The mismatch
-    Y V is a sparse product, row by row, so a point's iterates are the
-    same bit for bit in a stack of any size.
+    Every iteration solves the Newton systems of the points still
+    iterating with one solve_system_stack call: tree elimination on a
+    radial grid, SuperLU on a meshed one.  A point stops on its own
+    convergence or failure, so it takes the iterates it takes alone; a
+    point whose own system is singular fails with "singular_jacobian"
+    and leaves the others iterating.  The mismatch Y V is a sparse
+    product, row by row, and the tree solve is elementwise over the
+    points, so a point's iterates are the same bit for bit in a stack of
+    any size.
     """
     n = grid.n_bus
     s = grid.slack
@@ -548,8 +719,7 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
         F = np.concatenate([yv.real + i_load_re, yv.imag + i_load_im], axis=1)
         F[:, s] = 0.0
         F[:, n + s] = 0.0
-        dx, solved = solve_system_stack(
-            grid, power_flow_system_values(grid, pl, ql, vr, vi), -F)
+        dx, solved = solve_system_stack(grid, pl, ql, vr, vi, -F)
         stop(live[~solved], "singular_jacobian")
         live, vr, vi, dx = _keep(solved, live, vr, vi, dx)
         v_re[live] = vr + dx[:, :n]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass, replace)
 from datetime import datetime, timedelta
@@ -30,7 +31,8 @@ import numpy as np
 import yaml
 
 from .grid import Branch, Bus, GridError, GridModel
-from .microgrid import MicrogridSpec, STEP_MINUTES, find_pcc_branch
+from .microgrid import (DGSpec, ESSSpec, MicrogridSpec, PCCSpec, PVSpec,
+                        STEP_MINUTES, find_pcc_branch)
 
 __all__ = [
     "ProfileSeries",
@@ -319,8 +321,9 @@ class TrainerConfig:
 TRAINING_DEFAULTS = asdict(TrainerConfig())
 
 # value rules of the scenario-file keys that have one beyond their type,
-# by dotted key; _section checks them at load time so that a bad value
-# fails, naming its file and key, before any batch runs
+# by dotted key with list indices written [i]; _section checks them at
+# load time so that a bad value fails, naming its file and key, before
+# any batch runs
 _RANGES = {
     "seed": (lambda x: x >= 0, ">= 0"),
     "network_noise_variance": (lambda x: x >= 0, ">= 0"),
@@ -345,7 +348,15 @@ _RANGES = {
         lambda x: isinstance(x, list) and len(x) > 0
         and all(type(h) is int and h >= 1 for h in x),
         "a non-empty list of positive integers"),
+    "mgs[i].q_load_ratio": (math.isfinite, "a finite number"),
 }
+# every asset number of a microgrid; MicrogridSpec checks their signs and
+# bounds, which NaN would pass
+_RANGES.update({
+    f"mgs[i].{asset}.{f.name}": (math.isfinite, "a finite number")
+    for asset, spec in (("dg", DGSpec), ("ess", ESSSpec), ("pv", PVSpec),
+                        ("pcc", PCCSpec))
+    for f in fields(spec)})
 
 
 @dataclass
@@ -430,10 +441,16 @@ def _file(path, key, value) -> Path:
 
 
 def _pair(path, key, value) -> tuple:
+    """value as a pair of finite numbers."""
     if not (isinstance(value, list) and len(value) == 2):
         raise ScenarioError(
             f"{path}: {key} = {value!r}, must be a pair of numbers")
-    return tuple(_number(path, f"{key}[{i}]", v) for i, v in enumerate(value))
+    pair = tuple(_number(path, f"{key}[{i}]", v) for i, v in enumerate(value))
+    for i, v in enumerate(pair):
+        if not math.isfinite(v):
+            raise ScenarioError(
+                f"{path}: {key}[{i}] = {v!r}, must be a finite number")
+    return pair
 
 
 @cache
@@ -448,6 +465,9 @@ def _schema(cls) -> tuple[dict, tuple]:
                         and f.default_factory is MISSING)
 
 
+_LIST_INDEX = re.compile(r"\[\d+\]")    # mgs[0], mgs[1]... read mgs[i]
+
+
 def _section(path, key, schema, mapping, required=()) -> dict:
     """The entries of the mapping at key ("" for a file's top level) that
     the file gives, typed by schema: a dataclass, whose fields name the
@@ -459,6 +479,7 @@ def _section(path, key, schema, mapping, required=()) -> dict:
     kinds, required = ((schema, required) if isinstance(schema, dict)
                        else _schema(schema))
     prefix = f"{key}." if key else ""
+    ruled = _LIST_INDEX.sub("[i]", prefix)      # its keys' _RANGES prefix
     unknown = [f"{prefix}{k}" for k in mapping if k not in kinds]
     if unknown:
         raise ScenarioError(f"{path}: unknown key(s) {', '.join(unknown)}")
@@ -473,7 +494,7 @@ def _section(path, key, schema, mapping, required=()) -> dict:
             value = _number(path, sub, value, kind)
         elif is_dataclass(kind):
             value = kind(**_section(path, sub, kind, value))
-        check, rule = _RANGES.get(sub, (None, None))
+        check, rule = _RANGES.get(f"{ruled}{name}", (None, None))
         if check is not None and not check(value):
             raise ScenarioError(f"{path}: {sub} = {value!r}, must be {rule}")
         out[name] = value

@@ -113,14 +113,15 @@ def _keep_freed_memory() -> None:
     """Have the C allocator keep freed memory for reuse.
 
     A batch runs stack after stack of draws, each allocating and freeing
-    some MB of arrays and SuperLU workspace.  By default glibc maps such
-    blocks afresh (above a sliding mmap threshold) or trims them off the
-    heap once freed, so every stack page-faults its memory in again:
-    about 70,000 faults in a paper98 episode, whose cost varies with the
-    host's memory load.  Fixed thresholds, 32 MB (glibc's ceiling) for
-    mmap and 256 MB for trimming, keep that memory on the heap for the
-    next stack.  The setting holds for the whole process; where the C
-    library has no mallopt this does nothing.
+    some MB of arrays.  By default glibc maps such blocks afresh (above a
+    sliding mmap threshold) or trims them off the heap once freed, so
+    every stack page-faults its memory in again: about 60,000 faults in
+    a paper98 episode against about 200 with this setting, and some 40 %
+    more episode time, a cost that varies with the host's memory load.
+    Fixed thresholds, 32 MB (glibc's ceiling) for mmap and 256 MB for
+    trimming, keep that memory on the heap for the next stack.  The
+    setting holds for the whole process; where the C library has no
+    mallopt this does nothing.
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
@@ -507,8 +508,8 @@ def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
 
 # A batch is evaluated in stacks of this many joint draws (x T operating
 # points): enough to amortise the Python overhead per stack, few enough
-# that a stack's arrays and SuperLU factors stay small and cache-warm
-# and, with _keep_freed_memory, are reused from one stack to the next.
+# that a stack's arrays stay small and cache-warm and, with
+# _keep_freed_memory, are reused from one stack to the next.
 _STACK_DRAWS = 16
 
 

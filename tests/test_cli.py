@@ -191,6 +191,19 @@ class TestTrainArtifacts:
          "network_noise_variance = nan, must be >= 0"),
         ("solar_scale: 0.0", "solar_scale: .nan",
          "forecast_error.solar_scale = nan, must be >= 0"),
+        ("p_max_kw: 60,", "p_max_kw: .nan,",
+         "mgs[0].dg.p_max_kw = nan, must be a finite number"),
+        ("e_cap_kwh: 20,", "e_cap_kwh: .inf,",
+         "mgs[0].ess.e_cap_kwh = inf, must be a finite number"),
+        ("price_per_kwh: 0.30}", "price_per_kwh: -.inf}",
+         "mgs[0].pcc.price_per_kwh = -inf, must be a finite number"),
+        ("q_load_ratio: 0.2", "q_load_ratio: .nan",
+         "mgs[0].q_load_ratio = nan, must be a finite number"),
+        ("q_load_ratio: 0.2",
+         "q_load_ratio: 0.2\n    action_ranges: {p_dg: [0, .inf]}",
+         "mgs[0].action_ranges.p_dg[1] = inf, must be a finite number"),
+        ("host_loads: {1: [3, 1]}", "host_loads: {1: [.nan, 1]}",
+         "host_loads.1[0] = nan, must be a finite number"),
     ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
             "rho1-string", "seed-string", "host-load-scalar",
             "solar-scale-list", "batch-fraction", "kmax-fraction",
@@ -200,7 +213,9 @@ class TestTrainArtifacts:
             "profile-file-int", "top-level-unknown-key", "seed-negative",
             "synthetic-seed-negative", "synthetic-days-negative",
             "constant-load-negative", "constant-irradiance-high",
-            "noise-nan", "solar-scale-nan"])
+            "noise-nan", "solar-scale-nan", "dg-p-max-nan", "ess-cap-inf",
+            "pcc-price-minus-inf", "q-load-ratio-nan", "action-range-inf",
+            "host-load-nan"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)

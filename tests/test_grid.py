@@ -66,6 +66,11 @@ def stamped_admittance(grid):
     return y
 
 
+# the shipped grid files, all radial
+GRIDS = ["five_mg_binding", "five_mg_feasible", "networked_98", "tiny",
+         "two_mg"]
+
+
 def grid_of(n, branches):
     """Buses 0..n-1, slack at 0, joined by branches."""
     return GridModel([Bus(0, "slack")] + [Bus(i) for i in range(1, n)],
@@ -97,9 +102,7 @@ class TestBuildAdmittance:
         with pytest.raises(GridError, match="branch 0-5: bus 5 outside 0..1"):
             grid_of(2, [Branch(0, 5, 1.0, 0.0, 1.0)])
 
-    @pytest.mark.parametrize("which", [
-        "five_mg_binding", "five_mg_feasible", "networked_98", "tiny",
-        "two_mg"])
+    @pytest.mark.parametrize("which", GRIDS)
     def test_equals_stamping_oracle(self, which):
         grid = load_grid_file(f"scenarios/grids/{which}.yaml")
         assert np.array_equal(grid.y_bus.toarray(), stamped_admittance(grid))
@@ -416,3 +419,165 @@ class TestStackedNewton:
         g = two_bus()
         with pytest.raises(GridError, match="shape"):
             solve_power_flow_stack(g, np.zeros(2), np.zeros(2))
+
+
+def operating_points(rng, n, points, load=1.0):
+    """(p, q, v_re, v_im) of random operating points near a flat start,
+    with loads of about `load` p.u."""
+    return (load * rng.normal(size=(points, n)),
+            load * rng.normal(size=(points, n)),
+            1.0 + 0.05 * rng.normal(size=(points, n)),
+            0.05 * rng.normal(size=(points, n)))
+
+
+def superlu_solve(g, p, q, v_re, v_im, rhs):
+    """The SuperLU path of solve_system_stack, whatever the grid."""
+    from smaspl.grid import _solve_superlu
+    return _solve_superlu(g, power_flow_system_values(g, p, q, v_re, v_im),
+                          rhs)
+
+
+def random_radial_grid(rng, n):
+    """n buses joined by a random tree (each bus after the first hangs on
+    an earlier one), relabelled at random, slack anywhere, branch
+    directions and order shuffled; line impedances of 0.01-0.1 p.u."""
+    label = rng.permutation(n)
+    pairs = [(label[i], label[rng.integers(i)]) for i in range(1, n)]
+    branches = [Branch.from_impedance(*(pair if rng.random() < 0.5
+                                        else pair[::-1]),
+                                      rng.uniform(0.01, 0.1),
+                                      rng.uniform(0.01, 0.1), 10.0)
+                for pair in pairs]
+    slack = int(rng.integers(n))
+    buses = [Bus(i, "slack" if i == slack else "load") for i in range(n)]
+    return GridModel(buses, [branches[k] for k in rng.permutation(n - 1)])
+
+
+def assert_schedule_invariants(g):
+    """Every non-slack bus once, parents in earlier levels, children and
+    branch entries consistent with the parents, and no more levels than
+    the deepest component's radius + 1 (its centre as the root)."""
+    import scipy.sparse
+    import scipy.sparse.csgraph
+    tree, m = g.tree, g.n_bus - 1
+    assert sorted(tree.order.tolist()) == g.nonslack.tolist()
+    assert tree.levels[0][0] == 0 and tree.levels[-1][1] == m
+    level = np.empty(m + 1, dtype=int)
+    level[m] = -1
+    for depth, (lo, hi) in enumerate(tree.levels):
+        assert lo < hi or m == 0
+        level[lo:hi] = depth
+    assert all(b[0] == a[1] for a, b in zip(tree.levels, tree.levels[1:]))
+    roots = tree.parent == m
+    assert (level[tree.parent[~roots]] == level[:m][~roots] - 1).all()
+    assert (level[:m][roots] == 0).all() and not tree.y_parent[roots].any()
+    y = g.y_bus.toarray()
+    bus = tree.order
+    assert np.array_equal(tree.y_diag, np.diag(y)[bus])
+    assert np.array_equal(tree.y_parent[~roots],
+                          y[bus[~roots], bus[tree.parent[~roots]]])
+    for (lo, hi), kids in zip(tree.levels, tree.children):
+        for k in range(lo, hi):
+            got = sorted(c for c in kids[k - lo].tolist() if c != m)
+            assert got == np.flatnonzero(tree.parent == k).tolist()
+    keep = (g.branch_from != g.slack) & (g.branch_to != g.slack)
+    pos = np.empty(g.n_bus, dtype=int)
+    pos[g.nonslack] = np.arange(m)
+    links = scipy.sparse.csr_matrix(
+        (np.ones(keep.sum()), (pos[g.branch_from[keep]],
+                               pos[g.branch_to[keep]])), shape=(m, m))
+    dist = scipy.sparse.csgraph.shortest_path(links, directed=False,
+                                              unweighted=True)
+    ecc = np.where(np.isfinite(dist), dist, -1).max(axis=1)
+    _, label = scipy.sparse.csgraph.connected_components(links,
+                                                         directed=False)
+    radius = max(ecc[label == c].min() for c in np.unique(label))
+    assert len(tree.levels) == radius + 1
+
+
+class TestTreeElimination:
+    """solve_system_stack's tree elimination on radial grids, against
+    SuperLU on the same matrices and against dense solves."""
+
+    @pytest.mark.parametrize("columns", [None, 25])
+    @pytest.mark.parametrize("points", [1, 4, 64])
+    @pytest.mark.parametrize("which", GRIDS)
+    def test_matches_superlu(self, which, points, columns):
+        from smaspl.grid import solve_system_stack
+        g = load_grid_file(f"scenarios/grids/{which}.yaml")
+        assert g.tree is not None
+        rng = np.random.default_rng(points * 7 + (columns or 1))
+        op = operating_points(rng, g.n_bus, points)
+        shape = (points, 2 * g.n_bus) + ((columns,) if columns else ())
+        rhs = rng.normal(size=shape)
+        x, solved = solve_system_stack(g, *op, rhs)
+        want, want_solved = superlu_solve(g, *op, rhs)
+        assert x.shape == rhs.shape
+        assert solved.all() and want_solved.all()
+        np.testing.assert_allclose(x, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_meshed_ring_goes_through_superlu(self, monkeypatch):
+        import smaspl.grid as grid_mod
+        g = grid_of(4, [Branch.from_impedance(i, (i + 1) % 4, 0.02, 0.04,
+                                              10.0) for i in range(4)])
+        assert g.tree is None
+        calls = []
+        superlu = grid_mod._solve_superlu
+        monkeypatch.setattr(grid_mod, "_solve_superlu",
+                            lambda *a: calls.append(1) or superlu(*a))
+        monkeypatch.setattr(grid_mod, "_solve_tree", None)
+        rng = np.random.default_rng(3)
+        op = operating_points(rng, 4, 3)
+        rhs = rng.normal(size=(3, 8, 2))
+        rhs[:, [0, 4]] = 0.0                # slack rows pinned
+        x, solved = grid_mod.solve_system_stack(g, *op, rhs)
+        assert calls == [1] and solved.all()
+        for b in range(3):
+            dense = power_flow_system_matrix(g, *(a[b] for a in op))
+            np.testing.assert_allclose(x[b], np.linalg.solve(dense, rhs[b]),
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("which", GRIDS)
+    def test_schedule_invariants(self, which):
+        assert_schedule_invariants(
+            load_grid_file(f"scenarios/grids/{which}.yaml"))
+
+    def test_paper_feeder_has_17_levels(self):
+        g = load_grid_file("scenarios/grids/networked_98.yaml")
+        assert len(g.tree.levels) == 17
+
+    @given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, n, seed):
+        from smaspl.grid import solve_power_flow_stack, solve_system_stack
+        rng = np.random.default_rng(seed)
+        g = random_radial_grid(rng, n)
+        assert_schedule_invariants(g)
+        # arbitrary voltages under light loads, and the power-flow
+        # solutions of loads up to twice the base, where the sensitivity
+        # systems are solved.  The elimination does not pivot: arbitrary
+        # voltages under loads near 1 p.u. can make a subtree's pivot
+        # nearly singular, and its error then grows past SuperLU's.
+        p_kw = rng.uniform(0.0, 200.0, (3, n))
+        pf = solve_power_flow_stack(g, p_kw, 0.3 * p_kw)
+        solved_pf = (pf.p_load_pu, pf.q_load_pu, pf.v_re, pf.v_im)
+        op = tuple(np.concatenate([light, at_pf[pf.converged]])
+                   for light, at_pf in zip(
+                       operating_points(rng, n, 5, load=0.1), solved_pf))
+        points = len(op[0])
+        rhs = rng.normal(size=(points, 2 * n, 3))
+        x, solved = solve_system_stack(g, *op, rhs)
+        want, _ = superlu_solve(g, *op, rhs)
+        assert solved.all()
+        for b in range(points):
+            # a long random feeder is worse conditioned than the shipped
+            # ones: allow the forward error of one rounding, cond * eps
+            cond = np.linalg.cond(power_flow_system_matrix(
+                g, *(a[b] for a in op)))
+            np.testing.assert_allclose(
+                x[b], want[b], rtol=0,
+                atol=cond * np.finfo(float).eps * np.abs(want[b]).max())
+            one, _ = solve_system_stack(g, *(a[b:b + 1] for a in op),
+                                        rhs[b:b + 1])
+            assert np.array_equal(one[0], x[b])     # stack size: bit-equal

@@ -2,6 +2,7 @@
 
 from dataclasses import asdict
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ class TestScenarioFiles:
     def test_bus_map_validated_at_load_time(self, tmp_path):
         import shutil
         shutil.copytree(f"{SCENARIOS}/grids", tmp_path / "grids")
-        src = open(f"{SCENARIOS}/tiny_oracle.yaml").read()
+        src = Path(f"{SCENARIOS}/tiny_oracle.yaml").read_text()
         bad = src.replace(
             "bus_map: {dg: 3, ess: 3, pv: 3, load: 3, pcc_mg: 2, pcc_host: 1}",
             "bus_map: {dg: 9, ess: 3, pv: 3, load: 3, pcc_mg: 2, pcc_host: 1}")
@@ -229,7 +230,7 @@ class TestScenarioFiles:
         assert data["forecast_error"] == asdict(ForecastErrorParams())
 
     def test_negative_variance_rejected(self, tmp_path):
-        src = open(f"{SCENARIOS}/tiny_oracle.yaml").read()
+        src = Path(f"{SCENARIOS}/tiny_oracle.yaml").read_text()
         path = tmp_path / "neg.yaml"
         path.write_text(src.replace("network_noise_variance: 0.0",
                                     "network_noise_variance: -0.5"))
