@@ -52,7 +52,6 @@ __all__ = [
     "constraint_action_gradients",
     "row_gradient_stack",
     "chain_sample_to_parameters",
-    "chain_reward_samples",
     "factorization_count",
 ]
 
@@ -403,17 +402,14 @@ def constraint_action_gradients(table, sens_steps, actions, specs,
 
 def chain_sample_to_parameters(ev: PolicyEval, actions: np.ndarray,
                                dj_cols: np.ndarray) -> np.ndarray:
-    """Batch mean of the chained action gradients, shape (P, K).
+    """Batch mean of the chained action gradients, shape (P, K):
+    J_mu^T mean_s dj_s and J_Sigma^T mean_s (u_s * dj_s), with u_s the
+    level-set covariance factor (cov_chain_factor) at sampled action s.
 
     actions: (S, 6T) sampled actions (or one (6T,) action); dj_cols:
-    (S, 6T, K) action gradients at them (or one (6T, K)).  Per sample,
-    columns pass through the level-set policy factors and the network
-    Jacobians: the mean part composes with the unit factor, the
-    covariance part with u = (delta^2 - sigma^2)/(2 sigma^2 delta) at
-    the sampled action, then through d(mu)/d(theta) and
-    d(Sigma)/d(theta).  All samples share the Jacobians, so the samples
-    are summed in action space and chained once:
-    J_mu^T sum_s dj_s and J_Sigma^T sum_s (dj_s * u_s), divided by S.
+    (S, 6T, K) action gradients at them (or one (6T, K)).  Training
+    never forms this chain: it is F^T C for the Fisher rows F and the C
+    of training._BatchEval.chain, and this stays as its test oracle.
     """
     actions = np.reshape(actions, (-1, ev.mu.shape[0]))
     n = actions.shape[0]
@@ -422,15 +418,3 @@ def chain_sample_to_parameters(ev: PolicyEval, actions: np.ndarray,
     g_mu = ev.jac_mu.T @ (dj.sum(axis=0) / n)
     g_sig = ev.jac_sigma2.T @ (np.einsum("sd,sdk->dk", u_sig, dj) / n)
     return np.vstack([g_mu, g_sig])
-
-
-def chain_reward_samples(ev: PolicyEval, actions: np.ndarray,
-                         dj: np.ndarray) -> np.ndarray:
-    """Per-sample chain of one action-gradient column, shape (P, S).
-
-    actions and dj are (S, 6T); column s is what chain_sample_to_parameters
-    gives for sample s alone.  Used for the standard error of the
-    reward gradient.
-    """
-    u_sig = cov_chain_factor(actions, ev.mu, ev.sigma2)
-    return np.vstack([ev.jac_mu.T @ dj.T, ev.jac_sigma2.T @ (dj * u_sig).T])

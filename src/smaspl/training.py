@@ -27,17 +27,16 @@ import scipy.sparse.csgraph
 
 from .grid import GridModel, PowerFlowStack, solve_power_flow_stack
 from .gradients import (
-    chain_reward_samples,
-    chain_sample_to_parameters,
     reward_gradient_stack,
     row_gradient_stack,
     step_sensitivity_stack,
 )
-# one-sample views the stacked evaluations no longer call; the
-# benchmark's tracer (perfbench/tracing.py) still looks them up on this
-# module
+# one-sample views and the parameter-space chain, which training no
+# longer calls; the benchmark's tracer (perfbench/tracing.py) still
+# looks them up on this module
 from .grid import solve_power_flow  # noqa: F401
 from .gradients import (  # noqa: F401
+    chain_sample_to_parameters,
     compute_step_sensitivities,
     constraint_action_gradients,
     reward_action_gradients,
@@ -56,7 +55,7 @@ from .microgrid import (
     reward_return_stack,
     window_bounds,
 )
-from .policy import ActionScaling, GaussianPolicy, PolicyEval
+from .policy import ActionScaling, GaussianPolicy, cov_chain_factor
 from .scenario import (Scenario, TrainerConfig, forecast_with_error,
                        perturb_network)
 
@@ -514,15 +513,13 @@ _STACK_DRAWS = 16
 
 
 def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
-                    prev_dg, cols_out: np.ndarray | None = None):
+                    prev_dg):
     """The window evaluation of S joint draws (S, N, 6T) and the
     action-space gradient columns (A, N, 6T, M+1), reward then rows, of
-    its A accepted draws: one sensitivity stack over their points.  The
-    columns are written into the leading rows of cols_out when given."""
+    its A accepted draws: one sensitivity stack over their points."""
     ev = evaluate_window(world, draws, irr_truth, load_truth, prev_dg)
     count, n, width = ev.actions.shape
-    cols = (np.empty((count, n, width, len(world.table) + 1))
-            if cols_out is None else cols_out[:count])
+    cols = np.empty((count, n, width, len(world.table) + 1))
     if count:
         gamma = world.cfg.gamma
         sens = step_sensitivity_stack(world.sens_grid, ev.pf, world.specs).map(
@@ -534,78 +531,95 @@ def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
     return ev, cols
 
 
-@dataclass
 class _BatchEval:
-    g: list                      # per agent (P_n,)
-    b: list                      # per agent (P_n, M)
-    j_values: np.ndarray         # (M,) batch means
-    rewards: np.ndarray          # (N,) batch means
-    discards: int
-    g_se: list = None            # per agent (P_n,) standard error of g
+    """A batch's accepted draws, added stack by stack in draw order: each
+    draw's returns and rewards, and per agent, over draws s with
+    action-space columns dj_s (6T, M+1) and level-set covariance factors
+    u_s (cov_chain_factor), only the sums of dj_s, of u_s * dj_s and of
+    w_s w_s^T for the reward column w_s = [dj_s; u_s * dj_s][:, 0].
+    Draws are added one at a time, so the sums do not depend on the
+    stacks."""
+
+    def __init__(self, evals, n_rows: int, size: int):
+        self.mu = np.stack([ev.mu for ev in evals])            # (N, 6T)
+        self.sigma2 = np.stack([ev.sigma2 for ev in evals])
+        n, width = self.mu.shape
+        self.dj, self.udj = np.zeros((2, n, width, n_rows + 1))
+        self.ww = np.zeros((n, 2 * width, 2 * width))
+        self.returns = np.empty((size, n_rows))
+        self.draw_rewards = np.empty((size, n))
+        self.count = self.discards = 0
+
+    def add(self, ev: WindowEval, cols: np.ndarray) -> None:
+        """Add the accepted draws of ev and their columns (A, N, 6T, M+1)."""
+        done = self.count + len(cols)
+        self.returns[self.count:done] = ev.returns
+        self.draw_rewards[self.count:done] = ev.rewards
+        u = cov_chain_factor(ev.actions, self.mu, self.sigma2)
+        for u_s, dj_s in zip(u, cols):
+            self.dj += dj_s
+            self.udj += u_s[:, :, None] * dj_s
+            w = np.concatenate([dj_s[:, :, 0], u_s * dj_s[:, :, 0]], axis=1)
+            self.ww += w[:, :, None] * w[:, None, :]
+        self.count = done
+
+    @property
+    def j_values(self) -> np.ndarray:               # (M,) batch means
+        return self.returns[:self.count].mean(axis=0)
+
+    @property
+    def rewards(self) -> np.ndarray:                # (N,) batch means
+        return self.draw_rewards[:self.count].mean(axis=0)
+
+    def chain(self):
+        """Per agent, C = [sqrt(sigma^2/2) * mean dj_s; sqrt(2) sigma^2 *
+        mean u_s dj_s] (2 * 6T, M+1), so that F^T C is the parameter-space
+        chain of every column (F: PolicyEval.fisher_factor), and the mean
+        of c_s c_s^T over the draws' reward columns c_s of C."""
+        scale = np.concatenate([np.sqrt(self.sigma2 / 2.0),
+                                math.sqrt(2.0) * self.sigma2], axis=1)
+        c = scale[:, :, None] * np.concatenate([self.dj, self.udj], axis=1)
+        cc = scale[:, :, None] * self.ww * scale[:, None, :]
+        return c / self.count, cc / self.count
+
+    def reward_se(self, a: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Standard error (k,) of agent a's reduced reward gradient
+        s * (u^T C[:, 0]), for the (u, s) of _gram_eigen."""
+        c, cc = (x[a] for x in self.chain())
+        us = u * s
+        var = np.einsum("dk,de,ek->k", us, cc, us) - (us.T @ c[:, 0]) ** 2
+        return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
 def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
                     load_truth, prev_dg) -> _BatchEval:
     _keep_freed_memory()
     cfg = world.cfg
-    n = world.n_agents
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
-    width, m = 6 * world.horizon, len(world.table)
     # every round draws what is missing, so exactly cfg.batch are accepted
-    actions = np.empty((cfg.batch, n, width))
-    rewards = np.empty((cfg.batch, n))
-    j_values = np.empty((cfg.batch, m))
-    cols = np.empty((cfg.batch, n, width, m + 1))
-    count = 0
-    discards = 0
+    batch = _BatchEval(evals, len(world.table), cfg.batch)
+    n, width = batch.mu.shape
     limit = max(4, cfg.batch)
-    while count < cfg.batch:
-        need = cfg.batch - count
+    while batch.count < cfg.batch:
+        need = cfg.batch - batch.count
         draws = np.empty((need, n, width))
         for a in range(n):
-            mu, s2 = evals[a].mu, evals[a].sigma2
-            draws[:, a, :] = mu[None, :] + np.sqrt(s2)[None, :] * \
+            draws[:, a, :] = batch.mu[a] + np.sqrt(batch.sigma2[a]) * \
                 rng.standard_normal((need, width))
         for first in range(0, need, _STACK_DRAWS):
-            part, _ = _evaluate_draws(world,
-                                      draws[first:first + _STACK_DRAWS],
-                                      irr_truth, load_truth, prev_dg,
-                                      cols_out=cols[count:])
-            for ok in part.accepted:
-                if not ok:
-                    discards += 1
-                    if discards > limit:
-                        raise EpisodeAborted(
-                            f"update {tag}: {discards} power-flow failures "
-                            f"exceed the limit of max(4, batch) = {limit}")
-            done = count + part.actions.shape[0]
-            actions[count:done] = part.actions
-            rewards[count:done] = part.rewards
-            j_values[count:done] = part.returns
-            count = done
-    g, b, g_se = _batch_gradients(evals, actions, cols)
-    return _BatchEval(g, b, j_values.mean(axis=0), rewards.mean(axis=0),
-                      discards, g_se)
-
-
-def _batch_gradients(evals: list[PolicyEval], actions: np.ndarray,
-                     cols: np.ndarray):
-    """Per agent: batch-mean reward gradient g (P,), row gradients b
-    (P, M), and the standard error of g, chained once per agent from the
-    accepted draws (S, N, 6T) and their gradient columns (S, N, 6T, M+1)."""
-    g, b, g_se = [], [], []
-    for a, ev in enumerate(evals):
-        acts = np.ascontiguousarray(actions[:, a])
-        mean = chain_sample_to_parameters(ev, acts, cols[:, a])
-        per_sample = chain_reward_samples(
-            ev, acts, np.ascontiguousarray(cols[:, a, :, 0]))
-        var = np.maximum(np.mean(per_sample ** 2, axis=1) - mean[:, 0] ** 2,
-                         0.0)
-        g.append(mean[:, 0])
-        b.append(mean[:, 1:])
-        g_se.append(np.sqrt(var / actions.shape[0]))
-    return g, b, g_se
+            part, cols = _evaluate_draws(world,
+                                         draws[first:first + _STACK_DRAWS],
+                                         irr_truth, load_truth, prev_dg)
+            for _ in np.flatnonzero(~part.accepted):
+                batch.discards += 1
+                if batch.discards > limit:
+                    raise EpisodeAborted(
+                        f"update {tag}: {batch.discards} power-flow failures "
+                        f"exceed the limit of max(4, batch) = {limit}")
+            batch.add(part, cols)
+            del cols                 # freed before the next stack runs
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -679,34 +693,31 @@ class _RowLayout:
         return cls(global_idx, local_idx, removed_mask)
 
 
-def _span_basis(factor: np.ndarray):
-    """Orthonormal basis V (P, k) of the span of the Fisher rows F and
-    the singular values S (k,) of F in it, so that F V = U S.
-
-    From the eigendecomposition of the small Gram matrix F F^T.  Its
-    eigenvalues at or below its round-off, k * eps * max, are zero to
-    working precision and are dropped, so rank-deficient rows give a
-    smaller k and no spurious directions.
-    """
+def _gram_eigen(factor: np.ndarray):
+    """Eigenvectors U (2D, k) and singular values S (k,) of the Fisher
+    rows F from the small Gram matrix F F^T, so that V = F^T U / S is an
+    orthonormal basis of span(F^T).  Eigenvalues at or below its
+    round-off, k * eps * max, are zero to working precision and are
+    dropped, so rank-deficient rows give a smaller k and no spurious
+    directions."""
     w, u = np.linalg.eigh(factor @ factor.T)
     keep = w > w[-1] * w.size * np.finfo(float).eps
-    s = np.sqrt(w[keep])
-    return (factor.T @ u[:, keep]) / s, s
+    return u[:, keep], np.sqrt(w[keep])
 
 
 def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
                 factors, d_vec, layout: _RowLayout):
     """Stages II-V iterated to the parameter-change stopping rule.
 
-    factors[a] holds the Fisher rows of agent a at the anchor (see
-    PolicyEval.fisher_factor).  The reward gradient, every row gradient
-    and so every step lie in the span of those rows, so agent a iterates
-    on the coordinates z of theta = thetas0[a] + V z in the orthonormal
-    basis V of _span_basis, at most 2 * 6T of them.  There the trust
-    quadratic is trust_quadratic(diag(S), z) and |dz| = |dtheta|.  The
-    reduced algebra is formed once per agent here; no parameter-length
-    vector is touched inside the loop.  The prices start at lambdas0, or
-    at zero when it is None.
+    factors[a] holds the Fisher rows F of agent a at the anchor (see
+    PolicyEval.fisher_factor).  Every gradient is F^T c for a column c
+    of the batch's chain C, so agent a iterates on the coordinates z of
+    theta = thetas0[a] + V z in the orthonormal basis V = F^T U / S of
+    span(F^T) (_gram_eigen), at most 2 * 6T of them.  There F^T c reads
+    S U^T c, the trust quadratic is trust_quadratic(diag(S), z) and
+    |dz| = |dtheta|.  Only the columns an agent reads are reduced, and
+    the one parameter-length vector is the result thetas0[a] +
+    F^T (U z / S).  The prices start at lambdas0, or at zero when None.
     """
     cfg = world.cfg
     n = world.n_agents
@@ -716,17 +727,19 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     removed_mask = layout.removed_mask
     d_global = d_vec[layout.global_idx]
     j0_global = batch.j_values[layout.global_idx]
-    bases, metrics, g, b_glob, rows, rows_c = [], [], [], [], [], []
+    back, metrics, g, b_glob, rows, rows_c = [], [], [], [], [], []
+    chain, _ = batch.chain()
     for a, li in enumerate(layout.local_idx):
-        v, s = _span_basis(factors[a])
-        bases.append(v)
+        u, s = _gram_eigen(factors[a])
+        us, c = u * s, chain[a]
+        back.append(u / s)
         metrics.append(np.diag(s))
-        g.append(v.T @ batch.g[a])
-        b_glob.append(v.T @ batch.b[a][:, layout.global_idx])
+        g.append(us.T @ c[:, 0])
+        b_glob.append(us.T @ c[:, 1 + layout.global_idx])
         # local rows as C-contiguous (m, k) so the projection sweeps read rows
-        rows.append(np.ascontiguousarray(batch.b[a][:, li].T @ v))
+        rows.append(c[:, 1 + li].T @ us)
         rows_c.append(d_vec[li] - batch.j_values[li])
-    origins = [np.zeros(v.shape[1]) for v in bases]
+    origins = [np.zeros(w.shape[1]) for w in back]
     zs = [o.copy() for o in origins]
     traj: list[np.ndarray] = []
     converged = False
@@ -755,7 +768,8 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
         if change <= cfg.dtheta:
             converged = True
             break
-    thetas = [t0 + v @ z for t0, v, z in zip(thetas0, bases, zs)]
+    thetas = [t0 + f.T @ (w @ z)
+              for t0, f, w, z in zip(thetas0, factors, back, zs)]
     return thetas, lambdas, iterations, converged, traj
 
 

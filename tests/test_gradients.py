@@ -399,7 +399,7 @@ class TestBundleEndToEnd:
         from smaspl.microgrid import (constraint_returns, make_state_vector,
                                       reward_return)
         from smaspl.scenario import load_scenario
-        from smaspl.training import (_batch_gradients, _evaluate_draws,
+        from smaspl.training import (_BatchEval, _evaluate_draws,
                                      build_agents, build_world)
 
         sc = load_scenario("scenarios/tiny_oracle.yaml")
@@ -438,13 +438,17 @@ class TestBundleEndToEnd:
         ev0 = agent.evaluate(state)
         acts0 = ev0.mu[None, :] + np.sqrt(ev0.sigma2)[None, :] * eps
         p_mu = agent.mean_net.n_params
-        # the trainer's path: stacked action columns, then one batch chain
+        # the trainer's path: stacked action columns streamed into the
+        # batch sums, then F^T C through the Fisher rows
         res, cols = _evaluate_draws(world, acts0[:, None, :], irr, load,
                                     np.zeros(1))
         assert res.accepted.all()
-        g_all, b_all, _ = _batch_gradients([ev0], res.actions, cols)
-        g = g_all[0][:p_mu]
-        b = b_all[0][:p_mu, m_row]
+        batch = _BatchEval([ev0], len(world.table), len(eps))
+        batch.add(res, cols)
+        c, _ = batch.chain()
+        full = ev0.fisher_factor().T @ c[0]
+        g = full[:p_mu, 0]
+        b = full[:p_mu, 1 + m_row]
 
         h = 1e-5
         rng = np.random.default_rng(9)

@@ -1,11 +1,14 @@
 """The consensus inner loop runs in the span of the Fisher rows.
 
 `training._inner_loop` iterates on the coordinates z of
-theta = theta0 + V z, where V is an orthonormal basis of span(F^T) and
-F the agent's Fisher rows.  That is exact only if the reward gradient g
-and every row gradient b lie in that span: checked here on a real
-batch.  The loop is checked against the parameter-space loop it
-replaced, and on rank-deficient Fisher rows.
+theta = theta0 + V z, where V = F^T U / S is an orthonormal basis of
+span(F^T), F the agent's Fisher rows and F F^T = U S^2 U^T.  That is
+exact only if the reward gradient g and every row gradient b lie in
+that span.  The batch keeps them as the chain matrix C with
+F^T C = (g, b): checked here against the parameter-space chain of the
+batch's accepted draws.  The loop is checked against the
+parameter-space loop it replaced, fed F^T C, and on rank-deficient
+Fisher rows.
 """
 
 import functools
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 from smaspl import training
+from smaspl.gradients import chain_sample_to_parameters
 from smaspl.scenario import load_scenario
 from smaspl.training import (
     AgentChannelGraph,
@@ -30,7 +34,9 @@ from smaspl.training import (
 @functools.lru_cache(maxsize=None)
 def first_update(name, seed=None):
     """The inputs of episode 0's first anchored update, as train() builds
-    them: (world, thetas0, batch, factors, layout)."""
+    them: (world, thetas0, batch, factors, layout), and the batch's
+    accepted draws (A, N, 6T) with their gradient columns
+    (A, N, 6T, M+1), recorded as the batch evaluates them."""
     sc = load_scenario(f"scenarios/{name}")
     if seed is not None:
         sc.seed = seed
@@ -39,16 +45,35 @@ def first_update(name, seed=None):
     dec = training._Decision.of(world, agents, frozenset(),
                                 world.window_start(0), world.seed, 0, None)
     evals = [ag.evaluate(dec.states[a]) for a, ag in enumerate(agents)]
-    batch = training._evaluate_batch(world, agents, evals, [0], dec.irr_truth,
-                                     dec.load_truth, dec.prev_dg)
+    evaluate, seen = training._evaluate_draws, []
+
+    def recording(*args):
+        ev, cols = evaluate(*args)
+        seen.append((ev.actions, cols))
+        return ev, cols
+
+    training._evaluate_draws = recording
+    try:
+        batch = training._evaluate_batch(world, agents, evals, [0],
+                                         dec.irr_truth, dec.load_truth,
+                                         dec.prev_dg)
+    finally:
+        training._evaluate_draws = evaluate
     thetas0 = [ag.get_theta().copy() for ag in agents]
     factors = [ev.fisher_factor() for ev in evals]
-    return world, thetas0, batch, factors, dec.layout
+    draws = (evals, np.concatenate([a for a, _ in seen]),
+             np.concatenate([c for _, c in seen]))
+    return world, thetas0, batch, factors, dec.layout, draws
+
+
+def parameter_gradients(batch, factors):
+    """Per agent F^T C (P, M+1): the reward gradient, then every row's."""
+    return [f.T @ c for f, c in zip(factors, batch.chain()[0])]
 
 
 def span_of(factor):
     """Orthonormal basis of span(F^T) from an SVD, independent of the
-    Gram-matrix route `_span_basis` takes."""
+    Gram-matrix route `_gram_eigen` takes."""
     _, s, vt = np.linalg.svd(factor, full_matrices=False)
     return vt[s > s[0] * max(factor.shape) * np.finfo(float).eps].T
 
@@ -60,8 +85,9 @@ def outside(basis, x):
 
 def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
                      layout):
-    """The inner loop as it ran before, on all P parameters: the
-    reference for the span-coordinate loop."""
+    """The inner loop as it ran before, on all P parameters and fed the
+    parameter-space gradients F^T C: the reference for the span-coordinate
+    loop."""
     cfg = world.cfg
     n = world.n_agents
     thetas = [t.copy() for t in thetas0]
@@ -70,9 +96,11 @@ def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
     removed_mask = layout.removed_mask
     d_global = d_vec[layout.global_idx]
     j0_global = batch.j_values[layout.global_idx]
-    b_glob = [b[:, layout.global_idx] for b in batch.b]
-    rows = [np.ascontiguousarray(b.T[li])
-            for b, li in zip(batch.b, layout.local_idx)]
+    grads = parameter_gradients(batch, factors)
+    g = [b[:, 0] for b in grads]
+    b_glob = [b[:, 1 + layout.global_idx] for b in grads]
+    rows = [np.ascontiguousarray(b.T[1 + li])
+            for b, li in zip(grads, layout.local_idx)]
     rows_c = [d_vec[li] - batch.j_values[li] + r @ t0
               for r, li, t0 in zip(rows, layout.local_idx, thetas0)]
     converged = False
@@ -83,7 +111,7 @@ def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
         lam_bar[:, removed_mask] = 0.0
         change = 0.0
         for a in range(n):
-            theta_bar = primal_step(thetas[a], batch.g[a], b_glob[a],
+            theta_bar = primal_step(thetas[a], g[a], b_glob[a],
                                     lam_bar[a], cfg.rho1)
             theta_new, nus[a] = project_local(
                 theta_bar, thetas0[a], rows[a], rows_c[a], factors[a],
@@ -101,7 +129,7 @@ def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
 
 
 def run_loop(loop, name, seed=None, factors=None):
-    world, thetas0, batch, own, layout = first_update(name, seed)
+    world, thetas0, batch, own, layout, _ = first_update(name, seed)
     graph = AgentChannelGraph.complete(world.n_agents)
     return loop(world, graph, thetas0, None, batch,
                 own if factors is None else factors, world.row_bounds,
@@ -109,21 +137,28 @@ def run_loop(loop, name, seed=None, factors=None):
 
 
 def test_gradients_lie_in_the_fisher_span():
-    _, _, batch, factors, _ = first_update("five_mg_lineflow.yaml", 2)
-    for factor, g, b in zip(factors, batch.g, batch.b):
+    _, _, batch, factors, _, (evals, actions, cols) = first_update(
+        "five_mg_lineflow.yaml", 2)
+    assert len(actions) == batch.count
+    grads = parameter_gradients(batch, factors)
+    for a, (factor, ev, got) in enumerate(zip(factors, evals, grads)):
+        # F^T C is the parameter-space chain of the batch's draws ...
+        chain = chain_sample_to_parameters(ev, actions[:, a], cols[:, a])
+        norms = np.linalg.norm(chain, axis=0)
+        assert np.all(np.linalg.norm(got - chain, axis=0) <= 1e-12 * norms)
+        # ... which lies in the span of the Fisher rows
         basis = span_of(factor)
         assert basis.shape[1] == factor.shape[0]
-        assert np.linalg.norm(outside(basis, g)) <= \
-            1e-12 * np.linalg.norm(g)
-        part = outside(basis, b)
-        assert np.all(np.linalg.norm(part, axis=0)
-                      <= 1e-12 * np.linalg.norm(b, axis=0))
+        assert np.all(np.linalg.norm(outside(basis, chain), axis=0)
+                      <= 1e-12 * norms)
 
 
 def test_span_basis_is_orthonormal_with_the_singular_values():
-    _, _, _, factors, _ = first_update("five_mg_lineflow.yaml", 2)
-    v, s = training._span_basis(factors[0])
+    factors = first_update("five_mg_lineflow.yaml", 2)[3]
+    u, s = training._gram_eigen(factors[0])
+    v = factors[0].T @ u / s
     assert np.abs(v.T @ v - np.eye(len(s))).max() <= 1e-13
+    assert np.abs(u.T @ u - np.eye(len(s))).max() <= 1e-13
     assert np.allclose(np.sort(s)[::-1],
                        np.linalg.svd(factors[0], compute_uv=False),
                        rtol=1e-12, atol=0)
@@ -151,7 +186,8 @@ def test_matches_the_parameter_space_loop(name, seed):
 
 
 def test_rank_deficient_factor():
-    world, thetas0, _, factors, _ = first_update("five_mg_lineflow.yaml", 2)
+    world, thetas0, _, factors, _, _ = first_update("five_mg_lineflow.yaml",
+                                                   2)
     deficient = []
     for f in factors:
         f = f.copy()
@@ -168,7 +204,8 @@ def test_rank_deficient_factor():
         # the Gram matrix's round-off eigenvalues (about 1e-16 of the
         # largest here) give no basis vectors: those would be far from
         # unit length
-        v, s = training._span_basis(f)
+        u, s = training._gram_eigen(f)
+        v = f.T @ u / s
         assert len(s) == basis.shape[1]
         assert np.abs(v.T @ v - np.eye(len(s))).max() <= 1e-13
         step = theta - theta0

@@ -53,5 +53,4 @@ def test_traced_names_resolve_through_a_training_episode():
         assert type(span.attrs["iterations"]) is int
         assert type(span.attrs["converged"]) is bool
     names = {s.name for s in tracer.spans}
-    assert {"training.train_episode", "training.project_local",
-            "gradients.chain_sample_to_parameters"} <= names
+    assert {"training.train_episode", "training.project_local"} <= names

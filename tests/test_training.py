@@ -424,7 +424,7 @@ class TestEpisodeInvariants:
 
     def test_batch_mean_stability(self):
         from smaspl.microgrid import make_state_vector
-        from smaspl.training import _evaluate_batch
+        from smaspl.training import _evaluate_batch, _gram_eigen
         world = small_world(batch=32)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, 4)
@@ -436,10 +436,82 @@ class TestEpisodeInvariants:
         b64 = _evaluate_batch(world, agents, evals, [1], irr, load,
                               np.zeros(2))
         for a in range(2):
-            se = np.sqrt(b32.g_se[a] ** 2 + b64.g_se[a] ** 2)
-            diff = np.abs(b64.g[a] - b32.g[a])
+            # in the span coordinates the inner loop runs in
+            u, s = _gram_eigen(evals[a].fisher_factor())
+            se = np.sqrt(b32.reward_se(a, u, s) ** 2
+                         + b64.reward_se(a, u, s) ** 2)
+            c64, c32 = b64.chain()[0][a], b32.chain()[0][a]
+            diff = np.abs(s * (u.T @ (c64[:, 0] - c32[:, 0])))
             # entrywise within a generous multiple of the combined error
             assert np.all(diff <= 6.0 * se + 1e-12)
+
+    def test_reward_noise_matches_the_parameter_space_chain(self):
+        # the reduced reward gradient and its standard error have the
+        # norms of the parameter-space ones: V^T is an isometry on the
+        # span they lie in, and the trace of a covariance does not depend
+        # on the orthonormal basis
+        from smaspl.microgrid import make_state_vector
+        from smaspl.gradients import chain_sample_to_parameters
+        from smaspl.training import _BatchEval, _evaluate_draws, _gram_eigen
+        world = small_world()
+        agents = build_agents(world)
+        irr, load = world.profiles.window(0, world.horizon)
+        states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
+        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+        rng = np.random.default_rng(4)
+        draws = np.stack([
+            np.stack([ev.mu + np.sqrt(ev.sigma2)
+                      * rng.standard_normal(ev.mu.size) for ev in evals])
+            for _ in range(24)])
+        res, cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
+        assert res.accepted.all()
+        batch = _BatchEval(evals, len(world.table), len(draws))
+        batch.add(res, cols)
+        c, _ = batch.chain()
+        for a, ev in enumerate(evals):
+            per_sample = np.stack([
+                chain_sample_to_parameters(ev, acts, col)[:, 0]
+                for acts, col in zip(res.actions[:, a], cols[:, a])])
+            g = per_sample.mean(axis=0)
+            var = np.mean((per_sample - g) ** 2, axis=0)
+            se = np.sqrt(var / len(per_sample))
+            u, s = _gram_eigen(ev.fisher_factor())
+            g_red = s * (u.T @ c[a][:, 0])
+            se_red = batch.reward_se(a, u, s)
+            assert np.linalg.norm(g_red) == pytest.approx(
+                np.linalg.norm(g), rel=1e-12)
+            assert np.linalg.norm(se_red) == pytest.approx(
+                np.linalg.norm(se), rel=1e-9)
+            assert 0.05 < np.linalg.norm(se) / np.linalg.norm(g) < 5.0
+
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        # the batch streams each stack of draws into sums: a batch four
+        # times larger adds only its (batch, M) returns and (batch, N)
+        # rewards (about 0.09 MB here) to a peak of about 1.1 MB, while a
+        # buffer of every draw's gradient columns would grow it 2.7 times
+        import tracemalloc
+        from smaspl.microgrid import make_state_vector
+        from smaspl.training import _evaluate_batch
+
+        def peak(batch):
+            world = small_world(batch=batch)
+            agents = build_agents(world)
+            irr, load = world.profiles.window(0, world.horizon)
+            states = [make_state_vector(irr[:, a], load[:, a])
+                      for a in range(2)]
+            evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                _evaluate_batch(world, agents, evals, [0], irr, load,
+                                np.zeros(2))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(32), peak(128)
+        assert large <= 1.25 * small, (small, large)
 
     def test_one_factorization_per_sample_step(self):
         from smaspl.gradients import factorization_count
@@ -458,9 +530,10 @@ class TestEpisodeInvariants:
 
 class TestBatchChain:
     def test_batch_chain_matches_per_sample_loop(self):
+        from smaspl.gradients import chain_sample_to_parameters
         from smaspl.microgrid import make_state_vector
         from smaspl.policy import cov_chain_factor
-        from smaspl.training import _batch_gradients, _evaluate_draws
+        from smaspl.training import _BatchEval, _evaluate_draws
         world = small_world(batch=6)
         agents = build_agents(world)
         irr, load = world.profiles.window(0, world.horizon)
@@ -473,34 +546,28 @@ class TestBatchChain:
             for _ in range(6)])
         res, res_cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        g, b, g_se = _batch_gradients(evals, res.actions, res_cols)
+        batch = _BatchEval(evals, len(world.table), len(draws))
+        batch.add(res, res_cols)
+        c, _ = batch.chain()
         s = len(draws)
         for a, ev in enumerate(evals):
+            got = ev.fisher_factor().T @ c[a]
             # reference: chain every sample, then average (unit mean
-            # factor).  Summing before chaining reorders the arithmetic, so
-            # entries agree to 1e-12 relative to the magnitude sum
-            # |J|^T |columns| they are computed from.
+            # factor).  Summing in action space and chaining through the
+            # Fisher rows reorders the arithmetic, so entries agree to
+            # 1e-12 relative to the magnitude sum |J|^T |columns| they
+            # are computed from.
             acc = 0.0
             mag = 0.0
-            sq = 0.0
             for acts, cols in zip(res.actions[:, a], res_cols[:, a]):
                 u = cov_chain_factor(acts, ev.mu, ev.sigma2)
-                cols_sig = cols * u[:, None]
-                contrib = np.vstack([ev.jac_mu.T @ cols,
-                                     ev.jac_sigma2.T @ cols_sig])
-                acc = acc + contrib
+                acc = acc + chain_sample_to_parameters(ev, acts, cols)
                 mag = mag + np.vstack([
                     np.abs(ev.jac_mu.T) @ np.abs(cols),
-                    np.abs(ev.jac_sigma2.T) @ np.abs(cols_sig)])
-                sq = sq + contrib[:, 0] ** 2
+                    np.abs(ev.jac_sigma2.T) @ np.abs(cols * u[:, None])])
             acc = acc / s
             mag = mag / s
-            var = np.maximum(sq / s - acc[:, 0] ** 2, 0.0)
-            assert np.all(np.abs(g[a] - acc[:, 0]) <= 1e-12 * mag[:, 0])
-            assert np.all(np.abs(b[a] - acc[:, 1:]) <= 1e-12 * mag[:, 1:])
-            # g_se^2 * S is the variance E[c^2] - E[c]^2, whose cancellation
-            # scales the error by E[c^2]
-            assert np.all(np.abs(g_se[a] ** 2 * s - var) <= 1e-12 * sq / s)
+            assert np.all(np.abs(got - acc) <= 1e-12 * mag)
 
     def test_abort_message_states_the_limit(self, monkeypatch):
         import smaspl.training as training
@@ -634,16 +701,17 @@ class TestStackedBatch:
         second = self.draw(rng, evals, 1)
         kept = np.concatenate([first[[0, 2, 3]], second])
         ref, ref_cols = training._evaluate_draws(world, kept, irr, load, prev)
-        g, b, _ = training._batch_gradients(evals, ref.actions, ref_cols)
+        ref_batch = training._BatchEval(evals, len(world.table), len(kept))
+        ref_batch.add(ref, ref_cols)
+        c, _ = ref_batch.chain()
+        got_c, _ = got.chain()
         np.testing.assert_allclose(got.j_values, ref.returns.mean(axis=0),
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(got.rewards, ref.rewards.mean(axis=0),
                                    rtol=1e-10)
         for a in range(2):
-            np.testing.assert_allclose(got.g[a], g[a], rtol=1e-10,
-                                       atol=1e-12 * np.abs(g[a]).max())
-            np.testing.assert_allclose(got.b[a], b[a], rtol=1e-10,
-                                       atol=1e-12 * np.abs(b[a]).max())
+            np.testing.assert_allclose(got_c[a], c[a], rtol=1e-10,
+                                       atol=1e-12 * np.abs(c[a]).max())
 
     def test_stacks_of_draws_match_one_stack(self, monkeypatch):
         import smaspl.training as training
@@ -679,9 +747,8 @@ class TestStackedBatch:
         assert whole.discards == split.discards == 1
         np.testing.assert_array_equal(split.j_values, whole.j_values)
         np.testing.assert_array_equal(split.rewards, whole.rewards)
-        for a in range(2):
-            np.testing.assert_array_equal(split.g[a], whole.g[a])
-            np.testing.assert_array_equal(split.b[a], whole.b[a])
+        for got, ref in zip(split.chain(), whole.chain()):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestWindowStart:
