@@ -49,7 +49,6 @@ from .scenario import (
     synth_profiles,
 )
 from .training import (
-    AgentChannelGraph,
     World,
     build_agents,
     build_world,
@@ -71,7 +70,7 @@ __all__ = [
     "ForecastErrorParams", "ProfileSeries", "Scenario", "load_grid_file",
     "load_profiles",
     "load_scenario", "perturb_network", "synth_profiles",
-    "AgentChannelGraph", "TrainerConfig", "World", "build_agents",
-    "build_world", "select_actions_online", "train",
+    "TrainerConfig", "World", "build_agents", "build_world",
+    "select_actions_online", "train",
     "run_all_audits",
 ]

@@ -3,15 +3,18 @@
 One training episode anchors every gradient at the current parameters,
 then iterates four stages until the parameter change stalls:
 
-  II.  weighted averaging of the neighbours' dual-price vectors,
+  II.  the mean of the agents' prices,
   III. primal step (ascent on reward, descent on the price-weighted
        shared-network constraint gradients),
   IV.  projection onto the agent's linearized local rows inside the
        Fisher-metric trust region,
   V.   projected dual ascent on the shared-network row residuals.
 
-Agents exchange nothing but dual-price vectors: the message bus type
-physically cannot carry parameters or gradients.
+Agents share nothing but dual prices.  An agent's steps read its own
+batch columns and Fisher rows, the batch-mean returns, the bounds and
+the price mean; so after one iteration, scaling another agent's columns
+and Fisher rows leaves its parameters and prices bit-identical
+(TestPriceBoundary in tests/test_training.py).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from .grid import GridModel, PowerFlowStack, solve_power_flow_stack
 from .gradients import (
@@ -60,16 +62,12 @@ from .scenario import (Scenario, TrainerConfig, forecast_with_error,
                        perturb_network)
 
 __all__ = [
-    "LambdaMessage",
-    "LambdaBus",
-    "AgentChannelGraph",
     "TrainingState",
     "EpisodeRecord",
     "World",
     "WindowEval",
     "EpisodeAborted",
     "ProjectionInfeasible",
-    "consensus_average",
     "primal_step",
     "trust_quadratic",
     "project_local",
@@ -125,89 +123,6 @@ def _keep_freed_memory() -> None:
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
-
-# ---------------------------------------------------------------------------
-# Message bus (privacy boundary)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LambdaMessage:
-    """The only inter-agent message: a dual-price vector, nothing else."""
-
-    sender: int
-    iteration: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise TypeError("lambda message must carry a flat price vector")
-        object.__setattr__(self, "values", v)
-
-
-class LambdaBus:
-    """Bulk-synchronous mailbox; accepts LambdaMessage instances only."""
-
-    def __init__(self, n_agents: int):
-        self.n_agents = n_agents
-        self._slots: dict[int, dict[int, LambdaMessage]] = {}
-
-    def post(self, msg) -> None:
-        if not isinstance(msg, LambdaMessage):
-            raise TypeError(
-                "bus carries LambdaMessage only; policy parameters and "
-                "gradients never cross the agent boundary")
-        self._slots.setdefault(msg.iteration, {})[msg.sender] = msg
-
-    def collect(self, iteration: int) -> np.ndarray:
-        slot = self._slots.get(iteration, {})
-        if len(slot) != self.n_agents:
-            missing = sorted(set(range(self.n_agents)) - set(slot))
-            raise RuntimeError(
-                f"iteration {iteration}: missing messages from {missing}")
-        rows = [slot[i].values for i in range(self.n_agents)]
-        self._slots.pop(iteration, None)
-        return np.stack(rows)
-
-
-# ---------------------------------------------------------------------------
-# Communication graph
-# ---------------------------------------------------------------------------
-
-class AgentChannelGraph:
-    """Doubly stochastic averaging weights over a connected agent graph."""
-
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=float)
-        n = w.shape[0]
-        if w.shape != (n, n):
-            raise ValueError("weight matrix must be square")
-        if np.any(w < -1e-15):
-            raise ValueError("weights must be nonnegative")
-        if (np.max(np.abs(w.sum(axis=0) - 1.0)) > 1e-12
-                or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12):
-            raise ValueError("weight matrix must be doubly stochastic")
-        count, _ = scipy.sparse.csgraph.connected_components(
-            w > 0, directed=False)
-        if count != 1:
-            raise ValueError("agent graph must be connected")
-        self.weights = w
-
-    @property
-    def n_agents(self) -> int:
-        return self.weights.shape[0]
-
-    @classmethod
-    def complete(cls, n: int):
-        """Complete graph with uniform weights 1/n (self-loops included)."""
-        return cls(np.full((n, n), 1.0 / n))
-
-
-def consensus_average(graph: AgentChannelGraph,
-                      lambdas: np.ndarray) -> np.ndarray:
-    """Weighted averaging: row n is agent n's blend of received vectors."""
-    return graph.weights @ lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +506,8 @@ class _BatchEval:
         return np.sqrt(np.maximum(var, 0.0) / self.count)
 
 
-def _evaluate_batch(world: World, agents, evals, sample_tag, irr_truth,
-                    load_truth, prev_dg) -> _BatchEval:
+def _evaluate_batch(world: World, evals, sample_tag, irr_truth, load_truth,
+                    prev_dg) -> _BatchEval:
     _keep_freed_memory()
     cfg = world.cfg
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
@@ -653,16 +568,15 @@ class EpisodeRecord:
 
 def postprocess_complementarity(actions: np.ndarray,
                                 horizon: int) -> np.ndarray:
-    """Zero the smaller of (charge, discharge) per step before dispatch."""
-    out = actions.copy()
-    for a in range(out.shape[0]):
-        blk = out[a].reshape(6, horizon)
-        ch, dis = blk[1].copy(), blk[2].copy()
-        keep_ch = ch >= dis
-        blk[1] = np.where(keep_ch, np.maximum(ch, 0.0), 0.0)
-        blk[2] = np.where(keep_ch, 0.0, np.maximum(dis, 0.0))
-        out[a] = blk.reshape(-1)
-    return out
+    """Zero the smaller of (charge, discharge) per step before dispatch;
+    the larger is kept, clipped at zero (charge on a tie)."""
+    blk = actions.reshape(-1, 6, horizon)
+    ch, dis = blk[:, 1], blk[:, 2]
+    keep_ch = ch >= dis
+    out = blk.copy()
+    out[:, 1] = np.where(keep_ch, np.maximum(ch, 0.0), 0.0)
+    out[:, 2] = np.where(keep_ch, 0.0, np.maximum(dis, 0.0))
+    return out.reshape(actions.shape)
 
 
 def _dispatch_actions_mean(agents, states, horizon) -> np.ndarray:
@@ -705,9 +619,12 @@ def _gram_eigen(factor: np.ndarray):
     return u[:, keep], np.sqrt(w[keep])
 
 
-def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
-                factors, d_vec, layout: _RowLayout):
+def _inner_loop(world: World, thetas0, lambdas0, batch: _BatchEval, factors,
+                d_vec, layout: _RowLayout):
     """Stages II-V iterated to the parameter-change stopping rule.
+
+    Stage II is the mean of the agents' prices, zero on the removed
+    rows; every agent's primal and dual steps read that one vector.
 
     factors[a] holds the Fisher rows F of agent a at the anchor (see
     PolicyEval.fisher_factor).  Every gradient is F^T c for a column c
@@ -721,7 +638,6 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     """
     cfg = world.cfg
     n = world.n_agents
-    bus = LambdaBus(n)
     lambdas = (np.zeros((n, len(layout.global_idx))) if lambdas0 is None
                else lambdas0.copy())
     removed_mask = layout.removed_mask
@@ -746,18 +662,15 @@ def _inner_loop(world: World, graph, thetas0, lambdas0, batch: _BatchEval,
     iterations = 0
     nus = [np.zeros(len(li)) for li in layout.local_idx]
     for k in range(1, cfg.kmax + 1):
-        for a in range(n):
-            bus.post(LambdaMessage(sender=a, iteration=k,
-                                   values=lambdas[a]))
-        lam_bar = consensus_average(graph, bus.collect(k))
-        lam_bar[:, removed_mask] = 0.0
+        lam_bar = lambdas.mean(axis=0)
+        lam_bar[removed_mask] = 0.0
         change = 0.0
         for a in range(n):
-            z_bar = primal_step(zs[a], g[a], b_glob[a], lam_bar[a], cfg.rho1)
+            z_bar = primal_step(zs[a], g[a], b_glob[a], lam_bar, cfg.rho1)
             z_new, nus[a] = project_local(z_bar, origins[a], rows[a],
                                           rows_c[a], metrics[a], cfg.delta,
                                           nus[a])
-            lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a], z_new,
+            lambdas[a] = dual_step(lam_bar, j0_global, b_glob[a], z_new,
                                    origins[a], cfg.rho2, d_global)
             lambdas[a, removed_mask] = 0.0
             dz = z_new - zs[a]
@@ -808,20 +721,19 @@ class _Decision:
         return _RowLayout.of(self.world, self.removed)
 
 
-def _anchored_update(dec: _Decision, graph: AgentChannelGraph, anchor,
-                     lambdas0, d_work, sample_tag):
+def _anchored_update(dec: _Decision, anchor, lambdas0, d_work, sample_tag):
     """Measure a batch at the anchor parameters, iterate stages II-V
-    over graph against the bounds d_work and leave the agents at the
-    result.  Returns the batch and _inner_loop's (thetas, lambdas,
-    iterations, converged, lambda log)."""
+    against the bounds d_work and leave the agents at the result.
+    Returns the batch and _inner_loop's (thetas, lambdas, iterations,
+    converged, lambda log)."""
     for ag, theta in zip(dec.agents, anchor):
         ag.set_theta(theta)
     evals = [ag.evaluate(dec.states[a]) for a, ag in enumerate(dec.agents)]
-    batch = _evaluate_batch(dec.world, dec.agents, evals, sample_tag,
-                            dec.irr_truth, dec.load_truth, dec.prev_dg)
+    batch = _evaluate_batch(dec.world, evals, sample_tag, dec.irr_truth,
+                            dec.load_truth, dec.prev_dg)
     factors = [ev.fisher_factor() for ev in evals]
-    out = _inner_loop(dec.world, graph, anchor, lambdas0, batch, factors,
-                      d_work, dec.layout)
+    out = _inner_loop(dec.world, anchor, lambdas0, batch, factors, d_work,
+                      dec.layout)
     for ag, theta in zip(dec.agents, out[0]):
         ag.set_theta(theta)
     return batch, out
@@ -861,7 +773,7 @@ def _gate(dec: _Decision, draw, reupdate):
 
 
 def train_episode(world: World, agents: list[GaussianPolicy],
-                  state: TrainingState, graph: AgentChannelGraph, *,
+                  state: TrainingState, *,
                   removed: set[str] = frozenset()) -> EpisodeRecord:
     cfg = world.cfg
     n = world.n_agents
@@ -869,13 +781,13 @@ def train_episode(world: World, agents: list[GaussianPolicy],
     dec = _Decision.of(world, agents, removed, world.window_start(episode),
                        world.seed, episode, state.prev_dg)
     batch, (thetas, lambdas, iters, converged, traj) = _anchored_update(
-        dec, graph, state.thetas, None, world.row_bounds, [episode])
+        dec, state.thetas, None, world.row_bounds, [episode])
 
     def reupdate(d_work, rounds):
         # the prices carry over from the update before
         nonlocal thetas, lambdas, iters, converged
         _, (thetas, lambdas, more, converged, log) = _anchored_update(
-            dec, graph, thetas, lambdas, d_work, [episode, rounds])
+            dec, thetas, lambdas, d_work, [episode, rounds])
         iters += more
         traj.extend(log)
 
@@ -935,13 +847,12 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
         tokens = ["all"]
     removed = resolve_removed_rows(world.table, tokens)
     n = world.n_agents
-    graph = AgentChannelGraph.complete(n)
     state = TrainingState(thetas=[ag.get_theta() for ag in agents],
                           prev_dg=np.zeros(n))
     records = []
     for _ in range(episodes):
         t0 = time.perf_counter()
-        rec = train_episode(world, agents, state, graph, removed=removed)
+        rec = train_episode(world, agents, state, removed=removed)
         rec.wall_clock_s = time.perf_counter() - t0
         records.append(rec)
     return records, agents, state
@@ -984,8 +895,7 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
         nonlocal lambdas
         anchor = [ag.get_theta() for ag in agents]
         _, (_, lambdas, *_) = _anchored_update(
-            dec, AgentChannelGraph.complete(n), anchor, lambdas, d_work,
-            [window_start, rounds])
+            dec, anchor, lambdas, d_work, [window_start, rounds])
 
     actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate)
     if verdict == "pf-failure":

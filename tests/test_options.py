@@ -9,6 +9,7 @@ import inspect
 
 import pytest
 
+import smaspl
 from smaspl import (gradients, grid, microgrid, policy, scenario, training,
                     verify)
 
@@ -41,5 +42,9 @@ def test_keyword_parameters(fn, expected):
 
 
 def test_deleted_names_stay_deleted():
-    assert not hasattr(training.AgentChannelGraph, "metropolis")
+    for name in ("LambdaMessage", "LambdaBus", "AgentChannelGraph",
+                 "consensus_average"):
+        assert not hasattr(training, name)
+    assert not hasattr(smaspl, "AgentChannelGraph")
+    assert "AgentChannelGraph" not in smaspl.__all__
     assert not hasattr(gradients, "reset_factorization_count")

@@ -20,10 +20,8 @@ from smaspl import training
 from smaspl.gradients import chain_sample_to_parameters
 from smaspl.scenario import load_scenario
 from smaspl.training import (
-    AgentChannelGraph,
     build_agents,
     build_world,
-    consensus_average,
     dual_step,
     primal_step,
     project_local,
@@ -54,9 +52,8 @@ def first_update(name, seed=None):
 
     training._evaluate_draws = recording
     try:
-        batch = training._evaluate_batch(world, agents, evals, [0],
-                                         dec.irr_truth, dec.load_truth,
-                                         dec.prev_dg)
+        batch = training._evaluate_batch(world, evals, [0], dec.irr_truth,
+                                         dec.load_truth, dec.prev_dg)
     finally:
         training._evaluate_draws = evaluate
     thetas0 = [ag.get_theta().copy() for ag in agents]
@@ -83,8 +80,7 @@ def outside(basis, x):
     return x - basis @ (basis.T @ x)
 
 
-def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
-                     layout):
+def dense_inner_loop(world, thetas0, lambdas0, batch, factors, d_vec, layout):
     """The inner loop as it ran before, on all P parameters and fed the
     parameter-space gradients F^T C: the reference for the span-coordinate
     loop."""
@@ -107,16 +103,16 @@ def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
     iterations = 0
     nus = [np.zeros(len(li)) for li in layout.local_idx]
     for k in range(1, cfg.kmax + 1):
-        lam_bar = consensus_average(graph, lambdas)
-        lam_bar[:, removed_mask] = 0.0
+        lam_bar = lambdas.mean(axis=0)
+        lam_bar[removed_mask] = 0.0
         change = 0.0
         for a in range(n):
-            theta_bar = primal_step(thetas[a], g[a], b_glob[a],
-                                    lam_bar[a], cfg.rho1)
+            theta_bar = primal_step(thetas[a], g[a], b_glob[a], lam_bar,
+                                    cfg.rho1)
             theta_new, nus[a] = project_local(
                 theta_bar, thetas0[a], rows[a], rows_c[a], factors[a],
                 cfg.delta, nus[a])
-            lambdas[a] = dual_step(lam_bar[a], j0_global, b_glob[a],
+            lambdas[a] = dual_step(lam_bar, j0_global, b_glob[a],
                                    theta_new, thetas0[a], cfg.rho2, d_global)
             lambdas[a, removed_mask] = 0.0
             change = max(change, float(np.linalg.norm(theta_new - thetas[a])))
@@ -130,8 +126,7 @@ def dense_inner_loop(world, graph, thetas0, lambdas0, batch, factors, d_vec,
 
 def run_loop(loop, name, seed=None, factors=None):
     world, thetas0, batch, own, layout, _ = first_update(name, seed)
-    graph = AgentChannelGraph.complete(world.n_agents)
-    return loop(world, graph, thetas0, None, batch,
+    return loop(world, thetas0, None, batch,
                 own if factors is None else factors, world.row_bounds,
                 layout)
 

@@ -1,7 +1,7 @@
 """Consensus primal-dual stage tests and small training-loop contracts."""
 
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +9,10 @@ import pytest
 from smaspl import training
 from smaspl.scenario import load_scenario
 from smaspl.training import (
-    AgentChannelGraph,
-    LambdaBus,
-    LambdaMessage,
     ProjectionInfeasible,
     backtrack_bounds,
     build_agents,
     build_world,
-    consensus_average,
     dual_step,
     primal_step,
     project_local,
@@ -33,103 +29,45 @@ def small_world(name="two_mg_binding.yaml", **training):
     return build_world(sc)
 
 
-def metropolis_graph(n, edges):
-    """Metropolis-Hastings weights (Xiao & Boyd 2004), doubly stochastic
-    on any connected graph."""
-    deg = np.zeros(n, dtype=int)
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    w = np.zeros((n, n))
-    for i, j in edges:
-        w[i, j] = w[j, i] = 1.0 / (1 + max(deg[i], deg[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return AgentChannelGraph(w)
+class TestPriceBoundary:
+    """Only prices cross the boundary between MGs: one iteration of an
+    agent's update reads its own batch columns and Fisher rows, the
+    batch-mean returns, the bounds and the mean of the prices."""
 
-
-class TestLambdaBus:
-    def test_only_price_messages_cross_the_boundary(self):
-        bus = LambdaBus(2)
-        with pytest.raises(TypeError, match="LambdaMessage"):
-            bus.post({"sender": 0, "theta": np.zeros(5)})
-        with pytest.raises(TypeError, match="LambdaMessage"):
-            bus.post(np.zeros(3))
-
-    def test_message_carries_nothing_but_prices(self):
-        names = {f.name for f in fields(LambdaMessage)}
-        assert names == {"sender", "iteration", "values"}
-        with pytest.raises(TypeError, match="flat"):
-            LambdaMessage(0, 1, np.zeros((3, 3)))  # no matrix payloads
-
-    def test_bulk_synchronous_collect(self):
-        bus = LambdaBus(2)
-        bus.post(LambdaMessage(0, 1, np.array([1.0])))
-        with pytest.raises(RuntimeError, match="missing"):
-            bus.collect(1)
-        bus.post(LambdaMessage(0, 1, np.array([1.0])))
-        bus.post(LambdaMessage(1, 1, np.array([2.0])))
-        got = bus.collect(1)
-        assert np.array_equal(got, [[1.0], [2.0]])
-
-
-class TestChannelGraph:
-    def test_non_doubly_stochastic_rejected(self):
-        assert np.array_equal(AgentChannelGraph.complete(5).weights,
-                              np.full((5, 5), 0.2))
-        for w in (np.array([[0.9, 0.1], [0.3, 0.7]]), np.full((5, 5), 0.3)):
-            with pytest.raises(ValueError, match="doubly stochastic"):
-                AgentChannelGraph(w)
-
-    def test_disconnected_rejected(self):
-        w = np.eye(4)  # doubly stochastic but no edges
-        with pytest.raises(ValueError, match="connected"):
-            AgentChannelGraph(w)
-
-    def test_metropolis_on_irregular_graph(self):
-        g = metropolis_graph(4, [(0, 1), (1, 2), (1, 3)])
-        assert np.allclose(g.weights.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(g.weights.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestConsensus:
-    def test_fixed_point(self):
-        g = AgentChannelGraph.complete(3)
-        lam = np.full((3, 4), 2.5)
-        assert np.allclose(consensus_average(g, lam), 2.5)
-
-    def test_five_agent_single_holder(self):
-        g = AgentChannelGraph.complete(5)
-        lam = np.array([[0.0], [0.0], [0.0], [0.0], [5.0]])
-        assert np.allclose(consensus_average(g, lam), 1.0)
-
-    def test_spread_contracts_geometrically(self):
-        # frozen-parameter price dynamics on a (non-complete) connected
-        # graph: the max-min spread of each row shrinks by at least the
-        # graph's mixing factor every averaging round
-        g = metropolis_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        rng = np.random.default_rng(2)
-        lam = rng.uniform(0, 4, (5, 3))
-        spreads = []
-        for _ in range(30):
-            spreads.append(lam.max(axis=0) - lam.min(axis=0))
-            lam = consensus_average(g, lam)
-        spreads = np.array(spreads)
-        eig = np.sort(np.abs(np.linalg.eigvals(g.weights)))[-2]
-        late = spreads[10:] / spreads[:-10]
-        assert np.all(late <= eig ** 10 * 1.5)
-
-    def test_repeated_averaging_reaches_mean(self):
-        # power-iteration oracle on the weight matrix
-        g = metropolis_graph(4, [(0, 1), (1, 2), (2, 3)])
+    def test_update_reads_no_other_agents_columns(self):
+        sc = load_scenario("scenarios/five_mg_lineflow.yaml")
+        sc.seed = 2
+        sc.training["kmax"] = 1
+        world = build_world(sc)
+        agents = build_agents(world)
+        dec = training._Decision.of(world, agents, frozenset(),
+                                    world.window_start(0), world.seed, 0,
+                                    None)
+        evals = [ag.evaluate(dec.states[a]) for a, ag in enumerate(agents)]
+        batch = training._evaluate_batch(world, evals, [0], dec.irr_truth,
+                                         dec.load_truth, dec.prev_dg)
+        thetas0 = [ag.get_theta() for ag in agents]
+        factors = [ev.fisher_factor() for ev in evals]
         rng = np.random.default_rng(0)
-        lam = rng.uniform(0, 3, (4, 2))
-        target = lam.mean(axis=0)
-        w_inf = np.linalg.matrix_power(g.weights, 200)
-        assert np.allclose(w_inf @ lam, target, atol=1e-10)
-        cur = lam
-        for _ in range(200):
-            cur = consensus_average(g, cur)
-        assert np.allclose(cur, target, atol=1e-10)
+        lambdas0 = rng.uniform(0.5, 2.0, (world.n_agents,
+                                          len(dec.layout.global_idx)))
+
+        def update():
+            thetas, lambdas, iters, _, _ = training._inner_loop(
+                world, thetas0, lambdas0, batch, factors, world.row_bounds,
+                dec.layout)
+            assert iters == 1
+            return thetas, lambdas
+
+        thetas, lambdas = update()
+        batch.dj[1] *= 3.0
+        batch.udj[1] *= 3.0
+        factors[1] = 2.0 * factors[1]
+        moved_thetas, moved_lambdas = update()
+        assert np.array_equal(moved_thetas[0], thetas[0])
+        assert np.array_equal(moved_lambdas[0], lambdas[0])
+        assert not np.array_equal(moved_thetas[1], thetas[1])
+        assert not np.array_equal(moved_lambdas[1], lambdas[1])
 
 
 class TestPrimalStep:
@@ -430,11 +368,9 @@ class TestEpisodeInvariants:
         irr, load = world.profiles.window(0, 4)
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
-        b32 = _evaluate_batch(world, agents, evals, [0], irr, load,
-                              np.zeros(2))
+        b32 = _evaluate_batch(world, evals, [0], irr, load, np.zeros(2))
         world.cfg.batch = 64
-        b64 = _evaluate_batch(world, agents, evals, [1], irr, load,
-                              np.zeros(2))
+        b64 = _evaluate_batch(world, evals, [1], irr, load, np.zeros(2))
         for a in range(2):
             # in the span coordinates the inner loop runs in
             u, s = _gram_eigen(evals[a].fisher_factor())
@@ -504,8 +440,7 @@ class TestEpisodeInvariants:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             try:
-                _evaluate_batch(world, agents, evals, [0], irr, load,
-                                np.zeros(2))
+                _evaluate_batch(world, evals, [0], irr, load, np.zeros(2))
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -523,7 +458,7 @@ class TestEpisodeInvariants:
         states = [make_state_vector(irr[:, a], load[:, a]) for a in range(2)]
         evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
         before = factorization_count()
-        _evaluate_batch(world, agents, evals, [0], irr, load, np.zeros(2))
+        _evaluate_batch(world, evals, [0], irr, load, np.zeros(2))
         # batch x window steps
         assert factorization_count() - before == 4 * 4
 
@@ -589,7 +524,7 @@ class TestBatchChain:
         with pytest.raises(training.EpisodeAborted,
                            match=r"5 power-flow failures exceed the limit "
                                  r"of max\(4, batch\) = 4"):
-            training._evaluate_batch(world, agents, evals, [0], irr, load,
+            training._evaluate_batch(world, evals, [0], irr, load,
                                      np.zeros(2))
 
 
@@ -689,8 +624,7 @@ class TestStackedBatch:
         monkeypatch.setattr(training, "solve_power_flow_stack",
                             fail_second_draw)
         prev = np.zeros(2)
-        got = training._evaluate_batch(world, agents, evals, [0], irr, load,
-                                       prev)
+        got = training._evaluate_batch(world, evals, [0], irr, load, prev)
         monkeypatch.undo()
         assert calls == [4 * T, 1 * T]
         assert got.discards == 1
@@ -735,8 +669,8 @@ class TestStackedBatch:
             monkeypatch.setattr(training, "solve_power_flow_stack",
                                 fail_draw_1)
             monkeypatch.setattr(training, "_STACK_DRAWS", stack_draws)
-            got = training._evaluate_batch(world, agents, evals, [0], irr,
-                                           load, np.zeros(2))
+            got = training._evaluate_batch(world, evals, [0], irr, load,
+                                           np.zeros(2))
             monkeypatch.undo()
             return got, seen
 
@@ -782,11 +716,26 @@ class TestOnlineSelection:
         assert rounds == 0
 
     def test_complementarity_postprocessing(self):
-        world = small_world("tiny_oracle.yaml", batch=16)
-        agents = build_agents(world)
-        actions, _, _ = select_actions_online(world, agents, 0)
-        blk = actions[0].reshape(6, 1)
-        assert blk[1, 0] * blk[2, 0] == 0.0
+        # three agents, four steps; rows 1 and 2 are charge and discharge
+        horizon = 4
+        blk = np.random.default_rng(3).uniform(-2.0, 2.0, (3, 6, horizon))
+        blk[0, 1:3] = [[1.0, -0.5, 0.0, 2.0],     # ties at 1 and 0
+                       [1.0, 0.5, 0.0, -1.0]]
+        blk[1, 1:3] = [[-1.0, -2.0, 3.0, -0.5],   # a negative tie
+                       [-1.0, 1.5, -3.0, -0.7]]
+        actions = blk.reshape(3, 6 * horizon)
+        out = training.postprocess_complementarity(actions, horizon)
+        assert np.array_equal(actions, blk.reshape(3, -1))  # not written
+        out = out.reshape(3, 6, horizon)
+        ch, dis = blk[:, 1], blk[:, 2]
+        assert np.all(out[:, 1] * out[:, 2] == 0.0)
+        # the larger one is kept, clipped at zero; charge on a tie
+        assert np.array_equal(np.maximum(out[:, 1], out[:, 2]),
+                              np.maximum(np.maximum(ch, dis), 0.0))
+        assert np.all(out[:, 1:3] >= 0.0)
+        assert np.all(out[:, 1][ch < dis] == 0.0)
+        assert np.all(out[:, 2][ch >= dis] == 0.0)
+        assert np.array_equal(out[:, [0, 3, 4, 5]], blk[:, [0, 3, 4, 5]])
 
 
 class TestFeasibilityGate:
