@@ -127,7 +127,7 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
     Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
     ...).  The 2n x 2n linearizations of all points are solved with one
     multi-column solve_system_stack call (tree elimination on a radial
-    grid, SuperLU on a meshed one); slack rows are identity with zero
+    grid, dense LU on a meshed one); slack rows are identity with zero
     right-hand side, pinning slack sensitivities to zero.  Controls
     whose partials share a basis and a bus share a right-hand side; the
     solve is exactly odd, so their columns are signed copies."""
@@ -255,8 +255,8 @@ def compute_step_sensitivities(grid: GridModel, sol: PowerFlowSolution,
 def step_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
                            specs) -> StepSensitivities:
     """Sensitivities of every (converged) point of pf, fields (B, ...),
-    from one block-diagonal factorization; counts one factorization per
-    point."""
+    from one multi-column solve_system_stack call; counts one
+    factorization per point."""
     dv_re, dv_im = _voltage_sensitivity_stack(grid, pf, specs)
     return _branch_and_pcc_stack(grid, pf, specs, dv_re, dv_im)
 

@@ -17,13 +17,11 @@ concurrently.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 __all__ = [
     "Bus",
@@ -38,8 +36,6 @@ __all__ = [
     "power_mismatch",
     "load_current_voltage_jacobian",
     "power_flow_system_matrix",
-    "power_flow_system_values",
-    "system_block_diagonal",
     "solve_system_stack",
 ]
 
@@ -120,35 +116,6 @@ def _admittance(n: int, f: np.ndarray, t: np.ndarray,
     indptr = np.concatenate([[0], np.cumsum(np.bincount(key // n,
                                                         minlength=n))])
     return scipy.sparse.csr_matrix((data, key % n, indptr), shape=(n, n))
-
-
-def _system_template(y_bus, slack: int, nonslack: np.ndarray) -> tuple:
-    """power_flow_system_matrix at zero load, slack pinned, as a CSC
-    matrix on the pattern of Y without the slack row and column (a
-    connected grid's Y stores every diagonal entry), and the positions
-    in its data of the four block diagonals (re-re, re-im, im-re,
-    im-im), where the load partials add on."""
-    n = y_bus.shape[0]
-    coo = y_bus.tocoo()
-    keep = (coo.row != slack) & (coo.col != slack)
-    i, j, y = coo.row[keep], coo.col[keep], coo.data[keep]
-    blocks = ((0, 0, y.real), (0, 1, -y.imag), (1, 0, y.imag),
-              (1, 1, y.real))
-    pinned = [slack, n + slack]
-    rows = np.concatenate([r * n + i for r, _, _ in blocks] + [pinned])
-    cols = np.concatenate([c * n + j for _, c, _ in blocks] + [pinned])
-    vals = np.concatenate([v for _, _, v in blocks] + [[1.0, 1.0]])
-    order = np.lexsort((rows, cols))        # by column, rows ascending
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    slot = np.full((2 * n, 2 * n), -1)
-    slot[rows, cols] = np.arange(rows.size)
-    diag = tuple(slot[r * n + nonslack, c * n + nonslack]
-                 for r, c, _ in blocks)
-    indptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(cols, minlength=2 * n))])
-    template = scipy.sparse.csc_matrix((vals, rows, indptr),
-                                       shape=(2 * n, 2 * n))
-    return template, diag
 
 
 @dataclass(frozen=True)
@@ -308,12 +275,6 @@ class GridModel:
                   branch_to=t, branch_y=y, y_bus=y_bus, branch_lookup=lookup,
                   tree=_tree_schedule(slack[0], f, t, y, y_bus))
 
-    @functools.cached_property
-    def system_template(self) -> tuple:
-        """The sparse template of the power-flow system matrix, built on
-        first use: SuperLU solves on meshed grids and the test oracle."""
-        return _system_template(self.y_bus, self.slack, self.nonslack)
-
     def _set(self, **values):
         for name, value in values.items():
             object.__setattr__(self, name, value)
@@ -437,92 +398,52 @@ def load_current_voltage_jacobian(p, q, v_re, v_im):
     return d_rere, d_reim, d_imre, d_imim
 
 
-def power_flow_system_matrix(grid: GridModel, p, q, v_re, v_im,
-                             pin_slack: bool = True) -> np.ndarray:
-    """2n x 2n linearization of Y*V + I_load(V) around (v_re, v_im).
+def power_flow_system_matrix(grid: GridModel, p, q, v_re,
+                             v_im) -> np.ndarray:
+    """2n x 2n linearization of Y*V + I_load(V) around (v_re, v_im),
+    slack rows and columns replaced by identity.
 
     The same matrix serves as the Newton Jacobian and, factorized at the
-    solution, as the system matrix for all voltage sensitivities.  With
-    p = q = 0 it reduces to [[Y_re, -Y_im], [Y_im, Y_re]].  Slack rows
-    and columns are replaced by identity when pin_slack is set.  This
-    dense form is the reference the sparse template is checked against.
+    solution, as the system matrix for all voltage sensitivities.  p, q,
+    v_re, v_im are (n_bus,) or (B, n_bus); the result is (..., 2n, 2n).
+    With p = q = 0 it reduces to [[Y_re, -Y_im], [Y_im, Y_re]] off the
+    slack.
     """
-    n = grid.n_bus
+    n, s = grid.n_bus, grid.slack
     y = grid.y_bus.toarray()
-    d_rere, d_reim, d_imre, d_imim = load_current_voltage_jacobian(p, q, v_re, v_im)
-    top = np.hstack([y.real + np.diag(d_rere), -y.imag + np.diag(d_reim)])
-    bot = np.hstack([y.imag + np.diag(d_imre), y.real + np.diag(d_imim)])
-    J = np.vstack([top, bot])
-    if pin_slack:
-        s = grid.slack
-        for k in (s, n + s):
-            J[k, :] = 0.0
-            J[:, k] = 0.0
-            J[k, k] = 1.0
+    base = np.block([[y.real, -y.imag], [y.imag, y.real]])
+    # Y plus the diagonal matrix of the load partials, entry by entry:
+    # off the diagonal Y's entry + 0.0, which reads a -0.0 as 0.0
+    J = np.broadcast_to(base + 0.0, np.shape(p)[:-1] + base.shape).copy()
+    i = np.arange(n)
+    for (r, c), d in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                         load_current_voltage_jacobian(p, q, v_re, v_im)):
+        J[..., r * n + i, c * n + i] = base[r * n + i, c * n + i] + d
+    for k in (s, n + s):
+        J[..., k, :] = 0.0
+        J[..., :, k] = 0.0
+        J[..., k, k] = 1.0
     return J
 
 
-def power_flow_system_values(grid: GridModel, p, q, v_re,
-                             v_im) -> np.ndarray:
-    """Values of B slack-pinned system matrices on the template pattern.
-
-    p, q, v_re, v_im are (B, n_bus); row b of the (B, nnz) result holds
-    the data of point b's matrix in the order of grid.system_template:
-    the template's values with the load partials added on the diagonals.
-    """
-    template, diag = grid.system_template
-    data = np.tile(template.data, (np.shape(p)[0], 1))
-    partials = load_current_voltage_jacobian(p, q, v_re, v_im)
-    for pos, d in zip(diag, partials):
-        data[:, pos] += d[:, grid.nonslack]
-    return data
-
-
-def system_block_diagonal(grid: GridModel,
-                          values: np.ndarray) -> scipy.sparse.csc_matrix:
-    """Block-diagonal CSC matrix of the (B, nnz) template values, block b
-    holding row b, built by tiling the template's pattern."""
-    template, _ = grid.system_template
-    blocks, nnz = values.shape
-    size = template.shape[0]
-    offset = np.arange(blocks)[:, None]
-    indices = (template.indices + size * offset).ravel()
-    indptr = np.append((template.indptr[:-1] + nnz * offset).ravel(),
-                       blocks * nnz)
-    return scipy.sparse.csc_matrix((values.ravel(), indices, indptr),
-                                   shape=(blocks * size, blocks * size))
-
-
-def _splu(matrix):
-    return scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                    diag_pivot_thresh=0.1)
-
-
-def _solve_superlu(grid: GridModel, values: np.ndarray,
-                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve_system_stack for system matrices given by their (B, nnz)
-    template values: one SuperLU factorization of their block-diagonal
-    matrix.  Only when SuperLU reports it exactly singular is every block
-    factorized on its own; the singular ones stay unsolved.  The
-    matrices are structurally symmetric: minimum-degree ordering on
-    A^T + A with threshold pivoting (0.1, preferring the diagonal) keeps
-    about a third less fill than the column ordering."""
-    blocks = values.shape[0]
-    size = grid.system_template[0].shape[0]
-    flat = rhs.reshape(blocks * size, -1)
-    solved = np.ones(blocks, dtype=bool)
+def _solve_dense(grid: GridModel, p, q, v_re, v_im,
+                 rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_system_stack on any grid: LU with partial pivoting of the
+    stack's dense system matrices, one np.linalg.solve call.  Only when
+    one of them is exactly singular is each point solved on its own; the
+    singular ones stay unsolved."""
+    A = power_flow_system_matrix(grid, p, q, v_re, v_im)
+    flat = rhs.reshape(A.shape[:2] + (-1,))
+    solved = np.ones(len(A), dtype=bool)
     try:
-        x = _splu(system_block_diagonal(grid, values)).solve(flat)
-    except RuntimeError:  # SuperLU: factor is exactly singular
+        x = np.linalg.solve(A, flat)
+    except np.linalg.LinAlgError:       # exactly singular
         x = np.full(flat.shape, np.nan)
-        for b in range(blocks):
-            rows = slice(b * size, (b + 1) * size)
+        for b in range(len(A)):
             try:
-                lu = _splu(system_block_diagonal(grid, values[b:b + 1]))
-            except RuntimeError:
+                x[b] = np.linalg.solve(A[b], flat[b])
+            except np.linalg.LinAlgError:
                 solved[b] = False
-                continue
-            x[rows] = lu.solve(flat[rows])
     return x.reshape(rhs.shape), solved
 
 
@@ -598,13 +519,12 @@ def solve_system_stack(grid: GridModel, p, q, v_re, v_im,
     Returns the solutions, shaped like rhs, and a (B,) mask of the
     solved points; an unsolved point's solution is NaN.  A radial grid
     is solved by tree elimination (_solve_tree), where a zero or
-    non-finite pivot leaves its point unsolved; a meshed one by SuperLU
-    on the template values (_solve_superlu), where an exactly singular
-    matrix does.
+    non-finite pivot leaves its point unsolved; a meshed one by dense LU
+    of power_flow_system_matrix (_solve_dense), where an exactly
+    singular matrix does.
     """
     if grid.tree is None:
-        return _solve_superlu(
-            grid, power_flow_system_values(grid, p, q, v_re, v_im), rhs)
+        return _solve_dense(grid, p, q, v_re, v_im, rhs)
     return _solve_tree(grid, p, q, v_re, v_im, rhs)
 
 
@@ -661,13 +581,13 @@ def solve_power_flow_stack(grid: GridModel, p_net_kw, q_net_kvar, *,
 
     Every iteration solves the Newton systems of the points still
     iterating with one solve_system_stack call: tree elimination on a
-    radial grid, SuperLU on a meshed one.  A point stops on its own
+    radial grid, dense LU on a meshed one.  A point stops on its own
     convergence or failure, so it takes the iterates it takes alone; a
     point whose own system is singular fails with "singular_jacobian"
     and leaves the others iterating.  The mismatch Y V is a sparse
-    product, row by row, and the tree solve is elementwise over the
-    points, so a point's iterates are the same bit for bit in a stack of
-    any size.
+    product, row by row, the tree solve is elementwise over the points
+    and the dense one factorizes each point's matrix on its own, so a
+    point's iterates are the same bit for bit in a stack of any size.
     """
     n = grid.n_bus
     s = grid.slack

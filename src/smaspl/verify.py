@@ -2,9 +2,11 @@
 
 Each family compares closed-form derivatives against an independent
 numerical oracle: full power-flow re-solves for the network
-sensitivities (fourth-order Richardson differences), central
-differences for the density and network Jacobians, and direct return
-re-evaluation for the local constraint rows.  The network and
+sensitivities (fourth-order Richardson differences of the voltages'
+real and imaginary parts, the voltage and branch current magnitudes
+and the PCC active and reactive power), central differences for the
+density and network Jacobians, and direct return re-evaluation for the
+local constraint rows.  The network and
 constraint families run the stacked functions training runs
 (solve_power_flow_stack, step_sensitivity_stack, network_observables,
 row_gradient_stack, constraint_return_stack), each trial's operating
@@ -218,10 +220,12 @@ def audit_network_sensitivities(rng, trials=50,
             return ((4 * d_h - d_2h) / 3).T
 
         checks = [
-            ("voltage-sensitivity", sens.dv_re, central(pf.v_re)),
+            ("voltage-sensitivity", np.concatenate([sens.dv_re, sens.dv_im]),
+             np.concatenate([central(pf.v_re), central(pf.v_im)])),
             ("voltage-magnitude", sens.dv_mag, central(obs.v_mag)),
             ("branch-current-magnitude", sens.di_mag, central(obs.i_mag)),
-            ("pcc-power", sens.dpcc_p, central(obs.pcc_p)),
+            ("pcc-power", np.concatenate([sens.dpcc_p, sens.dpcc_q]),
+             np.concatenate([central(obs.pcc_p), central(obs.pcc_q)])),
         ]
         for family, analytic, fd in checks:
             scale = max(float(np.abs(fd).max()), 1e-9)

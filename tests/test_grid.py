@@ -14,10 +14,8 @@ from smaspl.grid import (
     GridModel,
     PowerFlowStack,
     power_flow_system_matrix,
-    power_flow_system_values,
     power_mismatch,
     solve_power_flow,
-    system_block_diagonal,
 )
 from smaspl.microgrid import network_observables
 from smaspl.scenario import (ScenarioError, load_grid_file, load_scenario,
@@ -235,13 +233,19 @@ class TestPowerFlow:
     def test_system_matrix_reduces_at_zero_injection(self):
         g = two_bus()
         J = power_flow_system_matrix(g, np.zeros(2), np.zeros(2),
-                                     np.ones(2), np.zeros(2), pin_slack=False)
+                                     np.ones(2), np.zeros(2))
         y = stamped_admittance(g)
         expect = np.vstack([
             np.hstack([y.real, -y.imag]),
             np.hstack([y.imag, y.real]),
         ])
-        assert np.allclose(J, expect, atol=1e-15)
+        pinned = [g.slack, g.n_bus + g.slack]
+        rest = np.setdiff1d(np.arange(2 * g.n_bus), pinned)
+        assert np.allclose(J[np.ix_(rest, rest)], expect[np.ix_(rest, rest)],
+                           atol=1e-15)
+        for k in pinned:
+            assert np.array_equal(J[k], np.eye(2 * g.n_bus)[k])
+            assert np.array_equal(J[:, k], np.eye(2 * g.n_bus)[:, k])
 
 
 def current_magnitudes(g, sol):
@@ -310,33 +314,12 @@ branches: [{from: 0, to: 1, r: 1, x: 1, units: furlong}]
 
 
 class TestSparsePaths:
-    """The sparse system matrix and incidence algebra against dense and
-    per-branch loop references."""
+    """The incidence algebra against a per-branch loop, and an exactly
+    singular Newton step."""
 
     @staticmethod
     def grid98():
         return load_grid_file("scenarios/grids/networked_98.yaml")
-
-    @pytest.mark.parametrize("which", ["98-bus", "two-bus"])
-    def test_csc_equals_dense_system_matrix(self, which):
-        g = self.grid98() if which == "98-bus" else two_bus()
-        rng = np.random.default_rng(11)
-        n = g.n_bus
-        points = [
-            (np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n)),
-            (rng.normal(size=n), rng.normal(size=n),
-             1.0 + 0.05 * rng.normal(size=n), 0.05 * rng.normal(size=n)),
-        ]
-        for p, q, v_re, v_im in points:
-            dense = power_flow_system_matrix(g, p, q, v_re, v_im)
-            sparse = system_block_diagonal(g, power_flow_system_values(
-                g, p[None], q[None], v_re[None], v_im[None]))
-            assert sparse.format == "csc"
-            assert np.array_equal(sparse.toarray(), dense)
-            s = g.slack
-            for k in (s, n + s):
-                assert sparse[k, k] == 1.0
-                assert sparse[[k], :].count_nonzero() == 1
 
     def test_incidence_branch_currents_match_loop(self):
         g = self.grid98()
@@ -352,7 +335,7 @@ class TestSparsePaths:
 
     def test_exactly_singular_newton_step(self):
         # bus 1 hangs on a zero-admittance branch: its rows of the system
-        # matrix are exactly zero, which SuperLU reports as singular
+        # matrix are exactly zero, a zero pivot of the tree elimination
         buses = [Bus(0, "slack"), Bus(1, "load"), Bus(2, "load")]
         branches = (Branch(0, 1, 0.0, 0.0, 1.0),
                     Branch.from_impedance(0, 2, 0.01, 0.01, 10.0))
@@ -430,11 +413,10 @@ def operating_points(rng, n, points, load=1.0):
             0.05 * rng.normal(size=(points, n)))
 
 
-def superlu_solve(g, p, q, v_re, v_im, rhs):
-    """The SuperLU path of solve_system_stack, whatever the grid."""
-    from smaspl.grid import _solve_superlu
-    return _solve_superlu(g, power_flow_system_values(g, p, q, v_re, v_im),
-                          rhs)
+def dense_solve(g, p, q, v_re, v_im, rhs):
+    """The dense path of solve_system_stack, whatever the grid."""
+    from smaspl.grid import _solve_dense
+    return _solve_dense(g, p, q, v_re, v_im, rhs)
 
 
 def random_radial_grid(rng, n):
@@ -496,13 +478,15 @@ def assert_schedule_invariants(g):
 
 
 class TestTreeElimination:
-    """solve_system_stack's tree elimination on radial grids, against
-    SuperLU on the same matrices and against dense solves."""
+    """solve_system_stack: tree elimination on radial grids against the
+    dense LU solve of the same matrices, and the dense solve on meshed
+    grids."""
 
     @pytest.mark.parametrize("columns", [None, 25])
     @pytest.mark.parametrize("points", [1, 4, 64])
     @pytest.mark.parametrize("which", GRIDS)
     def test_matches_superlu(self, which, points, columns):
+        # the reference was SuperLU's and is now the dense LU solve
         from smaspl.grid import solve_system_stack
         g = load_grid_file(f"scenarios/grids/{which}.yaml")
         assert g.tree is not None
@@ -511,21 +495,22 @@ class TestTreeElimination:
         shape = (points, 2 * g.n_bus) + ((columns,) if columns else ())
         rhs = rng.normal(size=shape)
         x, solved = solve_system_stack(g, *op, rhs)
-        want, want_solved = superlu_solve(g, *op, rhs)
+        want, want_solved = dense_solve(g, *op, rhs)
         assert x.shape == rhs.shape
         assert solved.all() and want_solved.all()
         np.testing.assert_allclose(x, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
 
     def test_meshed_ring_goes_through_superlu(self, monkeypatch):
+        # the meshed path was SuperLU's and is now the dense LU solve
         import smaspl.grid as grid_mod
         g = grid_of(4, [Branch.from_impedance(i, (i + 1) % 4, 0.02, 0.04,
                                               10.0) for i in range(4)])
         assert g.tree is None
         calls = []
-        superlu = grid_mod._solve_superlu
-        monkeypatch.setattr(grid_mod, "_solve_superlu",
-                            lambda *a: calls.append(1) or superlu(*a))
+        dense = grid_mod._solve_dense
+        monkeypatch.setattr(grid_mod, "_solve_dense",
+                            lambda *a: calls.append(1) or dense(*a))
         monkeypatch.setattr(grid_mod, "_solve_tree", None)
         rng = np.random.default_rng(3)
         op = operating_points(rng, 4, 3)
@@ -534,9 +519,32 @@ class TestTreeElimination:
         x, solved = grid_mod.solve_system_stack(g, *op, rhs)
         assert calls == [1] and solved.all()
         for b in range(3):
-            dense = power_flow_system_matrix(g, *(a[b] for a in op))
-            np.testing.assert_allclose(x[b], np.linalg.solve(dense, rhs[b]),
+            matrix = power_flow_system_matrix(g, *(a[b] for a in op))
+            np.testing.assert_allclose(x[b], np.linalg.solve(matrix, rhs[b]),
                                        rtol=1e-12, atol=1e-12)
+            one, _ = grid_mod.solve_system_stack(
+                g, *(a[b:b + 1] for a in op), rhs[b:b + 1])
+            assert np.array_equal(one[0], x[b])     # stack size: bit-equal
+
+    def test_meshed_singular_point_stays_unsolved(self):
+        # a ring 0-1-2-0 and bus 3 on a zero-admittance branch: bus 3's
+        # rows hold only its load partials, exactly zero at zero load
+        from smaspl.grid import solve_system_stack
+        ring = [Branch.from_impedance(i, (i + 1) % 3, 0.02, 0.04, 10.0)
+                for i in range(3)]
+        g = grid_of(4, ring + [Branch(2, 3, 0.0, 0.0, 1.0)])
+        assert g.tree is None
+        rng = np.random.default_rng(4)
+        op = operating_points(rng, 4, 3)
+        op[0][1, 3] = op[1][1, 3] = 0.0     # the middle point: no load
+        rhs = rng.normal(size=(3, 8, 2))
+        x, solved = solve_system_stack(g, *op, rhs)
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(x[1]).all()
+        for b in (0, 2):
+            one, one_solved = solve_system_stack(
+                g, *(a[b:b + 1] for a in op), rhs[b:b + 1])
+            assert one_solved.all() and np.array_equal(one[0], x[b])
 
     @pytest.mark.parametrize("which", GRIDS)
     def test_schedule_invariants(self, which):
@@ -558,7 +566,8 @@ class TestTreeElimination:
         # solutions of loads up to twice the base, where the sensitivity
         # systems are solved.  The elimination does not pivot: arbitrary
         # voltages under loads near 1 p.u. can make a subtree's pivot
-        # nearly singular, and its error then grows past SuperLU's.
+        # nearly singular, and its error then grows past LU with partial
+        # pivoting.
         p_kw = rng.uniform(0.0, 200.0, (3, n))
         pf = solve_power_flow_stack(g, p_kw, 0.3 * p_kw)
         solved_pf = (pf.p_load_pu, pf.q_load_pu, pf.v_re, pf.v_im)
@@ -568,7 +577,7 @@ class TestTreeElimination:
         points = len(op[0])
         rhs = rng.normal(size=(points, 2 * n, 3))
         x, solved = solve_system_stack(g, *op, rhs)
-        want, _ = superlu_solve(g, *op, rhs)
+        want, _ = dense_solve(g, *op, rhs)
         assert solved.all()
         for b in range(points):
             # a long random feeder is worse conditioned than the shipped

@@ -21,6 +21,7 @@ CENSUS = [
     (training.build_agents, set()),
     (grid.solve_power_flow, {"tol"}),
     (grid.solve_power_flow_stack, {"tol"}),
+    (grid.power_flow_system_matrix, set()),
     (policy.cov_chain_factor, set()),
     (policy.action_policy_reciprocal, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
@@ -48,3 +49,8 @@ def test_deleted_names_stay_deleted():
     assert not hasattr(smaspl, "AgentChannelGraph")
     assert "AgentChannelGraph" not in smaspl.__all__
     assert not hasattr(gradients, "reset_factorization_count")
+    for name in ("_system_template", "power_flow_system_values",
+                 "system_block_diagonal", "_splu", "_solve_superlu"):
+        assert not hasattr(grid, name)
+        assert name not in grid.__all__
+    assert not hasattr(grid.GridModel, "system_template")

@@ -341,6 +341,33 @@ class TestTrainingLoop:
         diffs = np.diff(traj, axis=0)
         assert np.min(diffs) >= -1e-12
 
+    def test_dense_solver_trains_the_same_episodes(self):
+        # without its tree schedule a radial grid goes through the dense
+        # LU solve: the same episodes up to rounding
+        def run(dense):
+            world = small_world(batch=16)
+            if dense:
+                for g in (world.grid, world.sens_grid):
+                    object.__setattr__(g, "tree", None)
+            records, _, _ = train(world, episodes=3)
+            return records
+
+        def close(got, want):
+            got, want = np.asarray(got), np.asarray(want)
+            big = np.abs(want) > 1e-9
+            np.testing.assert_allclose(got[big], want[big], rtol=1e-9)
+
+        for got, want in zip(run(True), run(False)):
+            for name in ("inner_iterations", "backtrack_rounds",
+                         "pfe_verdict", "discards"):
+                assert getattr(got, name) == getattr(want, name)
+            for name in ("rewards", "rewards_dispatch", "theta_change"):
+                close(getattr(got, name), getattr(want, name))
+            for name in ("j_values", "j_dispatch"):
+                assert getattr(got, name).keys() == getattr(want, name).keys()
+                close(list(getattr(got, name).values()),
+                      list(getattr(want, name).values()))
+
 
 class TestEpisodeInvariants:
     def test_trust_region_respected_at_episode_end(self):
