@@ -24,8 +24,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -72,12 +73,11 @@ NUMERICAL_FAILURES = (EpisodeAborted, ProjectionInfeasible, SensitivityError,
 VALIDATION_FAILURES = (ScenarioError, GridError, FileNotFoundError,
                        ValueError, yaml.YAMLError)
 
-# serialized field order of one episodes.jsonl record
-EPISODE_FIELDS = (
-    "episode", "rewards", "rewards_dispatch", "j_values", "j_dispatch",
-    "lambda_final", "lambda_traj", "theta_change", "inner_iterations",
-    "inner_converged", "backtrack_rounds", "pfe_verdict", "discards",
-)
+# serialized field order of one episodes.jsonl record: EpisodeRecord's
+# fields but the wall clock, which goes to the timings sidecar
+EPISODE_FIELDS = tuple(f.name for f in fields(EpisodeRecord)
+                       if f.name != "wall_clock_s")
+_EPISODE_TYPES = get_type_hints(EpisodeRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +92,25 @@ def write_episode_jsonl(records, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+def _well_typed(value, kind) -> bool:
+    """value, read from JSON, has type kind: int, bool, str, float (a
+    JSON integer too, but no bool), or list[...] and dict[str, ...] of
+    those, checked item by item."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        return isinstance(value, list) and all(
+            _well_typed(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _well_typed(v, args[1]) for v in value.values())
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def read_episode_jsonl(path) -> list[EpisodeRecord]:
     """The records of an episode log.  Raises ValueError naming file:line
-    for a line that is not a JSON object with exactly EPISODE_FIELDS, and
-    for a log without records."""
+    for a line that is not a JSON object with exactly EPISODE_FIELDS, or
+    whose field does not have EpisodeRecord's type (naming the field too),
+    and for a log without records."""
     out = []
     with open(path) as fh:
         for number, line in enumerate(fh, start=1):
@@ -107,6 +122,12 @@ def read_episode_jsonl(path) -> list[EpisodeRecord]:
                 raise ValueError(f"{path}:{number}: not an episode record "
                                  f"(a JSON object with the fields "
                                  f"{', '.join(EPISODE_FIELDS)})")
+            for name in EPISODE_FIELDS:
+                kind = _EPISODE_TYPES[name]
+                if not _well_typed(row[name], kind):
+                    raise ValueError(
+                        f"{path}:{number}: field {name!r} must be "
+                        f"{kind if get_origin(kind) else kind.__name__}")
             out.append(EpisodeRecord(**row))
     if not out:
         raise ValueError(f"{path}: episode log holds no records")

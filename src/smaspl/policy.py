@@ -425,10 +425,30 @@ def save_checkpoint(policy: GaussianPolicy, path) -> None:
         json.dump(data, fh)
 
 
+def _finite(x) -> bool:
+    """x is a finite JSON number (no bool)."""
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+_VECTOR = ("a list of finite numbers",
+           lambda v: isinstance(v, list) and all(map(_finite, v)))
+_SIZES = ("a list of positive integers",
+          lambda v: isinstance(v, list)
+          and all(type(x) is int and x >= 1 for x in v))
+# what each value of a checkpoint must be, in save_checkpoint's key order
+_CHECKPOINT_VALUES = {
+    "mean_sizes": _SIZES, "cov_sizes": _SIZES, "lo": _VECTOR, "hi": _VECTOR,
+    "sigma_span": _VECTOR, "sigma_floor": ("a finite number", _finite),
+    "state_offset": _VECTOR, "state_scale": _VECTOR, "theta_mu": _VECTOR,
+    "theta_sigma": _VECTOR,
+}
+
+
 def load_checkpoint(path) -> GaussianPolicy:
     """The policy save_checkpoint wrote to path.  A file that is not a
-    JSON object of this format, or lacks one of its keys, raises
-    ValueError naming the file."""
+    JSON object of this format, lacks one of its keys, holds a value of
+    the wrong type or one that does not fit the policy's shapes raises
+    ValueError naming the file (and the key, where one is at fault)."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -437,6 +457,11 @@ def load_checkpoint(path) -> GaussianPolicy:
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: unsupported checkpoint format {fmt!r}")
+    for key, (what, check) in _CHECKPOINT_VALUES.items():
+        if key not in data:
+            raise ValueError(f"{path}: checkpoint has no key {key!r}")
+        if not check(data[key]):
+            raise ValueError(f"{path}: checkpoint key {key!r} must be {what}")
     try:
         scaling = ActionScaling(
             lo=np.array(data["lo"]), hi=np.array(data["hi"]),
@@ -449,6 +474,6 @@ def load_checkpoint(path) -> GaussianPolicy:
         mean_net.unflatten(np.array(data["theta_mu"]))
         cov_net = FeedforwardNet(data["cov_sizes"])
         cov_net.unflatten(np.array(data["theta_sigma"]))
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint has no key {exc}") from None
-    return GaussianPolicy(mean_net, cov_net, scaling)
+        return GaussianPolicy(mean_net, cov_net, scaling)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -31,8 +31,8 @@ import numpy as np
 import yaml
 
 from .grid import Branch, Bus, GridError, GridModel
-from .microgrid import (DGSpec, ESSSpec, MicrogridSpec, PCCSpec, PVSpec,
-                        STEP_MINUTES, find_pcc_branch)
+from .microgrid import (CONTROLS, DGSpec, ESSSpec, MicrogridSpec, PCCSpec,
+                        PVSpec, STEP_MINUTES, find_pcc_branch)
 
 __all__ = [
     "ProfileSeries",
@@ -48,7 +48,6 @@ __all__ = [
     "perturb_network",
     "load_scenario",
     "load_grid_file",
-    "TRAINING_DEFAULTS",
     "case33_loads",
     "nominal_loads_98",
 ]
@@ -318,8 +317,6 @@ class TrainerConfig:
     hidden_layers: list = field(default_factory=lambda: [10, 10, 10])
 
 
-TRAINING_DEFAULTS = asdict(TrainerConfig())
-
 # value rules of the scenario-file keys that have one beyond their type,
 # by dotted key with list indices written [i]; _section checks them at
 # load time so that a bad value fails, naming its file and key, before
@@ -553,10 +550,15 @@ def _mg_spec(path, i, row) -> MicrogridSpec:
     key = f"mgs[{i}]"
     given = _section(path, key, MicrogridSpec, row)
     if "action_ranges" in given:
+        sub = f"{key}.action_ranges"
+        ranges = _section(path, sub, dict.fromkeys(CONTROLS, list),
+                          given["action_ranges"])
         given["action_ranges"] = {
-            c: _pair(path, f"{key}.action_ranges.{c}", v) for c, v in
-            _mapping(path, f"{key}.action_ranges",
-                     given["action_ranges"]).items()}
+            c: _pair(path, f"{sub}.{c}", v) for c, v in ranges.items()}
+        for c, (lo, hi) in given["action_ranges"].items():
+            if lo > hi:
+                raise ScenarioError(f"{path}: {sub}.{c} = [{lo!r}, {hi!r}], "
+                                    f"must have lo <= hi")
     try:
         return MicrogridSpec(**given)
     except ValueError as exc:

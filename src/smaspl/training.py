@@ -543,7 +543,9 @@ def _evaluate_batch(world: World, evals, sample_tag, irr_truth, load_truth,
 
 @dataclass
 class TrainingState:
-    thetas: list
+    """What carries from one episode to the next besides the agents'
+    parameters, which the agents hold."""
+
     episode: int = 0
     prev_dg: np.ndarray | None = None
 
@@ -551,13 +553,14 @@ class TrainingState:
 @dataclass
 class EpisodeRecord:
     episode: int
-    rewards: list                  # batch-mean reward per agent
-    rewards_dispatch: list         # reward of the mean action per agent
-    j_values: dict                 # batch-mean return per row
-    j_dispatch: dict               # mean-action return per row
-    lambda_final: list             # per agent, per global row
-    lambda_traj: dict              # row id -> per-iteration per-agent values
-    theta_change: list             # episode-to-episode norm per agent
+    rewards: list[float]           # batch-mean reward per agent
+    rewards_dispatch: list[float]  # reward of the mean action per agent
+    j_values: dict[str, float]     # batch-mean return per row
+    j_dispatch: dict[str, float]   # mean-action return per row
+    lambda_final: list[list[float]]           # per agent, per global row
+    # row id -> per-iteration per-agent values
+    lambda_traj: dict[str, list[list[float]]]
+    theta_change: list[float]      # episode-to-episode norm per agent
     inner_iterations: int
     inner_converged: bool
     backtrack_rounds: int
@@ -721,17 +724,17 @@ class _Decision:
         return _RowLayout.of(self.world, self.removed)
 
 
-def _anchored_update(dec: _Decision, anchor, lambdas0, d_work, sample_tag):
-    """Measure a batch at the anchor parameters, iterate stages II-V
-    against the bounds d_work and leave the agents at the result.
+def _anchored_update(dec: _Decision, lambdas0, d_work, sample_tag):
+    """Measure a batch at the agents' parameters, which they alone hold,
+    iterate stages II-V against the bounds d_work from the prices
+    lambdas0 (zero when None) and leave the agents at the result.
     Returns the batch and _inner_loop's (thetas, lambdas, iterations,
     converged, lambda log)."""
-    for ag, theta in zip(dec.agents, anchor):
-        ag.set_theta(theta)
     evals = [ag.evaluate(dec.states[a]) for a, ag in enumerate(dec.agents)]
     batch = _evaluate_batch(dec.world, evals, sample_tag, dec.irr_truth,
                             dec.load_truth, dec.prev_dg)
     factors = [ev.fisher_factor() for ev in evals]
+    anchor = [ag.get_theta() for ag in dec.agents]
     out = _inner_loop(dec.world, anchor, lambdas0, batch, factors, d_work,
                       dec.layout)
     for ag, theta in zip(dec.agents, out[0]):
@@ -739,77 +742,74 @@ def _anchored_update(dec: _Decision, anchor, lambdas0, d_work, sample_tag):
     return batch, out
 
 
-def _gate(dec: _Decision, draw, reupdate):
+def _gate(dec: _Decision, draw, lambdas, tag):
     """The power-flow feasibility gate on the agents' dispatch.
 
     draw() returns the joint action (N, 6T) the agents would dispatch.
     While rows are violated, for at most cfg.backtrack_rounds rounds
     (none when it is 0 or tau is 1), each round tightens the violated
-    rows' bounds by tau, calls reupdate(bounds, round) to re-anchor and
-    re-update the agents, and checks the new dispatch.
-    Returns (actions, window evaluation, verdict, rounds) of the last
-    check, the evaluation a stack of that one action; the verdict is
-    'clean', 'restored', 'violated:<sorted ids>' or 'pf-failure' (a power
-    flow diverged; the evaluation is then None).
+    rows' bounds by tau, re-updates the agents by an _anchored_update
+    tagged [*tag, round] and checks the new dispatch.  The prices start
+    at lambdas (zero when None) and carry over from round to round; the
+    agents hold the parameters each round anchors at.
+    Returns (actions, window evaluation, verdict, updates) of the last
+    check, the evaluation a stack of that one action, and updates the
+    rounds' _inner_loop results in order; the verdict is 'clean',
+    'restored', 'violated:<sorted ids>' or 'pf-failure' (a power flow
+    diverged; the evaluation is then None).
     """
     world, cfg = dec.world, dec.world.cfg
     d_work = world.row_bounds
-    rounds = 0
+    updates = []
     while True:
         actions = draw()
         ev = evaluate_window(world, actions[None], dec.irr_truth,
                              dec.load_truth, dec.prev_dg)
         if not ev.accepted[0]:
-            return actions, None, "pf-failure", rounds
+            return actions, None, "pf-failure", updates
         violated = world.violated(ev.returns[0], dec.removed)
         if not violated.size:
-            return actions, ev, "clean" if rounds == 0 else "restored", rounds
-        if rounds >= cfg.backtrack_rounds or cfg.tau >= 1.0:
+            return actions, ev, "restored" if updates else "clean", updates
+        if len(updates) >= cfg.backtrack_rounds or cfg.tau >= 1.0:
             ids = sorted(world.index.ids[m] for m in violated)
-            return actions, ev, "violated:" + ",".join(ids), rounds
-        rounds += 1
+            return actions, ev, "violated:" + ",".join(ids), updates
         d_work = backtrack_bounds(d_work, violated, cfg.tau)
-        reupdate(d_work, rounds)
+        _, out = _anchored_update(dec, lambdas, d_work,
+                                  [*tag, len(updates) + 1])
+        lambdas = out[1]
+        updates.append(out)
 
 
 def train_episode(world: World, agents: list[GaussianPolicy],
                   state: TrainingState, *,
                   removed: set[str] = frozenset()) -> EpisodeRecord:
-    cfg = world.cfg
     n = world.n_agents
     episode = state.episode
+    before = [ag.get_theta() for ag in agents]
     dec = _Decision.of(world, agents, removed, world.window_start(episode),
                        world.seed, episode, state.prev_dg)
-    batch, (thetas, lambdas, iters, converged, traj) = _anchored_update(
-        dec, state.thetas, None, world.row_bounds, [episode])
-
-    def reupdate(d_work, rounds):
-        # the prices carry over from the update before
-        nonlocal thetas, lambdas, iters, converged
-        _, (thetas, lambdas, more, converged, log) = _anchored_update(
-            dec, thetas, lambdas, d_work, [episode, rounds])
-        iters += more
-        traj.extend(log)
-
+    batch, first = _anchored_update(dec, None, world.row_bounds, [episode])
     # the last check ran on the final policies: its returns and rewards
     # are the dispatch record
-    mean_actions, disp, verdict, rounds = _gate(
+    mean_actions, disp, verdict, backtracks = _gate(
         dec, lambda: _dispatch_actions_mean(agents, dec.states,
                                             world.horizon),
-        reupdate)
+        first[1], [episode])
+    updates = [first, *backtracks]
+    _, lambdas, _, converged, _ = updates[-1]
 
     disp_rewards, j_dispatch = [float("nan")] * n, {}
     if disp is not None:
         disp_rewards = disp.rewards[0].tolist()
         j_dispatch = dict(zip(world.index.ids, disp.returns[0].tolist()))
 
-    theta_change = [float(np.linalg.norm(thetas[a] - state.thetas[a]))
-                    for a in range(n)]
-    state.thetas = thetas
+    theta_change = [float(np.linalg.norm(ag.get_theta() - theta))
+                    for ag, theta in zip(agents, before)]
     state.prev_dg = mean_actions[:, 0].copy()  # step-0 DG dispatch
     state.episode = episode + 1
 
     lam_traj: dict[str, list] = {}
+    traj = [lam for *_, log in updates for lam in log]
     if traj:
         stacked = np.stack(traj)  # (K, N, Mg)
         for j, m in enumerate(dec.layout.global_idx):
@@ -825,9 +825,9 @@ def train_episode(world: World, agents: list[GaussianPolicy],
         lambda_final=lambdas.tolist(),
         lambda_traj=lam_traj,
         theta_change=theta_change,
-        inner_iterations=iters,
+        inner_iterations=sum(u[2] for u in updates),
         inner_converged=converged,
-        backtrack_rounds=rounds,
+        backtrack_rounds=len(backtracks),
         pfe_verdict=verdict,
         discards=batch.discards,
     )
@@ -836,7 +836,13 @@ def train_episode(world: World, agents: list[GaussianPolicy],
 def train(world: World, agents: list[GaussianPolicy] | None = None, *,
           episodes: int, mode: str = "smas-pl",
           removed_tokens=()):
-    """Run the outer loop; returns (records, agents, state)."""
+    """Run the outer loop; returns (records, agents, state).
+
+    The agents (fresh from build_agents when None) hold the only copy of
+    the policy parameters: each episode anchors at their parameters on
+    entry and leaves them at its result.  Each episode's prices start at
+    zero and carry over its backtracking rounds.
+    """
     import time
 
     if mode not in ("smas-pl", "u-pl"):
@@ -846,9 +852,7 @@ def train(world: World, agents: list[GaussianPolicy] | None = None, *,
     if mode == "u-pl" and not tokens:
         tokens = ["all"]
     removed = resolve_removed_rows(world.table, tokens)
-    n = world.n_agents
-    state = TrainingState(thetas=[ag.get_theta() for ag in agents],
-                          prev_dg=np.zeros(n))
+    state = TrainingState(prev_dg=np.zeros(world.n_agents))
     records = []
     for _ in range(episodes):
         t0 = time.perf_counter()
@@ -887,17 +891,9 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
                                         rng).mean(axis=0)
         return postprocess_complementarity(acts, world.horizon)
 
-    lambdas = None
-
-    def reupdate(d_work, rounds):
-        # the prices start at zero and carry over the rounds; the log is
-        # dropped
-        nonlocal lambdas
-        anchor = [ag.get_theta() for ag in agents]
-        _, (_, lambdas, *_) = _anchored_update(
-            dec, anchor, lambdas, d_work, [window_start, rounds])
-
-    actions, _, verdict, rounds = _gate(dec, draw_actions, reupdate)
+    # the prices start at zero and carry over the rounds
+    actions, _, verdict, updates = _gate(dec, draw_actions, None,
+                                         [window_start])
     if verdict == "pf-failure":
         raise EpisodeAborted("dispatch refused: power flow did not converge")
-    return actions, verdict, rounds
+    return actions, verdict, len(updates)

@@ -202,6 +202,12 @@ class TestTrainArtifacts:
         ("q_load_ratio: 0.2",
          "q_load_ratio: 0.2\n    action_ranges: {p_dg: [0, .inf]}",
          "mgs[0].action_ranges.p_dg[1] = inf, must be a finite number"),
+        ("q_load_ratio: 0.2",
+         "q_load_ratio: 0.2\n    action_ranges: {p_dgg: [0, 60]}",
+         "unknown key(s) mgs[0].action_ranges.p_dgg"),
+        ("q_load_ratio: 0.2",
+         "q_load_ratio: 0.2\n    action_ranges: {q_pv: [5, -5]}",
+         "mgs[0].action_ranges.q_pv = [5.0, -5.0], must have lo <= hi"),
         ("host_loads: {1: [3, 1]}", "host_loads: {1: [.nan, 1]}",
          "host_loads.1[0] = nan, must be a finite number"),
     ], ids=["tau", "batch", "kmax", "window-list", "hidden-layers-int",
@@ -215,7 +221,7 @@ class TestTrainArtifacts:
             "constant-load-negative", "constant-irradiance-high",
             "noise-nan", "solar-scale-nan", "dg-p-max-nan", "ess-cap-inf",
             "pcc-price-minus-inf", "q-load-ratio-nan", "action-range-inf",
-            "host-load-nan"])
+            "action-range-unknown", "action-range-reversed", "host-load-nan"])
     def test_training_value_out_of_range_is_validation_failure(
             self, tmp_path, capsys, old, new, message):
         path = scenario_copy(tmp_path, old, new)
@@ -438,7 +444,13 @@ class TestDispatch:
          "checkpoint maps 2 inputs to 6 controls, window = 4 needs 8 to 24"),
         (TINY, "not-json", "not JSON"),
         (TINY, "json-list", "unsupported checkpoint format None"),
-    ], ids=["missing-key", "other-window", "not-json", "json-list"])
+        (TINY, "sizes-int",
+         "checkpoint key 'mean_sizes' must be a list of positive integers"),
+        (TINY, "floor-string",
+         "checkpoint key 'sigma_floor' must be a finite number"),
+        (TINY, "theta-short", "parameter vector must have length"),
+    ], ids=["missing-key", "other-window", "not-json", "json-list",
+            "sizes-int", "floor-string", "theta-short"])
     def test_broken_checkpoint_is_validation_failure(self, tmp_path, capsys,
                                                      scenario, edit, message):
         from smaspl.policy import save_checkpoint
@@ -448,9 +460,16 @@ class TestDispatch:
         path = tmp_path / "agent_0.json"
         save_checkpoint(build_agents(build_world(load_scenario(TINY)))[0],
                         path)
+        data = json.loads(path.read_text())
         if edit == "drop-lo":
-            data = json.loads(path.read_text())
             del data["lo"]
+        elif edit == "sizes-int":
+            data["mean_sizes"] = 5
+        elif edit == "floor-string":
+            data["sigma_floor"] = "0.01"
+        elif edit == "theta-short":
+            data["theta_mu"] = data["theta_mu"][:-1]
+        if edit in ("drop-lo", "sizes-int", "floor-string", "theta-short"):
             path.write_text(json.dumps(data))
         elif edit == "copy":
             (tmp_path / "agent_1.json").write_text(path.read_text())
@@ -517,17 +536,43 @@ class TestReport:
                      "summary_lambda.csv", "summary_theta.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
 
-    RECORD = json.dumps(dict.fromkeys(EPISODE_FIELDS, 0)) + "\n"
+    # a well-typed record of the tiny_oracle case (one agent, no global
+    # rows)
+    FIELDS = {
+        "episode": 0, "rewards": [1.0], "rewards_dispatch": [1.0],
+        "j_values": {}, "j_dispatch": {}, "lambda_final": [[]],
+        "lambda_traj": {}, "theta_change": [0.0], "inner_iterations": 1,
+        "inner_converged": True, "backtrack_rounds": 0,
+        "pfe_verdict": "clean", "discards": 0,
+    }
+    RECORD = json.dumps(FIELDS) + "\n"
 
     @pytest.mark.parametrize("log, where", [
         ('{"episode": 0, "rewards": [1.0]}\n', "log.jsonl:1: not an episode"),
         ("[1, 2]\n", "log.jsonl:1: not an episode record"),
         ("{\"episode\": \n", "log.jsonl:1: not JSON"),
         ("", "log.jsonl: episode log holds no records"),
-        (RECORD + json.dumps({**dict.fromkeys(EPISODE_FIELDS, 0),
-                              "wall_clock_s": 0.5}) + "\n",
+        (RECORD + json.dumps({**FIELDS, "wall_clock_s": 0.5}) + "\n",
          "log.jsonl:2: not an episode record"),
-    ], ids=["missing-fields", "json-list", "not-json", "empty", "extra-field"])
+        (RECORD + json.dumps({**FIELDS, "theta_change": 3}) + "\n",
+         "log.jsonl:2: field 'theta_change' must be list[float]"),
+        (json.dumps({**FIELDS, "rewards": None}) + "\n",
+         "log.jsonl:1: field 'rewards' must be list[float]"),
+        (json.dumps({**FIELDS, "backtrack_rounds": None}) + "\n",
+         "log.jsonl:1: field 'backtrack_rounds' must be int"),
+        (json.dumps({**FIELDS, "episode": "x"}) + "\n",
+         "log.jsonl:1: field 'episode' must be int"),
+        (json.dumps({**FIELDS, "pfe_verdict": 5}) + "\n",
+         "log.jsonl:1: field 'pfe_verdict' must be str"),
+        (json.dumps({**FIELDS, "inner_converged": 1}) + "\n",
+         "log.jsonl:1: field 'inner_converged' must be bool"),
+        (json.dumps({**FIELDS, "lambda_traj": {"v_hi[1]": [1.0]}}) + "\n",
+         "log.jsonl:1: field 'lambda_traj' must be "
+         "dict[str, list[list[float]]]"),
+    ], ids=["missing-fields", "json-list", "not-json", "empty", "extra-field",
+            "theta-change-int", "rewards-null", "backtrack-rounds-null",
+            "episode-string", "verdict-int", "converged-int",
+            "lambda-traj-flat"])
     def test_malformed_log_is_validation_failure(self, tmp_path, capsys,
                                                  log, where):
         path = tmp_path / "log.jsonl"
@@ -540,9 +585,7 @@ class TestReport:
     def test_log_of_another_scenario_is_validation_failure(self, tmp_path,
                                                           capsys):
         # a row id of a larger grid, unknown to the 4-bus tiny case
-        row = {**dict.fromkeys(EPISODE_FIELDS, 0), "rewards": [1.0],
-               "j_values": {"v_hi[4]": 1.0}, "j_dispatch": {},
-               "lambda_traj": {}}
+        row = {**self.FIELDS, "j_values": {"v_hi[4]": 1.0}}
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps(row) + "\n")
         code = main(["report", "--log", str(path), "--scenario", TINY,

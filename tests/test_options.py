@@ -5,6 +5,7 @@ here.  An option is added only when two callers need different values,
 so adding one means editing this census.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -54,3 +55,7 @@ def test_deleted_names_stay_deleted():
         assert not hasattr(grid, name)
         assert name not in grid.__all__
     assert not hasattr(grid.GridModel, "system_template")
+    assert "thetas" not in {f.name for f in
+                            dataclasses.fields(training.TrainingState)}
+    assert not hasattr(scenario, "TRAINING_DEFAULTS")
+    assert "TRAINING_DEFAULTS" not in scenario.__all__

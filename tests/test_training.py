@@ -1,5 +1,6 @@
 """Consensus primal-dual stage tests and small training-loop contracts."""
 
+import copy
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from smaspl.training import (
     resolve_removed_rows,
     select_actions_online,
     train,
+    train_episode,
     trust_quadratic,
 )
 
@@ -307,13 +309,30 @@ class TestTrainingLoop:
                             batch=8, backtrack_rounds=0)
         agents = build_agents(world)
         theta_before = [ag.get_theta().copy() for ag in agents]
-        records, agents, state = train(world, agents=agents, episodes=1,
-                                       removed_tokens=["ess-complementarity"])
+        records, agents, _ = train(world, agents=agents, episodes=1,
+                                   removed_tokens=["ess-complementarity"])
         assert records[0].inner_iterations == 1
         assert records[0].inner_converged
-        for before, after in zip(theta_before, state.thetas):
-            assert np.array_equal(before, after)
+        for a, before in enumerate(theta_before):
+            assert np.array_equal(before, agents[a].get_theta())
         assert not np.any(np.asarray(records[0].lambda_final))
+
+    def test_episode_trains_from_the_agents_parameters(self):
+        # the agents hold the only copy of the parameters: a change made
+        # to one between two episodes is where the next episode starts
+        world = small_world(batch=8, backtrack_rounds=0)
+        _, agents, state = train(world, episodes=1)
+        kept = copy.deepcopy((agents, state))
+        rng = np.random.default_rng(5)
+        moved = agents[0].get_theta() + 0.01 * rng.standard_normal(
+            agents[0].n_params)
+        agents[0].set_theta(moved)
+        rec = train_episode(world, agents, state)
+        assert rec.theta_change[0] == float(
+            np.linalg.norm(agents[0].get_theta() - moved))
+        train_episode(world, *kept)
+        assert not np.array_equal(agents[0].get_theta(),
+                                  kept[0][0].get_theta())
 
     def test_upl_all_removed_is_plain_ascent(self):
         world = small_world("tiny_oracle.yaml", batch=32, backtrack_rounds=0)
@@ -381,9 +400,9 @@ class TestEpisodeInvariants:
         for a, ag in enumerate(agents):
             ag.set_theta(theta0[a])
             fims.append(ag.fisher(states[a]) + 1e-8 * np.eye(ag.n_params))
-        _, agents, state = train(world, agents=agents, episodes=1)
+        _, agents, _ = train(world, agents=agents, episodes=1)
         for a in range(2):
-            d = state.thetas[a] - theta0[a]
+            d = agents[a].get_theta() - theta0[a]
             q = 0.5 * d @ fims[a] @ d
             assert q <= world.cfg.delta + 1e-8
 
