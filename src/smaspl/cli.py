@@ -220,7 +220,10 @@ def _dispatched_window(world: World, actions: np.ndarray,
 
 def dispatch_cost(world: World, actions: np.ndarray,
                   window_start: int = 0) -> float:
-    """Window operating cost in $ (negative of the summed agent rewards)."""
+    """Window operating cost in $ (negative of the summed agent rewards).
+
+    Right after select_actions_online on the same world and window, the
+    gate's final check serves it and no power flow is solved."""
     return _dispatched_window(world, actions, window_start,
                               "cost evaluation").cost(0)
 

@@ -262,6 +262,9 @@ class World:
     # every row's ConstraintSpec.window_bound in table order, for the
     # cfg.gamma and horizon the World is built with
     row_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    # evaluate_window's last stack of one: (key, read-only WindowEval)
+    window_memo: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         self.index = ConstraintIndex.of(self.table)
@@ -395,8 +398,25 @@ def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
                     prev_dg=None) -> WindowEval:
     """Injections, the S x T power flows as one stack, observables,
     returns and rewards of a stack of joint actions (S, N, 6T).  prev_dg
-    (zeros when None) feeds the ramp rows."""
+    (zeros when None) feeds the ramp rows.
+
+    The world keeps the evaluation of the last stack of one action, with
+    its arrays made read-only.  A stack of one whose actions, irr_truth,
+    load_truth, prev_dg (None read as zeros) and cfg.gamma equal that
+    call's bit for bit gets it back and solves nothing, so the cost and
+    the audit of a dispatch decision reuse the gate's final check.
+    Larger stacks are never kept.
+    """
     samples, horizon, n_bus = actions.shape[0], world.horizon, world.grid.n_bus
+    key = None
+    if samples == 1:
+        # the shape and bytes of every value the evaluation reads
+        prev = np.zeros(world.n_agents) if prev_dg is None else prev_dg
+        key = tuple((np.shape(x), np.asarray(x, dtype=float).tobytes())
+                    for x in (actions, irr_truth, load_truth, prev,
+                              world.cfg.gamma))
+        if world.window_memo is not None and world.window_memo[0] == key:
+            return world.window_memo[1]
     p, q = actions_to_injections(actions, load_truth, irr_truth, world.specs,
                                  n_bus, world.host_loads)
     pf = solve_power_flow_stack(world.grid, p.reshape(-1, n_bus),
@@ -413,7 +433,14 @@ def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
     returns = constraint_return_stack(world.index, actions, obs, world.specs,
                                       gamma, prev_dg=prev_dg)
     rewards = reward_return_stack(actions, obs.pcc_p, world.specs, gamma)
-    return WindowEval(accepted, actions, pf, obs, returns, rewards)
+    ev = WindowEval(accepted, actions, pf, obs, returns, rewards)
+    if key is not None:
+        for part in (ev, pf, obs):
+            for x in vars(part).values():
+                if isinstance(x, np.ndarray):
+                    x.flags.writeable = False
+        world.window_memo = (key, ev)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +901,10 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
     Returns (actions (N, 6T), verdict, backtrack_rounds).  Complementarity
     is post-processed by zeroing the smaller of charge/discharge per step.
     Every row is checked, and the ramp rows start from zero DG setpoints.
+    The gate's re-updates do not outlive the call: the agents leave with
+    the parameters they came with, so a second call for the same window
+    returns the same actions.  The gate's final check stays on the world
+    (evaluate_window), so the decision's cost and audit solve nothing.
     Raises EpisodeAborted when the power flow will not converge for the
     dispatch (dispatch refused).
     """
@@ -891,9 +922,17 @@ def select_actions_online(world: World, agents: list[GaussianPolicy],
                                         rng).mean(axis=0)
         return postprocess_complementarity(acts, world.horizon)
 
-    # the prices start at zero and carry over the rounds
-    actions, _, verdict, updates = _gate(dec, draw_actions, None,
-                                         [window_start])
+    thetas = [ag.get_theta() for ag in agents]
+    rounds = None                   # stays None if the gate raises
+    try:
+        # the prices start at zero and carry over the rounds
+        actions, _, verdict, updates = _gate(dec, draw_actions, None,
+                                             [window_start])
+        rounds = len(updates)
+    finally:
+        if rounds != 0:             # re-updated, or raised mid-round
+            for ag, theta in zip(agents, thetas):
+                ag.set_theta(theta)
     if verdict == "pf-failure":
         raise EpisodeAborted("dispatch refused: power flow did not converge")
-    return actions, verdict, len(updates)
+    return actions, verdict, rounds

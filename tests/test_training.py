@@ -840,6 +840,39 @@ class TestFeasibilityGate:
         assert dispatch_cost(world, actions, 0) == \
             pytest.approx(cost, rel=1e-9, abs=0.0)
 
+    def test_dispatch_leaves_the_policies_unchanged(self):
+        # the gate backtracks three rounds from fresh agents (above)
+        world = small_world("two_mg_backtrack.yaml", tau=0.9)
+        agents = build_agents(world)
+        thetas = [ag.get_theta() for ag in agents]
+        first = select_actions_online(world, agents, 0)
+        assert first[1:] == ("restored", 3)
+        assert all(ag.get_theta().tobytes() == theta.tobytes()
+                   for ag, theta in zip(agents, thetas))
+        second = select_actions_online(world, agents, 0)
+        assert second[0].tobytes() == first[0].tobytes()
+        assert second[1:] == first[1:]
+
+    def test_dispatch_that_raises_mid_round_restores_the_policies(
+            self, monkeypatch):
+        world = small_world("two_mg_backtrack.yaml", tau=0.9)
+        agents = build_agents(world)
+        thetas = [ag.get_theta() for ag in agents]
+        update = training._anchored_update
+        calls = []
+
+        def second_round_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ProjectionInfeasible("round 2")
+            return update(*args)
+
+        monkeypatch.setattr(training, "_anchored_update", second_round_fails)
+        with pytest.raises(ProjectionInfeasible):
+            select_actions_online(world, agents, 0)
+        assert all(ag.get_theta().tobytes() == theta.tobytes()
+                   for ag, theta in zip(agents, thetas))
+
 
 class TestWindowEvaluation:
     """evaluate_window against the one-step path it replaced."""
@@ -929,3 +962,88 @@ class TestWindowEvaluation:
         assert ev.rewards.shape == (0, world.n_agents)
         with pytest.raises(EpisodeAborted, match="diverged"):
             dispatch_cost(world, actions, 0)
+
+
+class TestWindowMemo:
+    """evaluate_window keeps the last stack of one action on the world."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = training.solve_power_flow_stack
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(training, "solve_power_flow_stack", counted)
+        return calls
+
+    def test_dispatch_cost_reuses_the_gates_final_check(self, monkeypatch):
+        from smaspl.cli import dispatch_cost
+        world = small_world("two_mg_backtrack.yaml", tau=0.9)
+        actions, verdict, _ = select_actions_online(
+            world, build_agents(world), 0)
+        assert verdict == "restored"
+        calls = self.count_solves(monkeypatch)
+        cost = dispatch_cost(world, actions, 0)
+        assert calls == []
+        irr, load = world.profiles.window(0, world.horizon)
+        fresh = training.evaluate_window(
+            small_world("two_mg_backtrack.yaml", tau=0.9), actions[None],
+            irr, load)
+        assert len(calls) == 1
+        assert cost == fresh.cost(0)
+        assert world.window_memo[1].returns.tobytes() == \
+            fresh.returns.tobytes()
+
+    @pytest.mark.parametrize("part", ["action", "start", "prev_dg", "gamma"])
+    def test_any_changed_part_of_the_key_solves_again(self, monkeypatch,
+                                                      part):
+        # the small fixtures' profiles are flat: every window is the same
+        world = small_world("paper98.yaml")
+        actions, irr, load = TestWindowEvaluation.mean_dispatch(world)
+        prev = np.zeros(world.n_agents)
+        first = training.evaluate_window(world, actions[None], irr, load)
+        calls = self.count_solves(monkeypatch)
+        # prev_dg None reads as zeros
+        assert training.evaluate_window(world, actions[None], irr, load,
+                                        prev) is first
+        assert calls == []
+        if part == "action":
+            actions = actions.copy()
+            actions[1, 0] += 1e-6
+        elif part == "start":
+            irr, load = world.profiles.window(12, world.horizon)
+        elif part == "prev_dg":
+            prev[1] = 1.0
+        else:
+            world.cfg.gamma = 0.9
+        ev = training.evaluate_window(world, actions[None], irr, load, prev)
+        assert len(calls) == 1 and ev is not first
+        assert ev.accepted[0] and not np.array_equal(ev.returns,
+                                                     first.returns)
+
+    def test_stack_of_two_is_never_kept(self, monkeypatch):
+        world = small_world()
+        actions, irr, load = TestWindowEvaluation.mean_dispatch(world)
+        pair = np.stack([actions, actions])
+        ev = training.evaluate_window(world, pair, irr, load)
+        assert ev.accepted.tolist() == [True, True]
+        assert world.window_memo is None
+        assert ev.returns.flags.writeable
+        calls = self.count_solves(monkeypatch)
+        training.evaluate_window(world, actions[None], irr, load)
+        assert len(calls) == 1
+
+    def test_kept_arrays_are_read_only(self):
+        world = small_world()
+        actions, irr, load = TestWindowEvaluation.mean_dispatch(world)
+        ev = training.evaluate_window(world, actions[None], irr, load)
+        arrays = [ev.accepted, ev.actions, ev.returns, ev.rewards,
+                  ev.pf.v_re, ev.pf.v_im, ev.pf.i_br_re, ev.pf.i_br_im,
+                  ev.pf.converged, ev.pf.p_load_pu, ev.obs.v_mag,
+                  ev.obs.i_mag, ev.obs.pcc_p, ev.obs.pcc_q]
+        assert not any(x.flags.writeable for x in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            ev.returns[0, 0] = 0.0
