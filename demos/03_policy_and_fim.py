@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Gaussian dispatch policies: sampling, density gradients, information.
+"""Gaussian dispatch policies: sampling, chain factors, information.
 
 Two small tanh networks map the forecast state to the mean and diagonal
-covariance of the action distribution.  The closed-form information
-matrix is compared against a Monte-Carlo estimate from the score
-function (the mean block carries a factor-2 convention, documented in
-the README).
+covariance of the action distribution.  Training carries an action
+gradient to the covariance head through cov_chain_factor, checked here
+against differences of the density as `smaspl verify-gradients` does.
+The closed-form information matrix is compared against a Monte-Carlo
+estimate from the score function (the mean block carries a factor-2
+convention, documented in the README).
 """
 
 import numpy as np
 
 from smaspl.policy import (
-    ActionScaling, GaussianPolicy, fisher_information,
-    gaussian_pdf, gaussian_pdf_grad_mean,
+    ActionScaling, GaussianPolicy, cov_chain_factor, fisher_information,
 )
+from smaspl.verify import audit_chain_factors
 
 rng = np.random.default_rng(7)
 T, D = 4, 6
@@ -32,14 +34,12 @@ print("policy std    :", np.round(np.sqrt(var), 3))
 
 draws = policy.sample_actions(state, 100, np.random.default_rng(1))
 print("sample mean   :", np.round(draws.mean(axis=0), 3))
-print("density at mu :", f"{policy.pdf(state, mu):.4e}")
 
 a = draws[0]
-g = gaussian_pdf_grad_mean(a, mu, var)
-f = gaussian_pdf(a, mu, var)
-score = (a - mu) / var
-print("chain check   : max |f*score - df/dmu| =",
-      f"{np.max(np.abs(f * score - g)):.2e}")
+print("cov factor    :", np.round(cov_chain_factor(a, mu, var), 3))
+check = audit_chain_factors(np.random.default_rng(0))
+print("chain check   : max rel err vs density differences =",
+      f"{check.max_rel_err:.2e}", "pass" if check.passed else "FAIL")
 
 H = policy.fisher(state)
 eig = np.linalg.eigvalsh(H)

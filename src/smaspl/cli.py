@@ -410,11 +410,23 @@ def _cmd_report(args) -> int:
     scenario = load_scenario(args.scenario)
     world = build_world(scenario)
     known = set(world.index.ids)
-    for rec in records:
+    n, n_global = world.n_agents, sum(r.scope == "global" for r in world.table)
+    for number, rec in enumerate(records, start=1):
         for rid in (*rec.j_values, *rec.j_dispatch, *rec.lambda_traj):
             if rid not in known:
                 raise ValueError(f"{args.log}: row id {rid!r} is not a "
                                  f"constraint row of {args.scenario}")
+        sizes = [(name, len(getattr(rec, name)), n, "agents") for name in
+                 ("rewards", "rewards_dispatch", "theta_change", "lambda_final")]
+        sizes += [("lambda_final", len(row), n_global, "global rows")
+                  for row in rec.lambda_final]
+        sizes += [("lambda_traj", len(row), n, "agents")
+                  for traj in rec.lambda_traj.values() for row in traj]
+        for name, size, count, what in sizes:
+            if size != count:
+                raise ValueError(f"{args.log}:{number}: field {name!r} lists "
+                                 f"{size} values where {args.scenario} has "
+                                 f"{count} {what}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_summaries(records, world, out)

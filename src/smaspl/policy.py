@@ -15,6 +15,9 @@ and are mapped per-dimension:
 
 so the produced mean always lies in the configured action box and the
 covariance diagonal never drops below sigma_floor^2.
+
+Training's action gradients reach the covariance head through
+cov_chain_factor (the mean head's factor is 1).
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ __all__ = [
     "ActionScaling",
     "GaussianPolicy",
     "PolicyEval",
-    "gaussian_pdf",
-    "gaussian_pdf_grad_mean",
-    "gaussian_pdf_grad_cov",
-    "gaussian_pdf_grad_point",
     "fisher_information",
-    "action_policy_reciprocal",
     "cov_chain_factor",
     "save_checkpoint",
     "load_checkpoint",
@@ -130,47 +128,8 @@ class FeedforwardNet:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate Gaussian density and its exact derivatives
+# Information matrix and the covariance chain factor
 # ---------------------------------------------------------------------------
-
-def _prep(x, mu, cov):
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 1:
-        cov = np.diag(cov)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance must be positive definite")
-    inv = np.linalg.inv(cov)
-    return x, mu, cov, inv, logdet
-
-
-def gaussian_pdf(x, mu, cov) -> float:
-    """Multivariate normal density; cov may be a diagonal vector or matrix."""
-    x, mu, cov, inv, logdet = _prep(x, mu, cov)
-    d = x.size
-    quad = float((x - mu) @ inv @ (x - mu))
-    return math.exp(-0.5 * (quad + logdet + d * math.log(2.0 * math.pi)))
-
-
-def gaussian_pdf_grad_mean(x, mu, cov) -> np.ndarray:
-    """d f / d mu = inv(cov) (x - mu) f."""
-    x, mu, cov, inv, _ = _prep(x, mu, cov)
-    return inv @ (x - mu) * gaussian_pdf(x, mu, cov)
-
-
-def gaussian_pdf_grad_cov(x, mu, cov) -> np.ndarray:
-    """d f / d cov = -1/2 (inv - inv (x-mu)(x-mu)^T inv) f."""
-    x, mu, cov, inv, _ = _prep(x, mu, cov)
-    delta = (x - mu)[:, None]
-    return -0.5 * (inv - inv @ delta @ delta.T @ inv) * gaussian_pdf(x, mu, cov)
-
-
-def gaussian_pdf_grad_point(x, mu, cov) -> np.ndarray:
-    """d f / d x = -inv(cov) (x - mu) f (the negative of the mean gradient)."""
-    return -gaussian_pdf_grad_mean(x, mu, cov)
-
 
 def fisher_information(jac_mu: np.ndarray, jac_cov_diag: np.ndarray,
                        sigma2: np.ndarray) -> np.ndarray:
@@ -191,41 +150,21 @@ def fisher_information(jac_mu: np.ndarray, jac_cov_diag: np.ndarray,
     return 0.5 * (h + h.T)
 
 
-# |a - mu| is kept >= this many standard deviations in the chain factors
 _DELTA_CLAMP = 1e-6
-
-
-def _clamped_delta(a, mu, sigma2):
-    """a - mu with magnitude kept >= _DELTA_CLAMP * sigma (sign preserved)."""
-    sigma = np.sqrt(sigma2)
-    delta = a - mu
-    floor = _DELTA_CLAMP * sigma
-    small = np.abs(delta) < floor
-    safe = np.where(small, np.where(delta < 0, -floor, floor), delta)
-    return safe
-
-
-def action_policy_reciprocal(a, mu, sigma2) -> np.ndarray:
-    """Elementwise reciprocal of the density's point gradient, diagonal cov.
-
-    This is -(inv(cov) (a - mu) f)^{-1} per dimension, with |a_d - mu_d|
-    clamped away from zero so the reciprocal stays finite.
-    """
-    delta = _clamped_delta(np.asarray(a, float), np.asarray(mu, float),
-                           np.asarray(sigma2, float))
-    f = gaussian_pdf(a, mu, np.asarray(sigma2, float))
-    return -np.asarray(sigma2, float) / (f * delta)
 
 
 def cov_chain_factor(a, mu, sigma2) -> np.ndarray:
     """Composed factor (da/d pi)(d pi/d Sigma_dd) along a density level set.
 
     Equals (delta^2 - sigma^2) / (2 sigma^2 delta) per dimension with
-    delta = a - mu clamped away from zero.
+    delta = a - mu, its magnitude kept >= _DELTA_CLAMP * sigma (sign
+    preserved) so the factor stays finite at the mean.
     """
     sigma2 = np.asarray(sigma2, float)
-    delta = _clamped_delta(np.asarray(a, float), np.asarray(mu, float),
-                           sigma2)
+    delta = np.asarray(a, float) - np.asarray(mu, float)
+    floor = _DELTA_CLAMP * np.sqrt(sigma2)
+    delta = np.where(np.abs(delta) < floor,
+                     np.where(delta < 0, -floor, floor), delta)
     return (delta ** 2 - sigma2) / (2.0 * sigma2 * delta)
 
 
@@ -358,10 +297,6 @@ class GaussianPolicy:
         sigma = self._sigma(state)
         return mu[None, :] + sigma[None, :] * rng.standard_normal(
             (count, self.action_dim))
-
-    def pdf(self, state, a) -> float:
-        return gaussian_pdf(a, self.forward_mean(state),
-                            self.forward_cov(state))
 
     # -- derivatives --------------------------------------------------------
 

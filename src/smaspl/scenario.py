@@ -186,21 +186,19 @@ def synth_profiles(seed: int, days: int, mg_count: int, *,
     irr = np.empty((steps, mg_count))
     scale = 1.0 + 0.3 * rng.standard_normal(mg_count) * 0.5
     scale = np.clip(scale, 0.6, 1.5)
+    # per step of the day: the solar bell and the base load
+    hours = [s * STEP_MINUTES / 60.0 for s in range(96)]
+    bell = np.array([math.sin(math.pi * (h - 6.0) / 12.0) ** 2
+                     if 6.0 < h < 18.0 else 0.0 for h in hours])
+    base = np.array([load_base_kw + load_peak_kw * (
+        math.exp(-((h - 19.0) / 2.5) ** 2)
+        + 0.4 * math.exp(-((h - 7.5) / 1.5) ** 2)) for h in hours])
     for d in range(days):
+        day = slice(d * 96, (d + 1) * 96)
         clearness = np.clip(rng.uniform(0.7, 1.15, mg_count), 0.0, 1.2)
-        for s in range(96):
-            k = d * 96 + s
-            hour = s * STEP_MINUTES / 60.0
-            if 6.0 < hour < 18.0:
-                bell = math.sin(math.pi * (hour - 6.0) / 12.0) ** 2
-            else:
-                bell = 0.0
-            irr[k] = np.clip(clearness * bell, 0.0, 1.2)
-            evening = math.exp(-((hour - 19.0) / 2.5) ** 2)
-            morning = 0.4 * math.exp(-((hour - 7.5) / 1.5) ** 2)
-            noise = 1.0 + 0.05 * rng.standard_normal(mg_count)
-            base = load_base_kw + load_peak_kw * (evening + morning)
-            load[k] = np.maximum(base * scale * noise, 0.5)
+        irr[day] = np.clip(clearness * bell[:, None], 0.0, 1.2)
+        noise = 1.0 + 0.05 * rng.standard_normal((96, mg_count))
+        load[day] = np.maximum(base[:, None] * scale * noise, 0.5)
     return ProfileSeries(stamps, load, irr)
 
 

@@ -4,19 +4,21 @@ Each family compares closed-form derivatives against an independent
 numerical oracle: full power-flow re-solves for the network
 sensitivities (fourth-order Richardson differences of the voltages'
 real and imaginary parts, the voltage and branch current magnitudes
-and the PCC active and reactive power), central differences for the
-density and network Jacobians, and direct return re-evaluation for the
-local constraint rows.  The network and
-constraint families run the stacked functions training runs
-(solve_power_flow_stack, step_sensitivity_stack, network_observables,
-row_gradient_stack, constraint_return_stack), each trial's operating
-points or returns as one stack.  A deliberately
+and the PCC active and reactive power), ratios of a Gaussian density's
+central differences for the chain factors that carry training's action
+gradients to the policy heads, central differences for the network
+Jacobians, and direct return re-evaluation for the local constraint
+rows.  The network and constraint families run the stacked functions
+training runs (solve_power_flow_stack, step_sensitivity_stack,
+network_observables, row_gradient_stack, constraint_return_stack), each
+trial's operating points or returns as one stack.  A deliberately
 faulted variant of the injection table is available to prove the audit
 actually catches sign errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -43,13 +45,7 @@ from .microgrid import (
     constraint_return_stack,
     network_observables,
 )
-from .policy import (
-    FeedforwardNet,
-    gaussian_pdf,
-    gaussian_pdf_grad_cov,
-    gaussian_pdf_grad_mean,
-    gaussian_pdf_grad_point,
-)
+from .policy import FeedforwardNet, cov_chain_factor
 
 __all__ = ["AuditResult", "run_all_audits", "FAULTS"]
 
@@ -59,9 +55,11 @@ PF_TOL = 1e-12          # oracle re-solves run tighter than production
 # pass tolerance on the worst relative error, per family
 TOL_INJECTION = 1e-8
 TOL_NETWORK = 1e-4
-TOL_PDF = 1e-5
+TOL_CHAIN_FACTORS = 1e-5
 TOL_DNN = 1e-5
 TOL_LOCAL_ROWS = 1e-6
+# family 6 skips a trial with a draw this close to its mean, in sigmas
+NEAR_MEAN_SIGMAS = 1e-4
 
 FAULTS = ("table3-qdg-sign",)
 
@@ -238,10 +236,21 @@ def audit_network_sensitivities(rng, trials=50,
 
 
 # ---------------------------------------------------------------------------
-# Family 6: Gaussian density gradients
+# Family 6: the chain factors training multiplies by
 # ---------------------------------------------------------------------------
 
-def audit_pdf_gradients(rng, trials=100, dump=None) -> AuditResult:
+def _gaussian_pdf(x, mu, var) -> float:
+    """Density of N(mu, diag(var)) at x: family 6's oracle."""
+    x, mu, var = (np.asarray(v, dtype=float) for v in (x, mu, var))
+    return math.exp(-0.5 * (np.sum((x - mu) ** 2 / var) + np.sum(np.log(var))
+                            + x.size * math.log(2.0 * math.pi)))
+
+
+def audit_chain_factors(rng, trials=100, dump=None) -> AuditResult:
+    """The factors -(df/da_d)^-1 df/dp_d that carry an action gradient to
+    a policy head along a level set of the density f: the mean head's
+    (p = mu_d; training takes it as 1) and cov_chain_factor (p = Sigma_dd),
+    against ratios of f's central differences."""
     worst = 0.0
     h = 1e-5
     for _ in range(trials):
@@ -249,28 +258,24 @@ def audit_pdf_gradients(rng, trials=100, dump=None) -> AuditResult:
         mu = rng.normal(size=d)
         var = rng.uniform(0.3, 2.0, d)
         a = mu + rng.normal(size=d) * np.sqrt(var)
-        g_mu = gaussian_pdf_grad_mean(a, mu, var)
-        g_a = gaussian_pdf_grad_point(a, mu, var)
-        g_cov = np.diag(gaussian_pdf_grad_cov(a, mu, var))
-        fd_mu = np.empty(d)
-        fd_a = np.empty(d)
-        fd_cov = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            fd_mu[i] = (gaussian_pdf(a, mu + e, var)
-                        - gaussian_pdf(a, mu - e, var)) / (2 * h)
-            fd_a[i] = (gaussian_pdf(a + e, mu, var)
-                       - gaussian_pdf(a - e, mu, var)) / (2 * h)
-            fd_cov[i] = (gaussian_pdf(a, mu, var + e)
-                         - gaussian_pdf(a, mu, var - e)) / (2 * h)
-        for name, an, fd in (("mean", g_mu, fd_mu), ("point", g_a, fd_a),
-                             ("cov", g_cov, fd_cov)):
-            scale = max(float(np.abs(fd).max()), 1e-9)
+        if np.any(np.abs(a - mu) < NEAR_MEAN_SIGMAS * np.sqrt(var)):
+            continue  # f's differences cannot resolve 1/(a - mu) there
+
+        def central(f):
+            return np.array([(f(e) - f(-e)) / (2 * h) for e in h * np.eye(d)])
+
+        fd_a = central(lambda e: _gaussian_pdf(a + e, mu, var))
+        fd_mu = central(lambda e: _gaussian_pdf(a, mu + e, var))
+        fd_cov = central(lambda e: _gaussian_pdf(a, mu, var + e))
+        for name, an, fd in (("mean", np.ones(d), -fd_mu / fd_a),
+                             ("cov", cov_chain_factor(a, mu, var),
+                              -fd_cov / fd_a)):
+            # relative above 1, absolute below: cov's is 0 at |a - mu| = sigma
+            scale = max(float(np.abs(fd).max()), 1.0)
             err = float(np.abs(an - fd).max()) / scale
             worst = max(worst, err)
-            _record(dump, "gaussian-pdf-gradients", name, an[0], fd[0], scale)
-    return AuditResult("gaussian-pdf-gradients", TOL_PDF, trials, worst)
+            _record(dump, "chain-factors", name, an[0], fd[0], scale)
+    return AuditResult("chain-factors", TOL_CHAIN_FACTORS, trials, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +373,7 @@ def run_all_audits(seed: int = 0, *, trials_network: int = 50,
                                         fault=fault, dump=dump)]
     results += audit_network_sensitivities(rng, trials=trials_network,
                                            dump=dump)
-    results.append(audit_pdf_gradients(rng, dump=dump))
+    results.append(audit_chain_factors(rng, dump=dump))
     results.append(audit_dnn_jacobian(rng, dump=dump))
     results.append(audit_local_row_gradients(rng, dump=dump))
     return results

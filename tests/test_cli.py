@@ -536,11 +536,11 @@ class TestReport:
                      "summary_lambda.csv", "summary_theta.csv"):
             assert (rep / name).read_bytes() == (out / name).read_bytes()
 
-    # a well-typed record of the tiny_oracle case (one agent, no global
+    # a well-typed record of the tiny_oracle case (one agent, 14 global
     # rows)
     FIELDS = {
         "episode": 0, "rewards": [1.0], "rewards_dispatch": [1.0],
-        "j_values": {}, "j_dispatch": {}, "lambda_final": [[]],
+        "j_values": {}, "j_dispatch": {}, "lambda_final": [[0.0] * 14],
         "lambda_traj": {}, "theta_change": [0.0], "inner_iterations": 1,
         "inner_converged": True, "backtrack_rounds": 0,
         "pfe_verdict": "clean", "discards": 0,
@@ -592,6 +592,30 @@ class TestReport:
                      "--out", str(tmp_path / "rep")])
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, f"{path}: row id 'v_hi[4]'", TINY)
+        assert not (tmp_path / "rep").exists()
+
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("rewards", [1.0, 2.0], "'rewards' lists 2 values where"),
+        ("rewards_dispatch", [], "'rewards_dispatch' lists 0 values where"),
+        ("theta_change", [0.0, 0.0], "'theta_change' lists 2 values where"),
+        ("lambda_final", [[0.0] * 14] * 2,
+         "'lambda_final' lists 2 values where"),
+        ("lambda_final", [[0.0] * 3], "'lambda_final' lists 3 values where"),
+        ("lambda_traj", {"v_hi[1]": [[0.1], [0.1, 0.2]]},
+         "'lambda_traj' lists 2 values where"),
+    ], ids=["rewards", "rewards-dispatch", "theta-change", "lambda-agents",
+            "lambda-rows", "lambda-traj"])
+    def test_log_of_another_agent_count_is_validation_failure(
+            self, tmp_path, capsys, field, value, where):
+        # the tiny case has one agent and 14 global rows
+        path = tmp_path / "log.jsonl"
+        path.write_text(self.RECORD + json.dumps({**self.FIELDS,
+                                                  field: value}) + "\n")
+        code = main(["report", "--log", str(path), "--scenario", TINY,
+                     "--out", str(tmp_path / "rep")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{path}:2: field {where} {TINY}")
         assert not (tmp_path / "rep").exists()
 
 

@@ -1,6 +1,7 @@
 """Smoke test: the quick demos run to completion against the current API.
 
-Demo 04 trains for several seconds and is left out.
+Demo 04 trains for several seconds; the CI workflow runs it as a step of
+its own.
 """
 
 import os

@@ -24,13 +24,12 @@ CENSUS = [
     (grid.solve_power_flow_stack, {"tol"}),
     (grid.power_flow_system_matrix, set()),
     (policy.cov_chain_factor, set()),
-    (policy.action_policy_reciprocal, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
     (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),
     (scenario.constant_profiles, set()),
     (verify.audit_injection_jacobian, {"trials", "fault", "dump"}),
     (verify.audit_network_sensitivities, {"trials", "dump"}),
-    (verify.audit_pdf_gradients, {"trials", "dump"}),
+    (verify.audit_chain_factors, {"trials", "dump"}),
     (verify.audit_dnn_jacobian, {"trials", "dump"}),
     (verify.audit_local_row_gradients, {"trials", "dump"}),
 ]
@@ -59,3 +58,10 @@ def test_deleted_names_stay_deleted():
                             dataclasses.fields(training.TrainingState)}
     assert not hasattr(scenario, "TRAINING_DEFAULTS")
     assert "TRAINING_DEFAULTS" not in scenario.__all__
+    # the density, its three gradients and the point gradient's reciprocal
+    for prefix in ("gaussian_pdf", "action_policy_"):
+        assert not [n for n in dir(policy) if n.startswith(prefix)]
+    for name in ("_prep", "_clamped_delta"):
+        assert not hasattr(policy, name)
+    assert not hasattr(policy.GaussianPolicy, "pdf")
+    assert not hasattr(verify, "audit_pdf_gradients")

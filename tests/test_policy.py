@@ -1,4 +1,4 @@
-"""Policy, density-derivative, backprop, and FIM tests (FD oracles)."""
+"""Policy, chain-factor, backprop, and FIM tests (FD oracles)."""
 
 import math
 
@@ -11,16 +11,12 @@ from smaspl.policy import (
     ActionScaling,
     FeedforwardNet,
     GaussianPolicy,
-    action_policy_reciprocal,
     cov_chain_factor,
     fisher_information,
-    gaussian_pdf,
-    gaussian_pdf_grad_cov,
-    gaussian_pdf_grad_mean,
-    gaussian_pdf_grad_point,
     load_checkpoint,
     save_checkpoint,
 )
+from smaspl.verify import _gaussian_pdf as gaussian_pdf
 
 
 def make_scaling(d, lo=-1.0, hi=1.0, span=0.5, floor=0.01, state_dim=4):
@@ -114,6 +110,8 @@ class TestSampling:
 
 
 class TestDensity:
+    """The diagonal density the chain-factor audit differentiates."""
+
     def test_peak_value(self):
         rng = np.random.default_rng(1)
         mu = rng.normal(size=3)
@@ -132,111 +130,58 @@ class TestDensity:
         total = np.sum((vals[1:] + vals[:-1]) / 2 * np.diff(xs))
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_singular_cov_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            gaussian_pdf([0.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
-
-
-def central_fd(fn, x, h=1e-5):
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (fn(x + e) - fn(x - e)) / (2 * h)
-    return out
-
-
-class TestDensityGradients:
-    def test_grad_mean_zero_at_peak(self):
-        g = gaussian_pdf_grad_mean([0.5, -0.2], [0.5, -0.2], [1.0, 2.0])
-        assert np.allclose(g, 0.0)
-
-    def test_scalar_grad_mean_value(self):
-        g = gaussian_pdf_grad_mean([1.0], [0.0], [1.0])
-        assert g[0] == pytest.approx(0.24197072451914337, rel=1e-12)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_all_three_vs_finite_differences(self, seed):
-        rng = np.random.default_rng(seed)
-        d = 3
-        mu = rng.normal(size=d)
-        a = mu + rng.normal(size=d)
-        m = rng.normal(size=(d, d))
-        cov = m @ m.T + 1.5 * np.eye(d)
-
-        g_mu = gaussian_pdf_grad_mean(a, mu, cov)
-        fd_mu = central_fd(lambda v: gaussian_pdf(a, v, cov), mu)
-        assert np.max(np.abs(g_mu - fd_mu)) <= 1e-5 * max(1e-12, np.abs(fd_mu).max())
-
-        g_a = gaussian_pdf_grad_point(a, mu, cov)
-        fd_a = central_fd(lambda v: gaussian_pdf(v, mu, cov), a)
-        assert np.max(np.abs(g_a - fd_a)) <= 1e-5 * max(1e-12, np.abs(fd_a).max())
-
-        g_cov = gaussian_pdf_grad_cov(a, mu, cov)
-        h = 1e-5
-        for i in range(d):
-            for j in range(i, d):
-                e = np.zeros((d, d))
-                # perturb symmetrically so the matrix stays a covariance;
-                # the derivative along E_ij + E_ji is g[i,j] + g[j,i],
-                # and along E_ii it is g[i,i]
-                e[i, j] = h
-                e[j, i] = h
-                fd = (gaussian_pdf(a, mu, cov + e)
-                      - gaussian_pdf(a, mu, cov - e)) / (2 * h)
-                expect = g_cov[i, i] if i == j else g_cov[i, j] + g_cov[j, i]
-                assert fd == pytest.approx(expect, rel=2e-5, abs=1e-12)
-
-    def test_chain_rule_consistency(self):
-        # pdf * dlog(pi)/dmu equals dpi/dmu
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            mu = rng.normal(size=4)
-            var = rng.uniform(0.2, 3.0, 4)
-            a = mu + rng.normal(size=4)
-            f = gaussian_pdf(a, mu, var)
-            score = (a - mu) / var
-            assert np.allclose(f * score, gaussian_pdf_grad_mean(a, mu, var),
-                               rtol=1e-12)
-
 
 class TestChainFactors:
-    def test_reciprocal_is_elementwise_inverse(self):
-        rng = np.random.default_rng(3)
-        mu = rng.normal(size=3)
-        var = rng.uniform(0.5, 2.0, 3)
-        a = mu + np.array([0.7, -0.4, 1.2])
-        rec = action_policy_reciprocal(a, mu, var)
-        grad_a = gaussian_pdf_grad_point(a, mu, var)
-        assert np.allclose(rec * grad_a, 1.0, rtol=1e-12)
+    """cov_chain_factor, (delta^2 - sigma^2) / (2 sigma^2 delta) with
+    delta = a - mu, at closed-form points."""
 
-    def test_mean_factor_is_unity(self):
-        rng = np.random.default_rng(4)
-        mu = rng.normal(size=5)
-        var = rng.uniform(0.5, 2.0, 5)
-        a = mu + rng.normal(size=5)
-        # the composed level-set product -(df/da)^-1 (df/dmu), elementwise
-        composed = -action_policy_reciprocal(a, mu, var) * \
-            gaussian_pdf_grad_mean(a, mu, var)
-        assert np.allclose(composed, 1.0, rtol=1e-12)
+    SIGMA = np.array([0.4, 1.0, 1.7])
+
+    def test_zero_one_sigma_from_the_mean(self):
+        mu = np.array([0.3, -1.2, 2.0])
+        for sign in (1.0, -1.0):
+            u = cov_chain_factor(mu + sign * self.SIGMA, mu, self.SIGMA ** 2)
+            assert np.allclose(u, 0.0, atol=1e-15)
+
+    def test_value_two_sigma_from_the_mean(self):
+        mu = np.array([0.3, -1.2, 2.0])
+        u = cov_chain_factor(mu + 2.0 * self.SIGMA, mu, self.SIGMA ** 2)
+        assert np.allclose(u, 3.0 / (4.0 * self.SIGMA), rtol=1e-14)
+
+    def test_odd_in_delta(self):
+        # the middle entry lies inside the clamp
+        delta = np.array([0.7, -1e-9, -2.3]) * self.SIGMA
+        mu, var = np.zeros(3), self.SIGMA ** 2
+        assert np.array_equal(cov_chain_factor(delta, mu, var),
+                              -cov_chain_factor(-delta, mu, var))
 
     def test_cov_factor_matches_composition(self):
+        # -(df/da)^-1 df/dSigma_dd from the diagonal density's partials
+        # df/da = -(delta / sigma^2) f and
+        # df/dSigma_dd = (delta^2 / sigma^2 - 1) f / (2 sigma^2)
         rng = np.random.default_rng(5)
         mu = rng.normal(size=4)
         var = rng.uniform(0.5, 2.0, 4)
         a = mu + rng.normal(size=4)
-        grad_cov_diag = np.diag(gaussian_pdf_grad_cov(a, mu, var))
-        composed = -action_policy_reciprocal(a, mu, var) * grad_cov_diag
+        delta = a - mu
+        composed = (delta ** 2 / var - 1.0) / (2.0 * var) / (delta / var)
         assert np.allclose(composed, cov_chain_factor(a, mu, var), rtol=1e-12)
 
     def test_clamp_keeps_factors_finite(self):
         mu = np.zeros(2)
         var = np.ones(2)
-        a = mu.copy()  # exactly at the mean
-        rec = action_policy_reciprocal(a, mu, var)
-        assert np.all(np.isfinite(rec))
-        assert np.all(np.isfinite(cov_chain_factor(a, mu, var)))
+        u = cov_chain_factor(mu, mu, var)  # exactly at the mean
+        assert np.all(np.isfinite(u))
+        # capped at its value 1e-6 sigma from the mean
+        assert np.allclose(np.abs(u), (1.0 - 1e-12) / 2e-6, rtol=1e-12)
+
+    def test_audit_catches_another_factor(self, monkeypatch):
+        from smaspl import verify
+        assert verify.audit_chain_factors(np.random.default_rng(0)).passed
+        # the pathwise factor delta / (2 sigma^2) in place of the level-set one
+        monkeypatch.setattr(verify, "cov_chain_factor",
+                            lambda a, mu, s2: (a - mu) / (2.0 * s2))
+        assert not verify.audit_chain_factors(np.random.default_rng(0)).passed
 
 
 class TestBackprop:

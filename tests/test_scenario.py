@@ -1,5 +1,6 @@
 """Profile, forecast-error, perturbation, and scenario-file tests."""
 
+import math
 from dataclasses import asdict
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -66,7 +67,44 @@ class TestProfileCSV:
             load_profiles(path)
 
 
+def synth_profiles_stepwise(seed, days, mg_count, load_base_kw=20.0,
+                            load_peak_kw=15.0):
+    """synth_profiles written as one step at a time: (load, irradiance)."""
+    rng = np.random.default_rng(seed)
+    load = np.empty((days * 96, mg_count))
+    irr = np.empty((days * 96, mg_count))
+    scale = np.clip(1.0 + 0.3 * rng.standard_normal(mg_count) * 0.5, 0.6, 1.5)
+    for d in range(days):
+        clearness = np.clip(rng.uniform(0.7, 1.15, mg_count), 0.0, 1.2)
+        for s in range(96):
+            k = d * 96 + s
+            hour = s * 15 / 60.0
+            if 6.0 < hour < 18.0:
+                bell = math.sin(math.pi * (hour - 6.0) / 12.0) ** 2
+            else:
+                bell = 0.0
+            irr[k] = np.clip(clearness * bell, 0.0, 1.2)
+            evening = math.exp(-((hour - 19.0) / 2.5) ** 2)
+            morning = 0.4 * math.exp(-((hour - 7.5) / 1.5) ** 2)
+            noise = 1.0 + 0.05 * rng.standard_normal(mg_count)
+            base = load_base_kw + load_peak_kw * (evening + morning)
+            load[k] = np.maximum(base * scale * noise, 0.5)
+    return load, irr
+
+
 class TestSynthProfiles:
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=98, days=7, mg_count=5, load_base_kw=25.0,
+             load_peak_kw=20.0),
+        dict(seed=0, days=2, mg_count=2),
+        dict(seed=5, days=3, mg_count=1),
+    ], ids=["paper98", "two-days", "one-mg"])
+    def test_equals_the_stepwise_loop_bit_for_bit(self, kwargs):
+        series = synth_profiles(**kwargs)
+        load, irr = synth_profiles_stepwise(**kwargs)
+        assert np.array_equal(series.load_kw, load)
+        assert np.array_equal(series.irradiance, irr)
+
     def test_seed_determinism(self):
         a = synth_profiles(seed=9, days=2, mg_count=3)
         b = synth_profiles(seed=9, days=2, mg_count=3)
