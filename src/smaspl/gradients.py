@@ -27,7 +27,7 @@ from .grid import (
     PowerFlowSolution,
     PowerFlowStack,
     power_flow_system_matrix,
-    solve_system_stack,
+    solve_unit_columns,
 )
 from .microgrid import (
     CONSTRAINT_NETWORK_KINDS,
@@ -125,13 +125,14 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
     every point of pf, (B, n_bus, C) each.
 
     Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
-    ...).  The 2n x 2n linearizations of all points are solved with one
-    multi-column solve_system_stack call (tree elimination on a radial
-    grid, dense LU on a meshed one); slack rows are identity with zero
-    right-hand side, pinning slack sensitivities to zero.  Controls
-    whose partials share a basis and a bus share a right-hand side; the
-    solve is exactly odd, so their columns are signed copies."""
-    n = grid.n_bus
+    ...).  Each control's right-hand side is its load-current partial at
+    its own bus, so the 2n x 2n linearizations of all points are solved
+    with one solve_unit_columns call: on a radial grid each column is
+    carried along its bus's path to the root only, on a meshed one the
+    columns go through dense LU.  A control at the slack bus, whose row
+    is pinned to identity, gets a zero column.  Controls whose partials
+    share a basis and a bus share a column; the solve is exactly odd, so
+    their columns are signed copies."""
     base = _partial_bases(pf)
     shared: dict = {}           # (basis, bus) -> right-hand-side column
     cols, signs = [], []
@@ -141,24 +142,22 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
             key = (kind, _control_bus(spec, control))
             cols.append(shared.setdefault(key, len(shared)))
             signs.append(sign)
-    rhs = np.zeros((len(pf), 2 * n, len(shared)))
+    bus = np.array([b for _, b in shared], dtype=int)
     kw = 1.0 / grid.base_power_kva
-    for (kind, bus), col in shared.items():
+    value = np.empty((len(pf), len(shared)), dtype=complex)
+    for col, (kind, b) in enumerate(shared):
         d_re, d_im = base[kind]
-        rhs[:, bus, col] = d_re[:, bus] * kw
-        rhs[:, n + bus, col] = d_im[:, bus] * kw
-    s = grid.slack
-    rhs[:, s, :] = 0.0
-    rhs[:, n + s, :] = 0.0
-    x, solved = solve_system_stack(grid, pf.p_load_pu, pf.q_load_pu,
-                                   pf.v_re, pf.v_im, -rhs)
+        value.real[:, col] = -(d_re[:, b] * kw)
+        value.imag[:, col] = -(d_im[:, b] * kw)
+    x, solved = solve_unit_columns(grid, pf.p_load_pu, pf.q_load_pu,
+                                   pf.v_re, pf.v_im, bus, value)
     _count_factorization(int(solved.sum()))
     bad = ~solved | ~np.isfinite(x).all(axis=(1, 2))
     if bad.any():
         raise SensitivityError(_singular_message(grid, pf,
                                                  np.flatnonzero(bad)[0]))
-    dv = x[:, :, cols] * np.array(signs)
-    return dv[:, :n], dv[:, n:]
+    signs = np.array(signs)
+    return x.real[:, :, cols] * signs, x.imag[:, :, cols] * signs
 
 
 def _singular_message(grid: GridModel, pf: PowerFlowStack, b: int) -> str:
@@ -255,7 +254,7 @@ def compute_step_sensitivities(grid: GridModel, sol: PowerFlowSolution,
 def step_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
                            specs) -> StepSensitivities:
     """Sensitivities of every (converged) point of pf, fields (B, ...),
-    from one multi-column solve_system_stack call; counts one
+    from one solve_unit_columns call; counts one
     factorization per point."""
     dv_re, dv_im = _voltage_sensitivity_stack(grid, pf, specs)
     return _branch_and_pcc_stack(grid, pf, specs, dv_re, dv_im)

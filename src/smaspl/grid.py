@@ -37,6 +37,7 @@ __all__ = [
     "load_current_voltage_jacobian",
     "power_flow_system_matrix",
     "solve_system_stack",
+    "solve_unit_columns",
 ]
 
 class GridError(ValueError):
@@ -447,34 +448,33 @@ def _solve_dense(grid: GridModel, p, q, v_re, v_im,
     return x.reshape(rhs.shape), solved
 
 
-def _solve_tree(grid: GridModel, p, q, v_re, v_im,
-                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """solve_system_stack on a radial grid: block elimination along
-    grid.tree, leaves up, then substitution root down, vectorized over
-    the points and the right-hand sides.
+def _eliminate(grid: GridModel, p, q, v_re, v_im, b: np.ndarray):
+    """Leaves-up block elimination along grid.tree of the complex
+    right-hand sides b (m, B, K), in position order, vectorized over the
+    points and the columns; K may be 0, and then only the pivots are
+    computed.
 
     A bus's 2x2 real block acts on its complex voltage as
     x -> z x + w conj(x), whose inverse is
     x -> (conj(z) x - w conj(x)) / (|z|^2 - |w|^2); a branch block is
-    multiplication by its entry of Y.  The arrays are bus-major, so each
-    level is a contiguous slice, and every operation is elementwise over
-    the points, so a point's solution does not depend on the stack."""
-    tree, n = grid.tree, grid.n_bus
+    multiplication by its entry of Y.  Returns the eliminated
+    right-hand sides u (m, B, K) in position order; per level, deepest
+    first, the pivot factors (conj(z), w) / (|z|^2 - |w|^2) and the
+    substitution factors of _substitute, each (level, B); and the (B,)
+    mask of the points whose every pivot is finite and nonzero."""
+    tree = grid.tree
     k = tree.order
     m = k.size
-    points = rhs.shape[0]
-    flat = rhs.reshape(points, 2 * n, -1)
     d_rere, d_reim, d_imre, d_imim = load_current_voltage_jacobian(
         p[:, k].T, q[:, k].T, v_re[:, k].T, v_im[:, k].T)
     z = tree.y_diag[:, None] + 0.5 * (d_rere + d_imim
                                       + 1j * (d_imre - d_reim))
     w = 0.5 * (d_rere - d_imim + 1j * (d_imre + d_reim))
-    b = (flat[:, k] + 1j * flat[:, n + k]).transpose(1, 0, 2)
     # per bus (z, -w, b), from which its children's shares are subtracted
     own = np.concatenate([z[..., None], -w[..., None], b], axis=2)
     share = np.zeros((m + 1,) + own.shape[1:], dtype=complex)
     a = tree.y_parent[:, None]
-    inv, u, up = [], [], []             # per level, deepest first
+    inv, u, pivots, up = [], [], [], []     # per level, deepest first
     with np.errstate(all="ignore"):     # a singular point turns to inf/NaN
         for (lo, hi), kids in zip(tree.levels[::-1], tree.children[::-1]):
             row = own[lo:hi]
@@ -487,6 +487,7 @@ def _solve_tree(grid: GridModel, p, q, v_re, v_im,
             ul = zcl[..., None] * bl - wcl[..., None] * bl.conj()
             inv.append(il)
             u.append(ul)
+            pivots.append((zcl, wcl))
             if lo:                      # not the roots
                 # the pivot block's inverse after the branch block:
                 # x_parent -> za x_parent - wa conj(x_parent)
@@ -495,15 +496,38 @@ def _solve_tree(grid: GridModel, p, q, v_re, v_im,
                 share[lo:hi, :, 0] = za * al
                 share[lo:hi, :, 1] = wa * al
                 share[lo:hi, :, 2:] = al[..., None] * ul
-                up.append((za[..., None], wa[..., None]))
-        x = np.empty(b.shape, dtype=complex)
-        x[:tree.levels[0][1]] = u[-1]
-        for (lo, hi), ul, (za, wa) in zip(tree.levels[1:], u[-2::-1],
-                                          up[::-1]):
-            xp = x[tree.parent[lo:hi]]
-            x[lo:hi] = ul - (za * xp - wa * xp.conj())
+                up.append((za, wa))
     inv = np.concatenate(inv)
     solved = (np.isfinite(inv) & (inv != 0.0)).all(axis=0)
+    return np.concatenate(u[::-1]), pivots, up, solved
+
+
+def _substitute(tree: TreeSchedule, x: np.ndarray, up) -> np.ndarray:
+    """Root-down substitution, in place, of the eliminated right-hand
+    sides x (m, B, K) with _eliminate's substitution factors up; returns
+    x, now the solution in position order."""
+    with np.errstate(all="ignore"):
+        for (lo, hi), (za, wa) in zip(tree.levels[1:], up[::-1]):
+            xp = x[tree.parent[lo:hi]]
+            x[lo:hi] -= za[..., None] * xp - wa[..., None] * xp.conj()
+    return x
+
+
+def _solve_tree(grid: GridModel, p, q, v_re, v_im,
+                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """solve_system_stack on a radial grid: block elimination along
+    grid.tree, leaves up (_eliminate), then substitution root down
+    (_substitute), vectorized over the points and the right-hand sides.
+    The arrays are bus-major, so each level is a contiguous slice, and
+    every operation is elementwise over the points, so a point's
+    solution does not depend on the stack."""
+    tree, n = grid.tree, grid.n_bus
+    k = tree.order
+    points = rhs.shape[0]
+    flat = rhs.reshape(points, 2 * n, -1)
+    b = (flat[:, k] + 1j * flat[:, n + k]).transpose(1, 0, 2)
+    u, _, up, solved = _eliminate(grid, p, q, v_re, v_im, b)
+    x = _substitute(tree, u, up)
     out = flat.copy()                   # the slack rows are identity
     out[:, k] = x.real.transpose(1, 0, 2)
     out[:, n + k] = x.imag.transpose(1, 0, 2)
@@ -526,6 +550,63 @@ def solve_system_stack(grid: GridModel, p, q, v_re, v_im,
     if grid.tree is None:
         return _solve_dense(grid, p, q, v_re, v_im, rhs)
     return _solve_tree(grid, p, q, v_re, v_im, rhs)
+
+
+def solve_unit_columns(grid: GridModel, p, q, v_re, v_im, bus,
+                       value) -> tuple[np.ndarray, np.ndarray]:
+    """solve_system_stack of K unit right-hand sides.
+
+    Column j is zero but at bus[j], where it holds value[:, j] (B, K),
+    complex: the real part in the bus's real row, the imaginary part in
+    its imaginary row.  Returns the solutions as complex voltages
+    (B, n_bus, K) and the (B,) mask of the solved points; an unsolved
+    point's solution is NaN and a column at the slack bus solves to zero.
+
+    A meshed grid scatters the columns into a dense right-hand side for
+    _solve_dense.  On a radial grid _eliminate runs with no right-hand
+    side, for the pivots.  A unit column's leaves-up sweep is zero off
+    its bus's path to the root, so each column is carried along that
+    path alone, at most one position per level, with the arithmetic of
+    _eliminate (the sparse vector methods of Tinney, Brandwajn & Chan,
+    IEEE Trans. PAS 1985); _substitute then runs on every position.  The
+    result is _solve_tree's on the dense right-hand side, bit for bit.
+    """
+    bus = np.asarray(bus, dtype=int)
+    value = np.asarray(value, dtype=complex)
+    n, (points, count) = grid.n_bus, value.shape
+    col = np.arange(count)
+    if grid.tree is None:
+        rhs = np.zeros((points, 2 * n, count))
+        rhs[:, bus, col] = value.real
+        rhs[:, n + bus, col] = value.imag
+        rhs[:, [grid.slack, n + grid.slack]] = 0.0
+        x, solved = _solve_dense(grid, p, q, v_re, v_im, rhs)
+        out = np.empty((points, n, count), dtype=complex)
+        out.real, out.imag = x[:, :n], x[:, n:]
+        return out, solved
+    tree = grid.tree
+    m = tree.order.size
+    _, pivots, up, solved = _eliminate(grid, p, q, v_re, v_im,
+                                       np.empty((m, points, 0), complex))
+    zc = np.concatenate([zcl for zcl, _ in pivots[::-1]])      # (m, B)
+    wc = np.concatenate([wcl for _, wcl in pivots[::-1]])
+    where = np.full(n, m)               # each bus's position, m at the slack
+    where[tree.order] = np.arange(m)
+    at, col, b = _keep(where[bus] < m, where[bus], col, value.T)
+    u = np.zeros((m, points, count), dtype=complex)
+    with np.errstate(all="ignore"):
+        while at.size:
+            ul = zc[at] * b - wc[at] * b.conj()
+            u[at, :, col] = ul
+            # the parent's right-hand side: zero less this child's share
+            b = -(tree.y_parent[at, None] * ul)
+            at = tree.parent[at]
+            at, col, b = _keep(at < m, at, col, b)
+    x = _substitute(tree, u, up)
+    out = np.zeros((points, n, count), dtype=complex)
+    out[:, tree.order] = x.transpose(1, 0, 2)
+    out[~solved] = complex(np.nan, np.nan)
+    return out, solved
 
 
 def _branch_currents(grid: GridModel, v_re, v_im):

@@ -318,6 +318,9 @@ class ConstraintIndex:
     the rows' positions in the table, the bus, branch or microgrid each
     row reads, and its orientation (float).  Returns and row gradients
     of a whole stack of samples are fancy-indexes of per-kind arrays.
+    A row's return and gradient are its orientation times those of its
+    constrained quantity, its (kind, target); quantities() indexes the
+    quantities themselves.
     """
 
     ids: tuple
@@ -344,6 +347,25 @@ class ConstraintIndex:
             groups[kind] = (np.array(pos, dtype=int),
                             np.array(target, dtype=int), np.array(orient))
         return cls(tuple(r.id for r in rows), groups)
+
+    def quantities(self) -> tuple["ConstraintIndex", np.ndarray, np.ndarray]:
+        """The table's constrained quantities as an index of their own,
+        each a row of orientation +1 with id "kind[target]", kind by kind
+        and by target within a kind; and per table row (M,) its quantity's
+        position in that index and its orientation.  The two sides of a
+        limit share one quantity."""
+        groups, ids = {}, []
+        of_row = np.empty(self.n_rows, dtype=int)
+        orientation = np.empty(self.n_rows)
+        for kind, (pos, target, orient) in self.groups.items():
+            unique, slot = np.unique(target, return_inverse=True)
+            first = len(ids)
+            groups[kind] = (first + np.arange(unique.size), unique,
+                            np.ones(unique.size))
+            ids += [f"{kind}[{t}]" for t in unique.tolist()]
+            of_row[pos] = first + slot
+            orientation[pos] = orient
+        return ConstraintIndex(tuple(ids), groups), of_row, orientation
 
 
 def build_constraint_table(grid: GridModel, specs, *,

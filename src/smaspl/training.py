@@ -273,6 +273,12 @@ class World:
         self.row_bounds = np.array([r.bound for r in self.table],
                                    dtype=float) * weight
 
+    @cached_property
+    def quantities(self) -> tuple:
+        """index.quantities(), built on first use by a batch: a dispatch
+        that passes its gate never needs it."""
+        return self.index.quantities()
+
     @property
     def n_agents(self) -> int:
         return len(self.specs)
@@ -457,18 +463,21 @@ _STACK_DRAWS = 16
 def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
                     prev_dg):
     """The window evaluation of S joint draws (S, N, 6T) and the
-    action-space gradient columns (A, N, 6T, M+1), reward then rows, of
-    its A accepted draws: one sensitivity stack over their points."""
+    action-space gradient columns (A, N, 6T, Q+1) of its A accepted
+    draws, the reward then each of the table's Q constrained quantities
+    (World.quantities) at orientation +1: one sensitivity stack over
+    their points."""
     ev = evaluate_window(world, draws, irr_truth, load_truth, prev_dg)
     count, n, width = ev.actions.shape
-    cols = np.empty((count, n, width, len(world.table) + 1))
+    index = world.quantities[0]
+    cols = np.empty((count, n, width, index.n_rows + 1))
     if count:
         gamma = world.cfg.gamma
         sens = step_sensitivity_stack(world.sens_grid, ev.pf, world.specs).map(
             lambda x: x.reshape(count, world.horizon, *x.shape[1:]))
         cols[..., 0] = reward_gradient_stack(sens, ev.actions, world.specs,
                                              gamma)
-        row_gradient_stack(world.index, sens, ev.actions, world.specs, gamma,
+        row_gradient_stack(index, sens, ev.actions, world.specs, gamma,
                            out=cols[..., 1:])
     return ev, cols
 
@@ -476,24 +485,29 @@ def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
 class _BatchEval:
     """A batch's accepted draws, added stack by stack in draw order: each
     draw's returns and rewards, and per agent, over draws s with
-    action-space columns dj_s (6T, M+1) and level-set covariance factors
-    u_s (cov_chain_factor), only the sums of dj_s, of u_s * dj_s and of
+    action-space columns dj_s (6T, Q+1) of the reward and the constrained
+    quantities (_evaluate_draws) and level-set covariance factors u_s
+    (cov_chain_factor), only the sums of dj_s, of u_s * dj_s and of
     w_s w_s^T for the reward column w_s = [dj_s; u_s * dj_s][:, 0].
     Draws are added one at a time, so the sums do not depend on the
-    stacks."""
+    stacks.  chain() expands the quantities to the table's rows."""
 
-    def __init__(self, evals, n_rows: int, size: int):
+    def __init__(self, evals, quantities, size: int):
+        index, of_row, orientation = quantities
         self.mu = np.stack([ev.mu for ev in evals])            # (N, 6T)
         self.sigma2 = np.stack([ev.sigma2 for ev in evals])
         n, width = self.mu.shape
-        self.dj, self.udj = np.zeros((2, n, width, n_rows + 1))
+        # chain()'s column 0 is the reward's, column 1 + m row m's
+        self.take = np.concatenate([[0], 1 + of_row])
+        self.sign = np.concatenate([[1.0], orientation])
+        self.dj, self.udj = np.zeros((2, n, width, index.n_rows + 1))
         self.ww = np.zeros((n, 2 * width, 2 * width))
-        self.returns = np.empty((size, n_rows))
+        self.returns = np.empty((size, of_row.size))
         self.draw_rewards = np.empty((size, n))
         self.count = self.discards = 0
 
     def add(self, ev: WindowEval, cols: np.ndarray) -> None:
-        """Add the accepted draws of ev and their columns (A, N, 6T, M+1)."""
+        """Add the accepted draws of ev and their columns (A, N, 6T, Q+1)."""
         done = self.count + len(cols)
         self.returns[self.count:done] = ev.returns
         self.draw_rewards[self.count:done] = ev.rewards
@@ -515,14 +529,20 @@ class _BatchEval:
 
     def chain(self):
         """Per agent, C = [sqrt(sigma^2/2) * mean dj_s; sqrt(2) sigma^2 *
-        mean u_s dj_s] (2 * 6T, M+1), so that F^T C is the parameter-space
-        chain of every column (F: PolicyEval.fisher_factor), and the mean
-        of c_s c_s^T over the draws' reward columns c_s of C."""
+        mean u_s dj_s] (2 * 6T, M+1), the reward then the table's rows, so
+        that F^T C is the parameter-space chain of every column (F:
+        PolicyEval.fisher_factor), and the mean of c_s c_s^T over the
+        draws' reward columns c_s of C.  A row's column is its
+        orientation times its quantity's; negation is exact, so it equals
+        the mean of the row's own columns bit for bit."""
         scale = np.concatenate([np.sqrt(self.sigma2 / 2.0),
                                 math.sqrt(2.0) * self.sigma2], axis=1)
         c = scale[:, :, None] * np.concatenate([self.dj, self.udj], axis=1)
         cc = scale[:, :, None] * self.ww * scale[:, None, :]
-        return c / self.count, cc / self.count
+        # + 0.0 turns the -0.0 of a negated zero into the +0.0 that a sum
+        # of the row's own columns, started at +0.0, gives
+        c = (c / self.count)[:, :, self.take] * self.sign + 0.0
+        return c, cc / self.count
 
     def reward_se(self, a: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Standard error (k,) of agent a's reduced reward gradient
@@ -540,7 +560,7 @@ def _evaluate_batch(world: World, evals, sample_tag, irr_truth, load_truth,
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
     # every round draws what is missing, so exactly cfg.batch are accepted
-    batch = _BatchEval(evals, len(world.table), cfg.batch)
+    batch = _BatchEval(evals, world.quantities, cfg.batch)
     n, width = batch.mu.shape
     limit = max(4, cfg.batch)
     while batch.count < cfg.batch:

@@ -87,15 +87,18 @@ def _record(dump, family, index, analytic, fd, scale):
 # ---------------------------------------------------------------------------
 
 def _random_case(rng: np.random.Generator):
-    """Chain network of 3..5 buses with one microgrid behind bus 1."""
+    """Radial network of 3..5 buses with one microgrid behind bus 1:
+    bus 1 hangs on the slack and each later bus on a uniformly drawn
+    earlier microgrid bus, so the microgrid is a random tree."""
     n = int(rng.integers(3, 6))
     buses = [Bus(0, "slack", 0.8, 1.2)]
     buses += [Bus(i, "load", 0.8, 1.2, mg_owner=0) for i in range(1, n)]
     branches = []
-    for i in range(n - 1):
+    for i in range(1, n):
+        parent = int(rng.integers(1, i)) if i > 1 else 0
         r = float(rng.uniform(0.004, 0.03))
         x = float(rng.uniform(0.004, 0.03))
-        branches.append(Branch.from_impedance(i, i + 1, r, x, 10.0))
+        branches.append(Branch.from_impedance(parent, i, r, x, 10.0))
     grid = GridModel(buses, branches)
     pick = lambda: int(rng.integers(1, n))
     spec = MicrogridSpec(

@@ -443,7 +443,7 @@ class TestBundleEndToEnd:
         res, cols = _evaluate_draws(world, acts0[:, None, :], irr, load,
                                     np.zeros(1))
         assert res.accepted.all()
-        batch = _BatchEval([ev0], len(world.table), len(eps))
+        batch = _BatchEval([ev0], world.quantities, len(eps))
         batch.add(res, cols)
         c, _ = batch.chain()
         full = ev0.fisher_factor().T @ c[0]

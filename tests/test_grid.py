@@ -419,6 +419,53 @@ def dense_solve(g, p, q, v_re, v_im, rhs):
     return _solve_dense(g, p, q, v_re, v_im, rhs)
 
 
+def unit_columns(rng, g, points):
+    """Unit columns (bus, value) for solve_unit_columns: two on one bus,
+    one on that bus's parent (on the first two's path), one at the slack
+    and three at random buses, with random complex values."""
+    buses = [g.slack] + list(rng.integers(g.n_bus, size=3))
+    tree = g.tree
+    if tree is not None:
+        m = tree.order.size
+        below = np.flatnonzero(tree.parent < m)     # buses with a parent
+        k = int(rng.choice(below)) if below.size else int(rng.integers(m))
+        buses += [tree.order[k], tree.order[k]]
+        if below.size:
+            buses.append(tree.order[tree.parent[k]])
+    bus = np.array(buses)
+    return bus, (rng.normal(size=(points, bus.size))
+                 + 1j * rng.normal(size=(points, bus.size)))
+
+
+def unit_rhs(g, bus, value):
+    """The dense right-hand side (B, 2n, K) of unit columns, with the
+    slack rows pinned to zero."""
+    n = g.n_bus
+    rhs = np.zeros((len(value), 2 * n, bus.size))
+    col = np.arange(bus.size)
+    rhs[:, bus, col] = value.real
+    rhs[:, n + bus, col] = value.imag
+    rhs[:, [g.slack, n + g.slack]] = 0.0
+    return rhs
+
+
+def assert_unit_columns_match_tree(g, op, bus, value):
+    """solve_unit_columns against _solve_tree on the same columns as a
+    dense right-hand side: bit-equal, the same mask.  Returns both."""
+    from smaspl.grid import _solve_tree, solve_unit_columns
+    n = g.n_bus
+    x, solved = solve_unit_columns(g, *op, bus, value)
+    want, want_solved = _solve_tree(g, *op, unit_rhs(g, bus, value))
+    assert x.shape == (len(value), n, bus.size)
+    assert np.array_equal(solved, want_solved)
+    assert np.array_equal(x.real, want[:, :n], equal_nan=True)
+    assert np.array_equal(x.imag, want[:, n:], equal_nan=True)
+    # the slack's voltage and a column at the slack are zero
+    assert not x[solved][:, g.slack].any()
+    assert not x[solved][..., bus == g.slack].any()
+    return x, solved
+
+
 def random_radial_grid(rng, n):
     """n buses joined by a random tree (each bus after the first hangs on
     an earlier one), relabelled at random, slack anywhere, branch
@@ -500,6 +547,53 @@ class TestTreeElimination:
         assert solved.all() and want_solved.all()
         np.testing.assert_allclose(x, want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("points", [1, 4, 64])
+    @pytest.mark.parametrize("which", GRIDS)
+    def test_unit_columns(self, which, points):
+        # the path sweep against the full elimination and dense LU
+        g = load_grid_file(f"scenarios/grids/{which}.yaml")
+        rng = np.random.default_rng(points * 11)
+        op = operating_points(rng, g.n_bus, points)
+        bus, value = unit_columns(rng, g, points)
+        x, solved = assert_unit_columns_match_tree(g, op, bus, value)
+        want, _ = dense_solve(g, *op, unit_rhs(g, bus, value))
+        assert solved.all()
+        n = g.n_bus
+        for part, ref in ((x.real, want[:, :n]), (x.imag, want[:, n:])):
+            np.testing.assert_allclose(part, ref, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_unit_columns_leave_a_zero_pivot_unsolved(self):
+        # bus 1 hangs on a zero-admittance branch: at zero load its rows
+        # are exactly zero, a zero pivot in the middle point only
+        buses = [Bus(0, "slack"), Bus(1, "load"), Bus(2, "load"),
+                 Bus(3, "load")]
+        g = GridModel(buses, [Branch(0, 1, 0.0, 0.0, 1.0),
+                              Branch.from_impedance(0, 2, 0.01, 0.01, 10.0),
+                              Branch.from_impedance(2, 3, 0.02, 0.01, 10.0)])
+        rng = np.random.default_rng(6)
+        op = operating_points(rng, 4, 3)
+        op[0][1, 1] = op[1][1, 1] = 0.0
+        bus, value = unit_columns(rng, g, 3)
+        x, solved = assert_unit_columns_match_tree(g, op, bus, value)
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(x[1].real).all() and np.isnan(x[1].imag).all()
+        assert not np.isnan(x[[0, 2]]).any()
+
+    def test_unit_columns_on_a_meshed_grid(self):
+        from smaspl.grid import solve_unit_columns
+        g = grid_of(4, [Branch.from_impedance(i, (i + 1) % 4, 0.02, 0.04,
+                                              10.0) for i in range(4)])
+        assert g.tree is None
+        rng = np.random.default_rng(8)
+        op = operating_points(rng, 4, 3)
+        bus, value = unit_columns(rng, g, 3)
+        x, solved = solve_unit_columns(g, *op, bus, value)
+        want, _ = dense_solve(g, *op, unit_rhs(g, bus, value))
+        assert solved.all()
+        assert np.array_equal(x.real, want[:, :4])
+        assert np.array_equal(x.imag, want[:, 4:])
 
     def test_meshed_ring_goes_through_superlu(self, monkeypatch):
         # the meshed path was SuperLU's and is now the dense LU solve
@@ -590,3 +684,14 @@ class TestTreeElimination:
             one, _ = solve_system_stack(g, *(a[b:b + 1] for a in op),
                                         rhs[b:b + 1])
             assert np.array_equal(one[0], x[b])     # stack size: bit-equal
+        # unit columns: the path sweep is the elimination bit for bit, so
+        # within the same bound of the dense solve
+        bus, value = unit_columns(rng, g, points)
+        xu, _ = assert_unit_columns_match_tree(g, op, bus, value)
+        want, _ = dense_solve(g, *op, unit_rhs(g, bus, value))
+        for b in range(points):
+            cond = np.linalg.cond(power_flow_system_matrix(
+                g, *(a[b] for a in op)))
+            np.testing.assert_allclose(
+                np.concatenate([xu[b].real, xu[b].imag]), want[b], rtol=0,
+                atol=cond * np.finfo(float).eps * np.abs(want[b]).max())

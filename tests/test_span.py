@@ -34,7 +34,8 @@ def first_update(name, seed=None):
     """The inputs of episode 0's first anchored update, as train() builds
     them: (world, thetas0, batch, factors, layout), and the batch's
     accepted draws (A, N, 6T) with their gradient columns
-    (A, N, 6T, M+1), recorded as the batch evaluates them."""
+    (A, N, 6T, M+1), recorded as the batch evaluates them and expanded
+    from its constrained quantities to the table's rows."""
     sc = load_scenario(f"scenarios/{name}")
     if seed is not None:
         sc.seed = seed
@@ -58,8 +59,9 @@ def first_update(name, seed=None):
         training._evaluate_draws = evaluate
     thetas0 = [ag.get_theta().copy() for ag in agents]
     factors = [ev.fisher_factor() for ev in evals]
+    cols = np.concatenate([c for _, c in seen])
     draws = (evals, np.concatenate([a for a, _ in seen]),
-             np.concatenate([c for _, c in seen]))
+             cols[..., batch.take] * batch.sign)
     return world, thetas0, batch, factors, dec.layout, draws
 
 

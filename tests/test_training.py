@@ -31,6 +31,14 @@ def small_world(name="two_mg_binding.yaml", **training):
     return build_world(sc)
 
 
+def row_columns(world, cols):
+    """Gradient columns (..., Q+1) of the reward and the constrained
+    quantities as the reward's and the table rows' (..., M+1)."""
+    _, of_row, orientation = world.quantities
+    return np.concatenate([cols[..., :1], cols[..., 1 + of_row] * orientation],
+                          axis=-1)
+
+
 class TestPriceBoundary:
     """Only prices cross the boundary between MGs: one iteration of an
     agent's update reads its own batch columns and Fisher rows, the
@@ -447,7 +455,7 @@ class TestEpisodeInvariants:
             for _ in range(24)])
         res, cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        batch = _BatchEval(evals, len(world.table), len(draws))
+        batch = _BatchEval(evals, world.quantities, len(draws))
         batch.add(res, cols)
         c, _ = batch.chain()
         for a, ev in enumerate(evals):
@@ -527,9 +535,10 @@ class TestBatchChain:
             for _ in range(6)])
         res, res_cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        batch = _BatchEval(evals, len(world.table), len(draws))
+        batch = _BatchEval(evals, world.quantities, len(draws))
         batch.add(res, res_cols)
         c, _ = batch.chain()
+        res_cols = row_columns(world, res_cols)
         s = len(draws)
         for a, ev in enumerate(evals):
             got = ev.fisher_factor().T @ c[a]
@@ -572,6 +581,83 @@ class TestBatchChain:
                                  r"of max\(4, batch\) = 4"):
             training._evaluate_batch(world, evals, [0], irr, load,
                                      np.zeros(2))
+
+
+class TestQuantityColumns:
+    """The batch computes and folds one gradient column per constrained
+    quantity, its (kind, target) at orientation +1, and chain() expands
+    them to the table's rows: bit for bit the fold of the rows' own
+    columns."""
+
+    @staticmethod
+    def batch_pair(world, count, seed):
+        """A batch of count draws folded by quantity, and the same draws
+        folded by row as the reference; with the rows' columns."""
+        from smaspl.gradients import (reward_gradient_stack,
+                                      row_gradient_stack,
+                                      step_sensitivity_stack)
+        from smaspl.microgrid import make_state_vector
+        agents = build_agents(world)
+        irr, load = world.profiles.window(0, world.horizon)
+        n = world.n_agents
+        states = [make_state_vector(irr[:, a], load[:, a]) for a in range(n)]
+        evals = [ag.evaluate(states[a]) for a, ag in enumerate(agents)]
+        draws = TestStackedBatch.draw(np.random.default_rng(seed), evals,
+                                      count)
+        ev, cols = training._evaluate_draws(world, draws, irr, load,
+                                            np.zeros(n))
+        assert ev.accepted.all()
+        batch = training._BatchEval(evals, world.quantities, count)
+        batch.add(ev, cols)
+        gamma, m = world.cfg.gamma, len(world.table)
+        sens = step_sensitivity_stack(world.sens_grid, ev.pf,
+                                      world.specs).map(
+            lambda x: x.reshape(count, world.horizon, *x.shape[1:]))
+        rows = np.empty(ev.actions.shape + (m + 1,))
+        rows[..., 0] = reward_gradient_stack(sens, ev.actions, world.specs,
+                                             gamma)
+        row_gradient_stack(world.index, sens, ev.actions, world.specs, gamma,
+                           out=rows[..., 1:])
+        # every row its own quantity, at its own orientation
+        ref = training._BatchEval(evals, (world.index, np.arange(m),
+                                          np.ones(m)), count)
+        ref.add(ev, rows)
+        return batch, ref, cols, rows
+
+    @pytest.mark.parametrize("name, count", [("paper98.yaml", 4),
+                                             ("two_mg_binding.yaml", 8)])
+    def test_chain_equals_the_fold_of_the_rows(self, name, count):
+        world = small_world(name)
+        assert "quantities" not in vars(world)      # built on first use
+        batch, ref, cols, rows = self.batch_pair(world, count, 11)
+        # every limit is a _hi/_lo pair: half as many quantities as rows
+        assert cols.shape[-1] - 1 == len(world.table) // 2
+        got, want = batch.chain()[0], ref.chain()[0]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        ids = {r.id: m for m, r in enumerate(world.table)}
+        pairs = [(m, ids[i.replace("_hi", "_lo").replace("_up", "_dn")])
+                 for i, m in ids.items() if "_hi" in i or "_up" in i]
+        assert len(pairs) == len(world.table) // 2
+        for hi, lo in pairs:
+            assert np.array_equal(rows[..., 1 + lo], -rows[..., 1 + hi])
+            assert np.array_equal(got[..., 1 + lo], -got[..., 1 + hi])
+        assert np.abs(got[..., 1:]).max() > 0
+
+    def test_a_quantity_with_only_a_lower_row(self):
+        world = small_world()
+        keep = {"v_lo[3]", "i_lo[2]", "mg0.dg_p_lo", "mg1.pcc_p_lo",
+                "mg0.soc_lo"}
+        hand = replace(world, table=[r for r in world.table if r.id in keep])
+        index, of_row, orientation = hand.quantities
+        assert index.n_rows == len(keep) and (orientation == -1.0).all()
+        batch, ref, cols, rows = self.batch_pair(hand, 6, 12)
+        got, want = batch.chain()[0], ref.chain()[0]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the quantity column is the row's negation, and neither is zero
+        assert np.array_equal(cols[..., 1 + of_row], -rows[..., 1:])
+        assert (np.abs(rows[..., 1:]).max(axis=(0, 1, 2)) > 0).all()
 
 
 def one_sample_reference(world, actions, irr, load, prev_dg):
@@ -639,6 +725,7 @@ class TestStackedBatch:
         draws[2, 1, T:2 * T] = 1e6          # a charge no feeder can carry
         prev = np.array([3.0, 1.0])
         got, got_cols = _evaluate_draws(world, draws, irr, load, prev)
+        got_cols = row_columns(world, got_cols)
         refs = [one_sample_reference(world, d, irr, load, prev)
                 for d in draws]
         assert got.accepted.tolist() == [r is not None for r in refs]
@@ -681,7 +768,7 @@ class TestStackedBatch:
         second = self.draw(rng, evals, 1)
         kept = np.concatenate([first[[0, 2, 3]], second])
         ref, ref_cols = training._evaluate_draws(world, kept, irr, load, prev)
-        ref_batch = training._BatchEval(evals, len(world.table), len(kept))
+        ref_batch = training._BatchEval(evals, world.quantities, len(kept))
         ref_batch.add(ref, ref_cols)
         c, _ = ref_batch.chain()
         got_c, _ = got.chain()
