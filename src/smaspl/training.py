@@ -172,7 +172,8 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
     residual episode over episode); a violated row with a zero gradient
     is genuinely inconsistent and raises so the caller can escalate.
     Running out of _PROJECT_SWEEPS sweeps before either stopping rule
-    fires emits a RuntimeWarning.
+    fires emits a RuntimeWarning that states the largest row violation
+    and the trust excess, trust_quadratic - delta, at exit.
     """
     tol = _PROJECT_TOL
     m = rows.shape[0]
@@ -185,19 +186,30 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
                 f"{int(dead.sum())} local row(s) violated with zero gradient")
     theta = theta_bar - nu @ rows
 
-    # the row sweep is sequential, so it runs on Python floats
+    # The row sweep is sequential, so it runs on Python floats.  It reads
+    # the residuals b_j^T theta - c_j from `res`, kept current by the Gram
+    # matrix G = rows rows^T: a step s of row j moves them by -s * G[j],
+    # so a row that takes no step costs no dot product.  The stop test
+    # recomputes them after each sweep, so rounding drift never outlives
+    # a sweep.
     live = [j for j in range(m) if norms[j] >= 1e-30]
-    row_list, norm_list, c_list = list(rows), norms.tolist(), rows_c.tolist()
+    row_list, norm_list = list(rows), norms.tolist()
+    gram = rows @ rows.T
     nu_list = nu.tolist()
+    resid = rows @ theta - rows_c
+    res = resid.tolist()
     prev = None
     for _ in range(_PROJECT_SWEEPS):
         moved = 0.0
         for j in live:
-            r = float(row_list[j] @ theta) - c_list[j]
-            step = max(-nu_list[j], r / norm_list[j])
+            if res[j] <= 0.0 and nu_list[j] == 0.0:
+                continue  # satisfied and inactive: no step
+            step = max(-nu_list[j], res[j] / norm_list[j])
             if step != 0.0:
                 nu_list[j] += step
                 theta -= step * row_list[j]
+                resid -= step * gram[j]
+                res = resid.tolist()
                 moved = max(moved, abs(step) * math.sqrt(norm_list[j]))
         d = theta - theta0
         q = trust_quadratic(factor, d) - delta
@@ -207,7 +219,9 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
             moved = max(moved, math.sqrt(float(d @ d)) * (1 - shrink))
         # the scaling leaves theta on the ball up to rounding, so only the
         # rows and the step size decide convergence
-        viol = float((rows @ theta - rows_c).max()) if m else 0.0
+        resid = rows @ theta - rows_c
+        res = resid.tolist()
+        viol = max(res, default=0.0)
         if moved <= tol and viol <= tol * scale:
             break
         if prev is not None:
@@ -216,9 +230,11 @@ def project_local(theta_bar: np.ndarray, theta0: np.ndarray,
                 break  # stationary compromise between rows and trust region
         prev = theta.copy()
     else:
+        excess = trust_quadratic(factor, theta - theta0) - delta
         warnings.warn(f"project_local: {_PROJECT_SWEEPS} sweeps ended before "
-                      "either stopping rule fired", RuntimeWarning,
-                      stacklevel=2)
+                      "either stopping rule fired, at largest row violation "
+                      f"{max(viol, 0.0):.3g} and trust excess {excess:.3g}",
+                      RuntimeWarning, stacklevel=2)
     return theta, np.array(nu_list)
 
 

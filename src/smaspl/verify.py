@@ -3,15 +3,17 @@
 Each family compares closed-form derivatives against an independent
 numerical oracle: full power-flow re-solves for the network
 sensitivities (fourth-order Richardson differences of the voltages'
-real and imaginary parts, the voltage and branch current magnitudes
-and the PCC active and reactive power), ratios of a Gaussian density's
-central differences for the chain factors that carry training's action
-gradients to the policy heads, central differences for the network
-Jacobians, and direct return re-evaluation for the local constraint
-rows.  The network and constraint families run the stacked functions
-training runs (solve_power_flow_stack, step_sensitivity_stack,
-network_observables, row_gradient_stack, constraint_return_stack), each
-trial's operating points or returns as one stack.  A deliberately
+real and imaginary parts, the voltage magnitudes, the branch currents'
+real and imaginary parts, with the current magnitudes' derivatives
+formed from them, and the PCC active and reactive power), ratios of a
+Gaussian density's central differences for the chain factors that
+carry training's action gradients to the policy heads, central
+differences for the network Jacobians, and direct return
+re-evaluation for the local constraint rows.  The network and
+constraint families run the stacked functions training runs
+(solve_power_flow_stack, step_sensitivity_stack, network_observables,
+row_gradient_stack, constraint_return_stack), each trial's operating
+points or returns as one stack.  A deliberately
 faulted variant of the injection table is available to prove the audit
 actually catches sign errors.
 """
@@ -214,17 +216,27 @@ def audit_network_sensitivities(rng, trials=50,
 
         def central(x):
             """Richardson-extrapolated central differences of a per-point
-            quantity, (4 D(h) - D(2h)) / 3, (X, 6).  Their O(h^4) error
-            stays small where |I| curves sharply near zero current."""
+            quantity, (4 D(h) - D(2h)) / 3, (X, 6)."""
             d_h = (x[1:7] - x[7:13]) / (2 * h)
             d_2h = (x[13:19] - x[19:25]) / (4 * h)
             return ((4 * d_h - d_2h) / 3).T
 
+        # |I| bends too sharply for differences where a branch carries a
+        # current about the size of h, so difference the smooth complex
+        # current and form d|I| at the base point, zero below 1e-9 p.u.
+        # as in the analytic code
+        di_re, di_im = central(pf.i_br_re), central(pf.i_br_im)
+        i_re, i_im = pf.i_br_re[0][:, None], pf.i_br_im[0][:, None]
+        i_mag = np.hypot(i_re, i_im)
+        di_mag = np.divide(i_re * di_re + i_im * di_im, i_mag,
+                           out=np.zeros_like(di_re), where=i_mag >= 1e-9)
         checks = [
             ("voltage-sensitivity", np.concatenate([sens.dv_re, sens.dv_im]),
              np.concatenate([central(pf.v_re), central(pf.v_im)])),
             ("voltage-magnitude", sens.dv_mag, central(obs.v_mag)),
-            ("branch-current-magnitude", sens.di_mag, central(obs.i_mag)),
+            ("branch-current-magnitude",
+             np.concatenate([sens.dibr_re, sens.dibr_im, sens.di_mag]),
+             np.concatenate([di_re, di_im, di_mag])),
             ("pcc-power", np.concatenate([sens.dpcc_p, sens.dpcc_q]),
              np.concatenate([central(obs.pcc_p), central(obs.pcc_q)])),
         ]

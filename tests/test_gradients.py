@@ -587,6 +587,16 @@ class TestFullAudit:
         for res in run_all_audits(seed=42, trials_network=50):
             assert res.passed, f"{res.family}: {res.max_rel_err:.2e}"
 
+    @pytest.mark.parametrize("seed", [10015, 10030, 10073, 10557, 10646,
+                                      10716, 10861])
+    def test_leaf_branch_current_near_the_step(self, seed):
+        # each seed draws a leaf branch whose current is about the size of
+        # the difference step h = 1e-4 p.u.; differences of |I| itself
+        # miss there by up to 6.4e-2 relative, differences of the complex
+        # current do not
+        for res in run_all_audits(seed, trials_network=50):
+            assert res.passed, f"{res.family}: {res.max_rel_err:.2e}"
+
     def test_fault_injection_caught(self):
         res = run_all_audits(seed=7, trials_network=4,
                              fault="table3-qdg-sign")

@@ -240,6 +240,116 @@ class TestProjection:
             self.test_ball_only_closed_form()
 
 
+def dense_of_factor(theta_bar, theta0, rows, rows_c, factor, delta, nu,
+                    max_iter=500):
+    """dense_project_local on the metric F^T F + 1e-8 I of a factor F."""
+    H = factor.T @ factor + 1e-8 * np.eye(factor.shape[1])
+    return dense_project_local(theta_bar, theta0, rows, rows_c, H, delta, nu,
+                               max_iter=max_iter)
+
+
+def lineflow_episode(project):
+    """One five_mg_lineflow episode at scenario seed 2 (its binding line
+    makes the episode backtrack three times), with `project` as the
+    inner loop's projection."""
+    sc = load_scenario("scenarios/five_mg_lineflow.yaml")
+    sc.seed = 2
+    world = build_world(sc)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mp.setattr(training, "project_local", project)
+        records, _, _ = train(world, build_agents(world), episodes=1)
+    return records[0]
+
+
+@pytest.fixture(scope="module")
+def lineflow_calls():
+    """The episode's record and every projection call it made:
+    (inputs, outputs, whether the call hit the sweep cap)."""
+    calls = []
+
+    def recording(*args):
+        inputs = tuple(np.array(x) if isinstance(x, np.ndarray) else x
+                       for x in args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = project_local(*args)
+        calls.append((inputs, out, bool(caught)))
+        return out
+
+    return lineflow_episode(recording), calls
+
+
+class TestProjectionOnTrainingInputs:
+    """The sweep on Gram-updated residuals against the fresh-dot sweep
+    of dense_project_local, on the inputs training produces."""
+
+    def test_lineflow_calls_match_dense_oracle(self, lineflow_calls):
+        _, calls = lineflow_calls
+        both_bind = 0
+        for inputs, (out, nu), capped in calls:
+            _, theta0, _, _, factor, delta, warm = inputs
+            ref, ref_nu = dense_of_factor(*inputs)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(nu, ref_nu, rtol=0, atol=1e-10)
+            excess = trust_quadratic(factor, out - theta0) - delta
+            both_bind += bool(warm.any() and abs(excess) <= 1e-9 * delta
+                              and np.any(nu > 0))
+        # warm-started calls where the ball and a row bind are the rule
+        assert both_bind > len(calls) // 2
+        capped = [inputs for inputs, _, cap in calls if cap]
+        assert capped
+        for inputs in capped:
+            # the oracle also runs all 500 sweeps: its 500th still moves
+            at_cap, _ = dense_of_factor(*inputs)
+            before, _ = dense_of_factor(*inputs, max_iter=499)
+            assert not np.array_equal(at_cap, before)
+
+    def test_random_instances_with_unreachable_rows(self):
+        rng = np.random.default_rng(26)
+        unreachable = 0
+        for _ in range(60):
+            k, m = int(rng.integers(2, 16)), int(rng.integers(1, 10))
+            s = rng.uniform(0.2, 3.0, k)
+            factor, delta = np.diag(s), float(rng.uniform(0.01, 1.0))
+            theta0 = rng.normal(size=k)
+            theta_bar = theta0 + rng.normal(size=k)
+            rows = rng.normal(size=(m, k))
+            if rng.random() < 0.3:
+                rows[0] = 0.0   # a zero row that holds takes no part
+            # the largest decrease of each row inside the ball; below -1
+            # times it a row cannot be met there
+            reach = np.sqrt(2 * delta * np.sum(rows ** 2 / (s ** 2 + 1e-8),
+                                               axis=1))
+            rows_c = rows @ theta0 + reach * rng.uniform(-2.0, 1.5, m)
+            rows_c[reach == 0.0] = 1.0
+            unreachable += int(np.sum(rows_c < rows @ theta0 - reach))
+            warm = (np.zeros(m) if rng.random() < 0.5
+                    else rng.uniform(0.0, 0.1, m))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out, nu = project_local(theta_bar, theta0, rows, rows_c,
+                                        factor, delta, warm)
+            ref, ref_nu = dense_of_factor(theta_bar, theta0, rows, rows_c,
+                                          factor, delta, warm)
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(nu, ref_nu, rtol=0, atol=1e-10)
+        assert unreachable >= 20
+
+    def test_episode_matches_the_fresh_dot_sweep(self, lineflow_calls):
+        rec, _ = lineflow_calls
+        ref = lineflow_episode(dense_of_factor)
+        assert rec.inner_iterations == ref.inner_iterations
+        assert rec.backtrack_rounds == ref.backtrack_rounds == 3
+        assert rec.pfe_verdict == ref.pfe_verdict
+        np.testing.assert_allclose(rec.rewards, ref.rewards, rtol=1e-12,
+                                   atol=0)
+        assert rec.j_values.keys() == ref.j_values.keys()
+        np.testing.assert_allclose(list(rec.j_values.values()),
+                                   list(ref.j_values.values()), rtol=1e-12,
+                                   atol=0)
+
+
 class TestTrustQuadratic:
     def test_factored_form_equals_dense_fisher(self):
         from smaspl.microgrid import make_state_vector
