@@ -6,8 +6,10 @@ The chain from network physics to policy parameters has four links:
      entries in the bus voltage, six controls per agent),
   2. voltage sensitivities from one factorization of the linearized
      nodal system per operating point (slack rows pinned to identity),
-  3. branch-current, voltage-magnitude and PCC-power sensitivities by
-     algebraic composition,
+     on the right-hand-side columns that the controls share,
+  3. voltage-magnitude, branch-current-magnitude and PCC-power
+     sensitivities composed on those columns, which a control reads by
+     an exact gather and sign,
   4. the action gradients of the discounted reward and of every
      constraint-return row.
 
@@ -18,7 +20,7 @@ shared by every constraint row and every agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,11 +48,13 @@ __all__ = [
     "StepSensitivities",
     "injection_current_jacobian",
     "compute_step_sensitivities",
+    "control_columns",
     "step_sensitivity_stack",
     "reward_action_gradients",
     "reward_gradient_stack",
     "constraint_action_gradients",
     "row_gradient_stack",
+    "per_action_columns",
     "chain_sample_to_parameters",
     "factorization_count",
 ]
@@ -119,33 +123,40 @@ def _control_bus(spec: MicrogridSpec, control: str) -> int:
 # Step 2: voltage sensitivities
 # ---------------------------------------------------------------------------
 
-def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
-                               specs) -> tuple[np.ndarray, np.ndarray]:
-    """d(v_re)/da and d(v_im)/da, per kW, for every agent control at
-    every point of pf, (B, n_bus, C) each.
-
-    Columns are agent-major (agent 0 controls p_dg..q_ess, then agent 1,
-    ...).  Each control's right-hand side is its load-current partial at
-    its own bus, so the 2n x 2n linearizations of all points are solved
-    with one solve_unit_columns call: on a radial grid each column is
-    carried along its bus's path to the root only, on a meshed one the
-    columns go through dense LU.  A control at the slack bus, whose row
-    is pinned to identity, gets a zero column.  Controls whose partials
+def control_columns(specs) -> tuple[list, np.ndarray, np.ndarray]:
+    """The right-hand-side columns of the agents' controls: the K
+    distinct (basis, bus) pairs of their load-current partials, in first
+    use, and per control (C,), agent-major (agent 0 controls p_dg..q_ess,
+    then agent 1, ...), its column and its sign.  Controls whose partials
     share a basis and a bus share a column; the solve is exactly odd, so
-    their columns are signed copies."""
-    base = _partial_bases(pf)
-    shared: dict = {}           # (basis, bus) -> right-hand-side column
-    cols, signs = [], []
+    a control's sensitivities are its column's times its sign."""
+    shared: dict = {}           # (basis, bus) -> column
+    column, sign = [], []
     for spec in specs:
         for control in CONTROLS:
-            kind, sign = _CONTROL_PARTIAL[control]
+            kind, s = _CONTROL_PARTIAL[control]
             key = (kind, _control_bus(spec, control))
-            cols.append(shared.setdefault(key, len(shared)))
-            signs.append(sign)
-    bus = np.array([b for _, b in shared], dtype=int)
+            column.append(shared.setdefault(key, len(shared)))
+            sign.append(s)
+    return list(shared), np.array(column, dtype=int), np.array(sign)
+
+
+def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
+                               keys) -> np.ndarray:
+    """dV/da per kW, complex (B, n_bus, K), of the K columns keys
+    (control_columns) at every point of pf.
+
+    Each column's right-hand side is its load-current partial at its own
+    bus, so the 2n x 2n linearizations of all points are solved with one
+    solve_unit_columns call: on a radial grid each column is carried
+    along its bus's path to the root only, on a meshed one the columns
+    go through dense LU.  A column at the slack bus, whose row is pinned
+    to identity, solves to zero."""
+    base = _partial_bases(pf)
+    bus = np.array([b for _, b in keys], dtype=int)
     kw = 1.0 / grid.base_power_kva
-    value = np.empty((len(pf), len(shared)), dtype=complex)
-    for col, (kind, b) in enumerate(shared):
+    value = np.empty((len(pf), len(keys)), dtype=complex)
+    for col, (kind, b) in enumerate(keys):
         d_re, d_im = base[kind]
         value.real[:, col] = -(d_re[:, b] * kw)
         value.imag[:, col] = -(d_im[:, b] * kw)
@@ -156,8 +167,7 @@ def _voltage_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
     if bad.any():
         raise SensitivityError(_singular_message(grid, pf,
                                                  np.flatnonzero(bad)[0]))
-    signs = np.array(signs)
-    return x.real[:, :, cols] * signs, x.imag[:, :, cols] * signs
+    return x
 
 
 def _singular_message(grid: GridModel, pf: PowerFlowStack, b: int) -> str:
@@ -167,80 +177,107 @@ def _singular_message(grid: GridModel, pf: PowerFlowStack, b: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Steps 3-4: branch currents, magnitudes, PCC flows
+# Step 3: voltage and current magnitudes, PCC flows
 # ---------------------------------------------------------------------------
 
 @dataclass
 class StepSensitivities:
-    """All per-kW sensitivities at one operating point.
+    """All per-kW sensitivities at one operating point, on the K columns
+    of control_columns.
 
-    Column c = 6*agent + control (CONTROLS).  dv_* are p.u./kW,
-    d_pcc_* are kW/kW (dimensionless).  For a stack of operating points
-    every field carries the stack's leading axes.
+    dv is complex, p.u./kW; dv_abs and di_abs are the voltage and
+    branch-current magnitudes' (p.u./kW), dp_pcc and dq_pcc the PCC
+    flows' (kW/kW, dimensionless).  Control c = 6*agent + control reads
+    column[c] times sign[c], an exact gather and sign: dv_re, dv_im,
+    dv_mag, di_mag, dpcc_p and dpcc_q are those per-control views,
+    (..., C).  For a stack of operating points every array carries the
+    stack's leading axes; column and sign do not.
     """
 
-    dv_re: np.ndarray       # (n_bus, C)
-    dv_im: np.ndarray       # (n_bus, C)
-    dibr_re: np.ndarray     # (n_branch, C)
-    dibr_im: np.ndarray     # (n_branch, C)
-    dv_mag: np.ndarray      # (n_bus, C)
-    di_mag: np.ndarray      # (n_branch, C)
-    dpcc_p: np.ndarray      # (n_mg, C)
-    dpcc_q: np.ndarray      # (n_mg, C)
+    dv: np.ndarray          # (n_bus, K) complex
+    dv_abs: np.ndarray      # (n_bus, K)
+    di_abs: np.ndarray      # (n_branch, K)
+    dp_pcc: np.ndarray      # (n_mg, K)
+    dq_pcc: np.ndarray      # (n_mg, K)
+    column: np.ndarray      # (C,) each control's column
+    sign: np.ndarray        # (C,) and its sign
+
+    _ARRAYS = ("dv", "dv_abs", "di_abs", "dp_pcc", "dq_pcc")
 
     def map(self, fn) -> "StepSensitivities":
-        """fn applied to every field."""
-        return StepSensitivities(*(fn(getattr(self, f.name))
-                                   for f in fields(self)))
+        """fn applied to every array; the columns stay."""
+        return replace(self, **{name: fn(getattr(self, name))
+                                for name in self._ARRAYS})
 
     @classmethod
     def stack(cls, steps) -> "StepSensitivities":
         """Per-step sensitivities as one stack with a leading step axis."""
-        return cls(*(np.stack([getattr(s, f.name) for s in steps])
-                     for f in fields(cls)))
+        steps = list(steps)
+        return replace(steps[0], **{
+            name: np.stack([getattr(s, name) for s in steps])
+            for name in cls._ARRAYS})
+
+    def per_control(self, x: np.ndarray) -> np.ndarray:
+        """x (..., K) laid out per control, (..., C)."""
+        return x[..., self.column] * self.sign
+
+    def of_kind(self, kind: str) -> np.ndarray:
+        """The array (..., X, K) that rows of a network kind read."""
+        return {"voltage": self.dv_abs, "branch-current": self.di_abs,
+                "pcc-p": self.dp_pcc, "pcc-q": self.dq_pcc}[kind]
+
+    # the per-control views
+    dv_re = property(lambda self: self.per_control(self.dv.real))
+    dv_im = property(lambda self: self.per_control(self.dv.imag))
+    dv_mag = property(lambda self: self.per_control(self.dv_abs))
+    di_mag = property(lambda self: self.per_control(self.di_abs))
+    dpcc_p = property(lambda self: self.per_control(self.dp_pcc))
+    dpcc_q = property(lambda self: self.per_control(self.dq_pcc))
 
 
-def _branch_and_pcc_stack(grid: GridModel, pf: PowerFlowStack, specs,
-                          dv_re: np.ndarray,
-                          dv_im: np.ndarray) -> StepSensitivities:
-    """Branch-current, magnitude and PCC-flow sensitivities of every
-    point of pf, composed from its voltage sensitivities dv_*
-    (B, n_bus, C).
+def _compose(grid: GridModel, pf: PowerFlowStack, specs,
+             dv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The magnitude and PCC-flow sensitivities (B, ..., K) of every
+    point of pf from its voltage sensitivities dv (B, n_bus, K), column
+    by column with per-point factors:
 
-    Branch currents follow i_br = y_ij (v_i - v_j); magnitude gradients
-    of branches carrying |I| < 1e-9 p.u. are defined as zero."""
-    f, t = grid.branch_from, grid.branch_to
-    y_re = grid.branch_y.real[:, None]
-    y_im = grid.branch_y.imag[:, None]
-    ddr = dv_re[:, f] - dv_re[:, t]
-    ddi = dv_im[:, f] - dv_im[:, t]
-    dibr_re = y_re * ddr - y_im * ddi
-    dibr_im = y_im * ddr + y_re * ddi
+      d|V| = Re(conj(V/|V|) dV),
+      d|I| = Re(gamma (dV_f - dV_t)) with gamma = conj(I) y / |I|, zero
+             on a branch that carries |I| < 1e-9 p.u.,
 
+    and the PCC flows from dV and from dI = y (dV_f - dV_t) at the PCC
+    branches only."""
     v_mag = np.maximum(pf.v_mag, 1e-12)
-    dv_mag = (pf.v_re[:, :, None] * dv_re
-              + pf.v_im[:, :, None] * dv_im) / v_mag[:, :, None]
+    dv_abs = (pf.v_re / v_mag)[:, :, None] * dv.real
+    dv_abs += (pf.v_im / v_mag)[:, :, None] * dv.imag
 
-    i_mag = np.hypot(pf.i_br_re, pf.i_br_im)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        di_mag = (pf.i_br_re[:, :, None] * dibr_re
-                  + pf.i_br_im[:, :, None] * dibr_im) / i_mag[:, :, None]
-    di_mag[i_mag < 1e-9] = 0.0
+    y = grid.branch_y
+    dd = dv[:, grid.branch_from]
+    dd -= dv[:, grid.branch_to]
 
     k, sign, r = pcc_branches(grid, specs)
     base = grid.base_power_kva
+    y_re, y_im = y.real[k, None], y.imag[k, None]
+    ddr = dd.real[:, k]
+    ddi = dd.imag[:, k]
+    dire = sign[:, None] * (y_re * ddr - y_im * ddi)
+    diim = sign[:, None] * (y_im * ddr + y_re * ddi)
     ire = (sign * pf.i_br_re[:, k])[:, :, None]
     iim = (sign * pf.i_br_im[:, k])[:, :, None]
-    dire = sign[:, None] * dibr_re[:, k]
-    diim = sign[:, None] * dibr_im[:, k]
     v_re = pf.v_re[:, r][:, :, None]
     v_im = pf.v_im[:, r][:, :, None]
-    dpcc_p = base * (dv_re[:, r] * ire + v_re * dire
-                     + dv_im[:, r] * iim + v_im * diim)
-    dpcc_q = base * (dv_im[:, r] * ire + v_im * dire
-                     - dv_re[:, r] * iim - v_re * diim)
-    return StepSensitivities(dv_re, dv_im, dibr_re, dibr_im,
-                             dv_mag, di_mag, dpcc_p, dpcc_q)
+    dv_re, dv_im = dv.real[:, r], dv.imag[:, r]
+    dp_pcc = base * (dv_re * ire + v_re * dire + dv_im * iim + v_im * diim)
+    dq_pcc = base * (dv_im * ire + v_im * dire - dv_re * iim - v_re * diim)
+
+    i_mag = np.hypot(pf.i_br_re, pf.i_br_im)
+    inv = np.divide(1.0, i_mag, out=np.zeros_like(i_mag), where=i_mag >= 1e-9)
+    gamma_re = (pf.i_br_re * y.real + pf.i_br_im * y.imag) * inv
+    gamma_im = (pf.i_br_re * y.imag - pf.i_br_im * y.real) * inv
+    di_abs = gamma_re[:, :, None] * dd.real
+    dd.imag *= gamma_im[:, :, None]
+    di_abs -= dd.imag
+    return dv_abs, di_abs, dp_pcc, dq_pcc
 
 
 def compute_step_sensitivities(grid: GridModel, sol: PowerFlowSolution,
@@ -253,11 +290,15 @@ def compute_step_sensitivities(grid: GridModel, sol: PowerFlowSolution,
 
 def step_sensitivity_stack(grid: GridModel, pf: PowerFlowStack,
                            specs) -> StepSensitivities:
-    """Sensitivities of every (converged) point of pf, fields (B, ...),
-    from one solve_unit_columns call; counts one
-    factorization per point."""
-    dv_re, dv_im = _voltage_sensitivity_stack(grid, pf, specs)
-    return _branch_and_pcc_stack(grid, pf, specs, dv_re, dv_im)
+    """Sensitivities of every (converged) point of pf, arrays (B, ...),
+    on the K columns of specs' controls: one solve_unit_columns call
+    (one factorization counted per point), then _compose.  No
+    per-control copy is formed; the per-control views gather and sign
+    on use."""
+    keys, column, sign = control_columns(specs)
+    dv = _voltage_sensitivity_stack(grid, pf, keys)
+    return StepSensitivities(dv, *_compose(grid, pf, specs, dv), column,
+                             sign)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +322,12 @@ def reward_gradient_stack(sens: StepSensitivities, actions, specs,
                           gamma: float) -> np.ndarray:
     """reward_action_gradients of S samples at once: sens fields
     (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T)."""
-    samples, horizon, n_mg = sens.dpcc_p.shape[:3]
+    dpcc_p = sens.dpcc_p
+    samples, horizon, n_mg = dpcc_p.shape[:3]
     w = geometric_weights(gamma, horizon)
     agents = np.arange(n_mg)
     # each agent's own PCC flow against its own six controls
-    own = sens.dpcc_p.reshape(samples, horizon, n_mg, n_mg, 6)[
+    own = dpcc_p.reshape(samples, horizon, n_mg, n_mg, 6)[
         :, :, agents, agents]                            # (S, T, N, 6)
     laid = (own * w[:, None, None]).transpose(0, 2, 3, 1).reshape(
         samples, n_mg, 6 * horizon)
@@ -339,22 +381,25 @@ def _network_row_gradients(index: ConstraintIndex, sens: StepSensitivities,
     """Write the gradients of index's voltage, branch-current and PCC rows
     into out (S, n_mg, 6T, M): the sensitivity of each row's target at
     each step, discounted and oriented, in control-major layout."""
-    sources = {"voltage": sens.dv_mag, "branch-current": sens.di_mag,
-               "pcc-p": sens.dpcc_p, "pcc-q": sens.dpcc_q}
-    samples, horizon = sens.dv_mag.shape[:2]
-    n_mg = out.shape[1]
     for kind, (pos, target, orient) in index.groups.items():
-        if kind not in sources:
+        if kind not in CONSTRAINT_NETWORK_KINDS:
             continue
-        src = sources[kind]
-        # (S, T, X, agent, control) -> (S, agent, control, T, X), then
-        # gather the rows' targets
-        by_control = src.reshape(samples, horizon, src.shape[2], n_mg,
-                                 6).transpose(0, 3, 4, 1, 2)
-        laid = np.take(by_control, target, axis=-1)
-        laid *= w[:, None] * orient
-        out[..., _span(pos)] = laid.reshape(samples, n_mg, 6 * horizon,
-                                            pos.size)
+        src = sens.per_control(np.take(sens.of_kind(kind), target, axis=-2))
+        out[..., _span(pos)] = per_action_columns(src.swapaxes(-1, -2), w,
+                                                  orient)
+
+
+def per_action_columns(x: np.ndarray, weights: np.ndarray,
+                       orient: np.ndarray) -> np.ndarray:
+    """Network columns per control x (..., T, C, X), each control's
+    column gathered and signed, as action-space columns (..., N, 6T, X)
+    in control-major layout, discounted by weights (T,) and oriented by
+    orient (X,)."""
+    *lead, horizon, controls, count = x.shape
+    x = x * (weights[:, None, None] * orient)
+    x = x.reshape(*lead, horizon, controls // 6, 6, count)
+    return np.moveaxis(x, -4, -2).reshape(*lead, controls // 6, 6 * horizon,
+                                          count)
 
 
 def _span(pos: np.ndarray):
@@ -372,7 +417,7 @@ def row_gradient_stack(index: ConstraintIndex, sens: StepSensitivities,
     sens fields (S, T, ...), actions (S, n_mg, 6T) -> (S, n_mg, 6T, M),
     written into out when given."""
     actions = np.asarray(actions, dtype=float)
-    w = geometric_weights(gamma, sens.dv_mag.shape[1])
+    w = geometric_weights(gamma, sens.dv.shape[1])
     if out is None:
         out = np.empty((*actions.shape, index.n_rows))
     _network_row_gradients(index, sens, w, out)

@@ -29,6 +29,8 @@ import numpy as np
 
 from .grid import GridModel, PowerFlowStack, solve_power_flow_stack
 from .gradients import (
+    control_columns,
+    per_action_columns,
     reward_gradient_stack,
     row_gradient_stack,
     step_sensitivity_stack,
@@ -45,6 +47,7 @@ from .gradients import (  # noqa: F401
 )
 from .microgrid import constraint_returns, reward_return  # noqa: F401
 from .microgrid import (
+    CONSTRAINT_NETWORK_KINDS,
     ConstraintIndex,
     MicrogridSpec,
     Observables,
@@ -295,6 +298,14 @@ class World:
         that passes its gate never needs it."""
         return self.index.quantities()
 
+    @cached_property
+    def column_layout(self) -> "_ColumnLayout":
+        """Where a batch's gradient columns go (_ColumnLayout), for the
+        cfg.gamma and horizon of its first use; built on first use by a
+        batch, like quantities."""
+        return _ColumnLayout.of(self.quantities, self.specs, self.cfg.gamma,
+                                self.horizon)
+
     @property
     def n_agents(self) -> int:
         return len(self.specs)
@@ -476,63 +487,156 @@ def evaluate_window(world: World, actions: np.ndarray, irr_truth, load_truth,
 _STACK_DRAWS = 16
 
 
+@dataclass(frozen=True)
+class _ColumnLayout:
+    """The constrained quantities (World.quantities) as a batch computes
+    and folds their gradient columns.
+
+    The reward's and the action-driven local quantities' columns are
+    laid out in action space, (N, 6T, L+1): the reward, then `local`,
+    the local quantities indexed on their own.  The X network
+    quantities (voltage, branch current, PCC flows) stay on the K
+    columns of the sensitivity solve, (T, K, X): the kinds of
+    `network`, each (kind, targets), in order.  local_at and network_at
+    are their columns of the chain matrix, 0 for the reward and 1 + the
+    quantity's position; network_orient is each network quantity's
+    orientation.  column and sign (C,) are the controls' columns
+    (control_columns) and weights (T,) the discounts.
+    """
+
+    quantities: tuple
+    local: ConstraintIndex
+    local_at: np.ndarray
+    network: tuple
+    network_at: np.ndarray
+    network_orient: np.ndarray
+    column: np.ndarray
+    sign: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, quantities, specs, gamma: float,
+           horizon: int) -> "_ColumnLayout":
+        index = quantities[0]
+        local, local_pos, network, network_pos, orients = {}, [], [], [], []
+        for kind, (pos, target, orient) in index.groups.items():
+            if kind in CONSTRAINT_NETWORK_KINDS:
+                network.append((kind, target))
+                network_pos.append(pos)
+                orients.append(orient)
+            else:
+                first = sum(p.size for p in local_pos)
+                local[kind] = (first + np.arange(pos.size), target, orient)
+                local_pos.append(pos)
+        local_pos = np.concatenate([[], *local_pos]).astype(int)
+        network_pos = np.concatenate([[], *network_pos]).astype(int)
+        _, column, sign = control_columns(specs)
+        return cls(quantities,
+                   ConstraintIndex(tuple(index.ids[m] for m in local_pos),
+                                   local),
+                   np.concatenate([[0], 1 + local_pos]), tuple(network),
+                   1 + network_pos, np.concatenate([[], *orients]), column,
+                   sign, geometric_weights(gamma, horizon))
+
+    @property
+    def n_columns(self) -> int:         # K
+        return int(self.column.max()) + 1
+
+    def per_action(self, x: np.ndarray) -> np.ndarray:
+        """Network columns per control x (..., T, C, X), each control's
+        column gathered, as action-space columns (..., N, 6T, X):
+        signed, discounted and oriented (per_action_columns)."""
+        return per_action_columns(x * self.sign[:, None], self.weights,
+                                  self.network_orient)
+
+
 def _evaluate_draws(world: World, draws: np.ndarray, irr_truth, load_truth,
                     prev_dg):
-    """The window evaluation of S joint draws (S, N, 6T) and the
-    action-space gradient columns (A, N, 6T, Q+1) of its A accepted
-    draws, the reward then each of the table's Q constrained quantities
-    (World.quantities) at orientation +1: one sensitivity stack over
-    their points."""
+    """The window evaluation of S joint draws (S, N, 6T) and, from one
+    sensitivity stack over the points of its A accepted draws, their
+    gradient columns as World.column_layout lays them out: in action
+    space (A, N, 6T, L+1) for the reward and the local quantities, and
+    (A, T, K, X) for the network quantities, each quantity's sensitivity
+    at each step on the solve's K columns, undiscounted."""
     ev = evaluate_window(world, draws, irr_truth, load_truth, prev_dg)
+    layout = world.column_layout
     count, n, width = ev.actions.shape
-    index = world.quantities[0]
-    cols = np.empty((count, n, width, index.n_rows + 1))
-    if count:
-        gamma = world.cfg.gamma
-        sens = step_sensitivity_stack(world.sens_grid, ev.pf, world.specs).map(
-            lambda x: x.reshape(count, world.horizon, *x.shape[1:]))
-        cols[..., 0] = reward_gradient_stack(sens, ev.actions, world.specs,
-                                             gamma)
-        row_gradient_stack(index, sens, ev.actions, world.specs, gamma,
-                           out=cols[..., 1:])
-    return ev, cols
+    horizon = world.horizon
+    local = np.empty((count, n, width, layout.local.n_rows + 1))
+    shape = (count, horizon, layout.n_columns, layout.network_at.size)
+    if not count:
+        return ev, (local, np.empty(shape))
+    gamma = world.cfg.gamma
+    sens = step_sensitivity_stack(world.sens_grid, ev.pf, world.specs).map(
+        lambda x: x.reshape(count, horizon, *x.shape[1:]))
+    local[..., 0] = reward_gradient_stack(sens, ev.actions, world.specs, gamma)
+    row_gradient_stack(layout.local, sens, ev.actions, world.specs, gamma,
+                       out=local[..., 1:])
+    network = np.empty(shape)
+    first = 0
+    for kind, target in layout.network:
+        done = first + target.size
+        source = sens.of_kind(kind).swapaxes(2, 3)
+        network[..., first:done] = source[..., target]
+        first = done
+    return ev, (local, network)
 
 
 class _BatchEval:
     """A batch's accepted draws, added stack by stack in draw order: each
-    draw's returns and rewards, and per agent, over draws s with
-    action-space columns dj_s (6T, Q+1) of the reward and the constrained
-    quantities (_evaluate_draws) and level-set covariance factors u_s
-    (cov_chain_factor), only the sums of dj_s, of u_s * dj_s and of
-    w_s w_s^T for the reward column w_s = [dj_s; u_s * dj_s][:, 0].
-    Draws are added one at a time, so the sums do not depend on the
-    stacks.  chain() expands the quantities to the table's rows."""
+    draw's returns and rewards, and the sums of their gradient columns
+    (_evaluate_draws) that chain() needs.  Per agent, over draws s with
+    action-space columns dj_s (6T, L+1) of the reward and the local
+    quantities and level-set covariance factors u_s (cov_chain_factor),
+    the sums of dj_s, of u_s * dj_s and of w_s w_s^T for the reward
+    column w_s = [dj_s; u_s * dj_s][:, 0].  Over draws s with network
+    columns n_s (T, K, X), the sum of n_s and, per control c, the sum of
+    u_s[c, t] * n_s[t, column[c]] (T, C, X): the one per-control
+    gather, on one draw's block.  Draws are added one at a time, so the
+    sums do not depend on the stacks.  chain() applies the discounts,
+    the column signs and the orientations, and lays the network
+    quantities into C, once per batch."""
 
-    def __init__(self, evals, quantities, size: int):
-        index, of_row, orientation = quantities
+    def __init__(self, evals, layout: _ColumnLayout, size: int):
+        self.layout = layout
+        index, of_row, orientation = layout.quantities
         self.mu = np.stack([ev.mu for ev in evals])            # (N, 6T)
         self.sigma2 = np.stack([ev.sigma2 for ev in evals])
         n, width = self.mu.shape
         # chain()'s column 0 is the reward's, column 1 + m row m's
         self.take = np.concatenate([[0], 1 + of_row])
         self.sign = np.concatenate([[1.0], orientation])
-        self.dj, self.udj = np.zeros((2, n, width, index.n_rows + 1))
+        self.dj, self.udj = np.zeros((2, n, width, layout.local.n_rows + 1))
+        horizon, count = layout.weights.size, layout.network_at.size
+        self.net = np.zeros((horizon, layout.n_columns, count))
+        self.unet = np.zeros((horizon, layout.column.size, count))
         self.ww = np.zeros((n, 2 * width, 2 * width))
         self.returns = np.empty((size, of_row.size))
         self.draw_rewards = np.empty((size, n))
         self.count = self.discards = 0
 
-    def add(self, ev: WindowEval, cols: np.ndarray) -> None:
-        """Add the accepted draws of ev and their columns (A, N, 6T, Q+1)."""
-        done = self.count + len(cols)
+    def add(self, ev: WindowEval, cols) -> None:
+        """Add the accepted draws of ev and their columns (_evaluate_draws)."""
+        local, network = cols
+        done = self.count + len(local)
         self.returns[self.count:done] = ev.returns
         self.draw_rewards[self.count:done] = ev.rewards
         u = cov_chain_factor(ev.actions, self.mu, self.sigma2)
-        for u_s, dj_s in zip(u, cols):
+        count, n, width = u.shape
+        horizon = self.layout.weights.size
+        # each draw's factors by step and control, (A, T, C, 1)
+        u_net = u.reshape(count, n, 6, horizon).transpose(0, 3, 1, 2).reshape(
+            count, horizon, 6 * n, 1)
+        column = self.layout.column
+        for u_s, dj_s, un_s, n_s in zip(u, local, u_net, network):
             self.dj += dj_s
             self.udj += u_s[:, :, None] * dj_s
             w = np.concatenate([dj_s[:, :, 0], u_s * dj_s[:, :, 0]], axis=1)
             self.ww += w[:, :, None] * w[:, None, :]
+            self.net += n_s
+            per_control = n_s[:, column]
+            per_control *= un_s
+            self.unet += per_control
         self.count = done
 
     @property
@@ -548,12 +652,22 @@ class _BatchEval:
         mean u_s dj_s] (2 * 6T, M+1), the reward then the table's rows, so
         that F^T C is the parameter-space chain of every column (F:
         PolicyEval.fisher_factor), and the mean of c_s c_s^T over the
-        draws' reward columns c_s of C.  A row's column is its
-        orientation times its quantity's; negation is exact, so it equals
-        the mean of the row's own columns bit for bit."""
+        draws' reward columns c_s of C.  A network quantity's dj_s at
+        step t of control c is weights[t] * sign[c] times its
+        sensitivity on column[c].  A row's column is its orientation
+        times its quantity's; negation is exact, so it equals the mean of
+        the row's own columns bit for bit."""
+        layout = self.layout
+        n, width = self.mu.shape
+        cols = np.empty((n, 2 * width, 1 + layout.quantities[0].n_rows))
+        cols[:, :width, layout.local_at] = self.dj
+        cols[:, width:, layout.local_at] = self.udj
+        cols[:, :width, layout.network_at] = layout.per_action(
+            self.net[:, layout.column])
+        cols[:, width:, layout.network_at] = layout.per_action(self.unet)
         scale = np.concatenate([np.sqrt(self.sigma2 / 2.0),
                                 math.sqrt(2.0) * self.sigma2], axis=1)
-        c = scale[:, :, None] * np.concatenate([self.dj, self.udj], axis=1)
+        c = scale[:, :, None] * cols
         cc = scale[:, :, None] * self.ww * scale[:, None, :]
         # + 0.0 turns the -0.0 of a negated zero into the +0.0 that a sum
         # of the row's own columns, started at +0.0, gives
@@ -576,7 +690,7 @@ def _evaluate_batch(world: World, evals, sample_tag, irr_truth, load_truth,
     tag = sample_tag if isinstance(sample_tag, (list, tuple)) else [sample_tag]
     rng = np.random.default_rng([world.seed, _STREAM_SAMPLE, *tag])
     # every round draws what is missing, so exactly cfg.batch are accepted
-    batch = _BatchEval(evals, world.quantities, cfg.batch)
+    batch = _BatchEval(evals, world.column_layout, cfg.batch)
     n, width = batch.mu.shape
     limit = max(4, cfg.batch)
     while batch.count < cfg.batch:

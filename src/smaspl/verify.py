@@ -13,7 +13,9 @@ re-evaluation for the local constraint rows.  The network and
 constraint families run the stacked functions training runs
 (solve_power_flow_stack, step_sensitivity_stack, network_observables,
 row_gradient_stack, constraint_return_stack), each trial's operating
-points or returns as one stack.  A deliberately
+points or returns as one stack; the network families read the
+sensitivities that step_sensitivity_stack composes on the solve's
+columns, per control by an exact gather and sign.  A deliberately
 faulted variant of the injection table is available to prove the audit
 actually catches sign errors.
 """
@@ -234,9 +236,7 @@ def audit_network_sensitivities(rng, trials=50,
             ("voltage-sensitivity", np.concatenate([sens.dv_re, sens.dv_im]),
              np.concatenate([central(pf.v_re), central(pf.v_im)])),
             ("voltage-magnitude", sens.dv_mag, central(obs.v_mag)),
-            ("branch-current-magnitude",
-             np.concatenate([sens.dibr_re, sens.dibr_im, sens.di_mag]),
-             np.concatenate([di_re, di_im, di_mag])),
+            ("branch-current-magnitude", sens.di_mag, di_mag),
             ("pcc-power", np.concatenate([sens.dpcc_p, sens.dpcc_q]),
              np.concatenate([central(obs.pcc_p), central(obs.pcc_q)])),
         ]

@@ -27,6 +27,7 @@ from smaspl.microgrid import (
     build_constraint_table,
     geometric_weights,
     network_observables,
+    pcc_branches,
 )
 from smaspl.policy import PolicyEval
 from smaspl.verify import audit_network_sensitivities, run_all_audits
@@ -90,6 +91,69 @@ def pcc_power(grid, sols, spec):
     return obs.pcc_p[:, 0], obs.pcc_q[:, 0]
 
 
+# the device whose bus each control's load-current partial sits at
+CONTROL_DEVICE = {"p_dg": "dg", "p_ch": "ess", "p_dis": "ess", "q_dg": "dg",
+                  "q_pv": "pv", "q_ess": "ess"}
+
+
+def per_control_voltage(grid, pf, specs):
+    """dV/da per kW (B, n_bus, C) of every control of every agent, each
+    from its own signed unit column (injection_current_jacobian): the
+    voltage part of the composer's oracle."""
+    from smaspl.grid import solve_unit_columns
+    from smaspl.microgrid import CONTROLS
+    jac = injection_current_jacobian(pf)
+    kw = 1.0 / grid.base_power_kva
+    bus = [getattr(spec.bus_map, CONTROL_DEVICE[control])
+           for spec in specs for control in CONTROLS]
+    value = np.empty((len(pf), len(bus)), dtype=complex)
+    for c, (b, control) in enumerate(zip(bus, CONTROLS * len(specs))):
+        d_re, d_im = jac[control]
+        value.real[:, c] = -(d_re[:, b] * kw)
+        value.imag[:, c] = -(d_im[:, b] * kw)
+    x, solved = solve_unit_columns(grid, pf.p_load_pu, pf.q_load_pu,
+                                   pf.v_re, pf.v_im, bus, value)
+    assert solved.all()
+    return x
+
+
+def per_control_composition(grid, pf, specs, dv_re, dv_im):
+    """The composer's oracle: branch-current, magnitude and PCC-flow
+    sensitivities of every point of pf from its per-control voltage
+    sensitivities dv_* (B, n_bus, C), one (B, ..., C) array each, with
+    every branch's dI formed first, as step_sensitivity_stack composed
+    them before it moved onto the solve's columns."""
+    f, t = grid.branch_from, grid.branch_to
+    y_re = grid.branch_y.real[:, None]
+    y_im = grid.branch_y.imag[:, None]
+    ddr = dv_re[:, f] - dv_re[:, t]
+    ddi = dv_im[:, f] - dv_im[:, t]
+    dibr_re = y_re * ddr - y_im * ddi
+    dibr_im = y_im * ddr + y_re * ddi
+    v_mag = np.maximum(pf.v_mag, 1e-12)
+    dv_mag = (pf.v_re[:, :, None] * dv_re
+              + pf.v_im[:, :, None] * dv_im) / v_mag[:, :, None]
+    i_mag = np.hypot(pf.i_br_re, pf.i_br_im)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        di_mag = (pf.i_br_re[:, :, None] * dibr_re
+                  + pf.i_br_im[:, :, None] * dibr_im) / i_mag[:, :, None]
+    di_mag[i_mag < 1e-9] = 0.0
+    k, sign, r = pcc_branches(grid, specs)
+    base = grid.base_power_kva
+    ire = (sign * pf.i_br_re[:, k])[:, :, None]
+    iim = (sign * pf.i_br_im[:, k])[:, :, None]
+    dire = sign[:, None] * dibr_re[:, k]
+    diim = sign[:, None] * dibr_im[:, k]
+    v_re = pf.v_re[:, r][:, :, None]
+    v_im = pf.v_im[:, r][:, :, None]
+    dpcc_p = base * (dv_re[:, r] * ire + v_re * dire
+                     + dv_im[:, r] * iim + v_im * diim)
+    dpcc_q = base * (dv_im[:, r] * ire + v_im * dire
+                     - dv_re[:, r] * iim - v_re * diim)
+    return {"dibr_re": dibr_re, "dibr_im": dibr_im, "dv_mag": dv_mag,
+            "di_mag": di_mag, "dpcc_p": dpcc_p, "dpcc_q": dpcc_q}
+
+
 class TestVoltageSensitivities:
     def test_slack_rows_pinned(self):
         grid, spec = tiny_mg_case()
@@ -148,7 +212,10 @@ class TestVoltageSensitivities:
         assert abs(sol.v_im[1]) < 1e-12
         sens = compute_step_sensitivities(grid, sol, [spec])
         assert np.allclose(sens.dv_mag[1], sens.dv_re[1], atol=1e-12)
-        assert np.allclose(sens.di_mag[0], sens.dibr_re[0], atol=1e-12)
+        dibr_re = per_control_composition(
+            grid, PowerFlowStack.of([sol]), [spec], sens.dv_re[None],
+            sens.dv_im[None])["dibr_re"][0]
+        assert np.allclose(sens.di_mag[0], dibr_re[0], atol=1e-12)
 
     def test_factorization_reuse(self):
         grid, spec = tiny_mg_case()
@@ -443,7 +510,7 @@ class TestBundleEndToEnd:
         res, cols = _evaluate_draws(world, acts0[:, None, :], irr, load,
                                     np.zeros(1))
         assert res.accepted.all()
-        batch = _BatchEval([ev0], world.quantities, len(eps))
+        batch = _BatchEval([ev0], world.column_layout, len(eps))
         batch.add(res, cols)
         c, _ = batch.chain()
         full = ev0.fisher_factor().T @ c[0]
@@ -520,11 +587,17 @@ class TestIncidenceAlgebra:
         sol = solve_power_flow(grid, p[0], q[0])
         assert sol.converged
         sens = compute_step_sensitivities(grid, sol, specs)
-        *ref, pcc_p, pcc_q = self.loop_reference(grid, sol, specs,
-                                                 sens.dv_re, sens.dv_im)
-        for got, want in zip((sens.dibr_re, sens.dibr_im, sens.dpcc_p,
-                              sens.dpcc_q), ref):
+        dibr_re, dibr_im, *ref, pcc_p, pcc_q = self.loop_reference(
+            grid, sol, specs, sens.dv_re, sens.dv_im)
+        for got, want in zip((sens.dpcc_p, sens.dpcc_q), ref):
             assert np.array_equal(got, want)
+        # no program path forms every branch's dI: d|I| from the loop's
+        i_re, i_im = sol.i_br_re[:, None], sol.i_br_im[:, None]
+        i_mag = np.hypot(i_re, i_im)
+        di_mag = np.divide(i_re * dibr_re + i_im * dibr_im, i_mag,
+                           out=np.zeros_like(dibr_re), where=i_mag >= 1e-9)
+        np.testing.assert_allclose(sens.di_mag, di_mag, rtol=0,
+                                   atol=1e-12 * np.abs(di_mag).max())
         obs = network_observables(grid, PowerFlowStack.of([sol]), specs)
         assert np.array_equal(obs.pcc_p[0], pcc_p)
         assert np.array_equal(obs.pcc_q[0], pcc_q)
@@ -624,8 +697,8 @@ class TestStackedSensitivities:
         assert factorization_count() - before == 3
         for t, sol in enumerate(sols):
             one = compute_step_sensitivities(grid, sol, specs)
-            for name in ("dv_re", "dv_im", "dibr_re", "dibr_im", "dv_mag",
-                         "di_mag", "dpcc_p", "dpcc_q"):
+            for name in ("dv_re", "dv_im", "dv_mag", "di_mag", "dpcc_p",
+                         "dpcc_q"):
                 want = getattr(one, name)
                 np.testing.assert_allclose(getattr(stack, name)[t], want,
                                            rtol=1e-10,
@@ -643,3 +716,72 @@ class TestStackedSensitivities:
         with pytest.raises(SensitivityError, match="singular"):
             step_sensitivity_stack(grid, PowerFlowStack.of([sol, sol]),
                                    [spec])
+
+
+SCENARIOS = ["tiny_oracle", "two_mg_binding", "five_mg_feasible",
+             "five_mg_lineflow", "paper98"]
+
+
+class TestComposer:
+    """step_sensitivity_stack composes the magnitudes and PCC flows on the
+    solve's K columns; read per control by an exact gather and sign, they
+    match the per-control composition (per_control_composition)."""
+
+    @staticmethod
+    def case(name, points):
+        """The scenario's grid at `points` power flows of random joint
+        actions, with one leaf bus moved onto its parent's voltage, so
+        that its branch carries no current, and its specs with one PV at
+        the slack bus."""
+        from dataclasses import replace
+        from smaspl.scenario import load_scenario
+        sc = load_scenario(f"scenarios/{name}.yaml")
+        grid, specs = sc.grid, sc.specs
+        rng = np.random.default_rng(points)
+        irr, load = sc.profiles.window(0, 1)
+        actions = rng.uniform(0.0, 3.0, (points, len(specs), 6))
+        p, q = actions_to_injections(actions, load, irr, specs, grid.n_bus,
+                                     sc.host_loads)
+        pf = solve_power_flow_stack(grid, p[:, 0], q[:, 0])
+        assert pf.converged.all()
+        leaf = int(np.flatnonzero(np.bincount(
+            np.concatenate([grid.branch_from, grid.branch_to]),
+            minlength=grid.n_bus) == 1)[-1])
+        k = int(np.flatnonzero((grid.branch_from == leaf)
+                               | (grid.branch_to == leaf))[0])
+        other = grid.branch_from[k] + grid.branch_to[k] - leaf
+        pf.v_re[:, leaf] = pf.v_re[:, other]
+        pf.v_im[:, leaf] = pf.v_im[:, other]
+        d = (pf.v_re + 1j * pf.v_im)[:, grid.branch_from] - \
+            (pf.v_re + 1j * pf.v_im)[:, grid.branch_to]
+        i = grid.branch_y * d
+        pf.i_br_re, pf.i_br_im = i.real, i.imag
+        assert (np.hypot(pf.i_br_re[:, k], pf.i_br_im[:, k]) < 1e-9).all()
+        specs = [replace(specs[0], bus_map=replace(specs[0].bus_map,
+                                                   pv=grid.slack)),
+                 *specs[1:]]
+        return grid, pf, specs, k
+
+    @pytest.mark.parametrize("points", [1, 4, 64])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_matches_the_per_control_oracle(self, name, points):
+        grid, pf, specs, floor = self.case(name, points)
+        sens = step_sensitivity_stack(grid, pf, specs)
+        assert sens.dv.shape == (points, grid.n_bus, sens.column.max() + 1)
+        assert sens.column.size == 6 * len(specs)
+        dv = per_control_voltage(grid, pf, specs)
+        want = per_control_composition(grid, pf, specs, dv.real, dv.imag)
+        want.update(dv_re=dv.real, dv_im=dv.imag)
+        for name_ in ("dv_re", "dv_im", "dv_mag", "di_mag", "dpcc_p",
+                      "dpcc_q"):
+            got, ref = getattr(sens, name_), want[name_]
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-12 * np.abs(ref).max(),
+                                       err_msg=name_)
+        # q_pv of agent 0 sits at the slack bus: a zero column
+        assert not sens.dv_re[..., 4].any() and not sens.dv_im[..., 4].any()
+        assert not sens.dv_mag[..., 4].any()
+        # the branch below the 1e-9 p.u. floor has a zero d|I|
+        assert not sens.di_mag[:, floor].any()
+        assert np.abs(sens.di_mag).max() > 0

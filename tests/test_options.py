@@ -24,6 +24,7 @@ CENSUS = [
     (grid.solve_power_flow_stack, {"tol"}),
     (grid.power_flow_system_matrix, set()),
     (grid.solve_unit_columns, set()),
+    (gradients.control_columns, set()),
     (policy.cov_chain_factor, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
     (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),

@@ -34,8 +34,9 @@ def first_update(name, seed=None):
     """The inputs of episode 0's first anchored update, as train() builds
     them: (world, thetas0, batch, factors, layout), and the batch's
     accepted draws (A, N, 6T) with their gradient columns
-    (A, N, 6T, M+1), recorded as the batch evaluates them and expanded
-    from its constrained quantities to the table's rows."""
+    (A, N, 6T, M+1), recorded as the batch evaluates them, laid out in
+    action space and expanded from its constrained quantities to the
+    table's rows."""
     sc = load_scenario(f"scenarios/{name}")
     if seed is not None:
         sc.seed = seed
@@ -59,7 +60,13 @@ def first_update(name, seed=None):
         training._evaluate_draws = evaluate
     thetas0 = [ag.get_theta().copy() for ag in agents]
     factors = [ev.fisher_factor() for ev in evals]
-    cols = np.concatenate([c for _, c in seen])
+    local = np.concatenate([c[0] for _, c in seen])
+    network = np.concatenate([c[1] for _, c in seen])
+    columns = world.column_layout
+    cols = np.empty(local.shape[:-1] + (1 + len(world.table) // 2,))
+    cols[..., columns.local_at] = local
+    cols[..., columns.network_at] = columns.per_action(
+        network[..., columns.column, :])
     draws = (evals, np.concatenate([a for a, _ in seen]),
              cols[..., batch.take] * batch.sign)
     return world, thetas0, batch, factors, dec.layout, draws

@@ -31,9 +31,23 @@ def small_world(name="two_mg_binding.yaml", **training):
     return build_world(sc)
 
 
+def quantity_columns(layout, cols):
+    """_evaluate_draws' gradient columns as action-space columns
+    (A, N, 6T, Q+1) of the reward and the constrained quantities: each
+    network quantity's sensitivity on its control's column, signed and
+    discounted (layout.per_action)."""
+    local, network = cols
+    out = np.empty(local.shape[:-1] + (1 + layout.quantities[0].n_rows,))
+    out[..., layout.local_at] = local
+    out[..., layout.network_at] = layout.per_action(
+        network[..., layout.column, :])
+    return out
+
+
 def row_columns(world, cols):
-    """Gradient columns (..., Q+1) of the reward and the constrained
-    quantities as the reward's and the table rows' (..., M+1)."""
+    """_evaluate_draws' gradient columns as the reward's and the table
+    rows' action-space columns (A, N, 6T, M+1)."""
+    cols = quantity_columns(world.column_layout, cols)
     _, of_row, orientation = world.quantities
     return np.concatenate([cols[..., :1], cols[..., 1 + of_row] * orientation],
                           axis=-1)
@@ -565,9 +579,10 @@ class TestEpisodeInvariants:
             for _ in range(24)])
         res, cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        batch = _BatchEval(evals, world.quantities, len(draws))
+        batch = _BatchEval(evals, world.column_layout, len(draws))
         batch.add(res, cols)
         c, _ = batch.chain()
+        cols = quantity_columns(world.column_layout, cols)
         for a, ev in enumerate(evals):
             per_sample = np.stack([
                 chain_sample_to_parameters(ev, acts, col)[:, 0]
@@ -645,7 +660,7 @@ class TestBatchChain:
             for _ in range(6)])
         res, res_cols = _evaluate_draws(world, draws, irr, load, np.zeros(2))
         assert res.accepted.all()
-        batch = _BatchEval(evals, world.quantities, len(draws))
+        batch = _BatchEval(evals, world.column_layout, len(draws))
         batch.add(res, res_cols)
         c, _ = batch.chain()
         res_cols = row_columns(world, res_cols)
@@ -702,7 +717,8 @@ class TestQuantityColumns:
     @staticmethod
     def batch_pair(world, count, seed):
         """A batch of count draws folded by quantity, and the same draws
-        folded by row as the reference; with the rows' columns."""
+        folded by row as the reference; with the quantities' and the
+        rows' action-space columns."""
         from smaspl.gradients import (reward_gradient_stack,
                                       row_gradient_stack,
                                       step_sensitivity_stack)
@@ -717,9 +733,17 @@ class TestQuantityColumns:
         ev, cols = training._evaluate_draws(world, draws, irr, load,
                                             np.zeros(n))
         assert ev.accepted.all()
-        batch = training._BatchEval(evals, world.quantities, count)
+        batch = training._BatchEval(evals, world.column_layout, count)
         batch.add(ev, cols)
         gamma, m = world.cfg.gamma, len(world.table)
+        # every row its own quantity, at its own orientation
+        by_row = replace(world)
+        vars(by_row)["quantities"] = (world.index, np.arange(m), np.ones(m))
+        ref_ev, ref_cols = training._evaluate_draws(by_row, draws, irr, load,
+                                                    np.zeros(n))
+        ref = training._BatchEval(evals, by_row.column_layout, count)
+        ref.add(ref_ev, ref_cols)
+        # the rows' columns through the public stack functions
         sens = step_sensitivity_stack(world.sens_grid, ev.pf,
                                       world.specs).map(
             lambda x: x.reshape(count, world.horizon, *x.shape[1:]))
@@ -728,17 +752,17 @@ class TestQuantityColumns:
                                              gamma)
         row_gradient_stack(world.index, sens, ev.actions, world.specs, gamma,
                            out=rows[..., 1:])
-        # every row its own quantity, at its own orientation
-        ref = training._BatchEval(evals, (world.index, np.arange(m),
-                                          np.ones(m)), count)
-        ref.add(ev, rows)
-        return batch, ref, cols, rows
+        assert np.array_equal(quantity_columns(by_row.column_layout,
+                                               ref_cols), rows)
+        return (batch, ref, quantity_columns(world.column_layout, cols),
+                rows)
 
     @pytest.mark.parametrize("name, count", [("paper98.yaml", 4),
                                              ("two_mg_binding.yaml", 8)])
     def test_chain_equals_the_fold_of_the_rows(self, name, count):
         world = small_world(name)
         assert "quantities" not in vars(world)      # built on first use
+        assert "column_layout" not in vars(world)
         batch, ref, cols, rows = self.batch_pair(world, count, 11)
         # every limit is a _hi/_lo pair: half as many quantities as rows
         assert cols.shape[-1] - 1 == len(world.table) // 2
@@ -753,6 +777,20 @@ class TestQuantityColumns:
             assert np.array_equal(rows[..., 1 + lo], -rows[..., 1 + hi])
             assert np.array_equal(got[..., 1 + lo], -got[..., 1 + hi])
         assert np.abs(got[..., 1:]).max() > 0
+
+    def test_layout_is_built_on_first_use_by_a_batch(self):
+        # set-up builds neither the quantities nor their column layout,
+        # and a dispatch decision that passes its gate runs no batch
+        world = small_world("tiny_oracle.yaml", batch=16)
+        assert "quantities" not in vars(world)
+        assert "column_layout" not in vars(world)
+        agents = build_agents(world)
+        _, verdict, rounds = select_actions_online(world, agents, 0)
+        assert (verdict, rounds) == ("clean", 0)
+        assert "column_layout" not in vars(world)
+        train(world, agents=agents, episodes=1)
+        layout = vars(world)["column_layout"]
+        assert layout.quantities is world.quantities
 
     def test_a_quantity_with_only_a_lower_row(self):
         world = small_world()
@@ -878,7 +916,8 @@ class TestStackedBatch:
         second = self.draw(rng, evals, 1)
         kept = np.concatenate([first[[0, 2, 3]], second])
         ref, ref_cols = training._evaluate_draws(world, kept, irr, load, prev)
-        ref_batch = training._BatchEval(evals, world.quantities, len(kept))
+        ref_batch = training._BatchEval(evals, world.column_layout,
+                                        len(kept))
         ref_batch.add(ref, ref_cols)
         c, _ = ref_batch.chain()
         got_c, _ = got.chain()
