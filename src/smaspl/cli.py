@@ -231,11 +231,12 @@ def dispatch_cost(world: World, actions: np.ndarray,
 # candidates per window evaluation of the oracle: bounds the memory of
 # one power-flow stack
 _ORACLE_CHUNK = 4096
+# candidates per oracle call: bounds its run time
+_ORACLE_MAX_EVALUATIONS = 200_000
 
 
 def brute_force_opf(world: World, *, window_start: int = 0,
-                    grid_points: dict | None = None,
-                    max_evaluations: int = 200_000) -> BruteForceResult:
+                    grid_points: dict | None = None) -> BruteForceResult:
     """Exhaustive grid search over discretized single-step dispatches.
 
     Desk-scale stand-in for a centralized solver: at most 2 microgrids,
@@ -262,7 +263,7 @@ def brute_force_opf(world: World, *, window_start: int = 0,
             axes.append(np.linspace(lo[c], hi[c], k) if hi[c] > lo[c]
                         else np.array([lo[c]]))
     total = int(np.prod([len(a) for a in axes]))
-    if total > max_evaluations:
+    if total > _ORACLE_MAX_EVALUATIONS:
         raise ValueError(f"{total} grid points exceed the evaluation cap")
     # (total, N, 6), the last control varying fastest
     candidates = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(

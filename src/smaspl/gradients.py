@@ -426,7 +426,7 @@ def row_gradient_stack(index: ConstraintIndex, sens: StepSensitivities,
 
 
 def constraint_action_gradients(table, sens_steps, actions, specs,
-                                gamma: float, *, prev_dg=None) -> np.ndarray:
+                                gamma: float) -> np.ndarray:
     """Action gradients of every constraint row, shape (M, n_mg, 6T).
 
     Rows follow the table order.  Network rows (voltage, branch current,

@@ -500,8 +500,11 @@ class _ColumnLayout:
     `network`, each (kind, targets), in order.  local_at and network_at
     are their columns of the chain matrix, 0 for the reward and 1 + the
     quantity's position; network_orient is each network quantity's
-    orientation.  column and sign (C,) are the controls' columns
-    (control_columns) and weights (T,) the discounts.
+    orientation.  row_at and row_orient (M+1,) expand the chain matrix
+    to the reward and the table's rows: output column 0 is the reward's,
+    column 1 + m row m's, its quantity's column times its orientation.
+    column and sign (C,) are the controls' columns (control_columns) and
+    weights (T,) the discounts.
     """
 
     quantities: tuple
@@ -510,6 +513,8 @@ class _ColumnLayout:
     network: tuple
     network_at: np.ndarray
     network_orient: np.ndarray
+    row_at: np.ndarray
+    row_orient: np.ndarray
     column: np.ndarray
     sign: np.ndarray
     weights: np.ndarray
@@ -517,7 +522,7 @@ class _ColumnLayout:
     @classmethod
     def of(cls, quantities, specs, gamma: float,
            horizon: int) -> "_ColumnLayout":
-        index = quantities[0]
+        index, of_row, orientation = quantities
         local, local_pos, network, network_pos, orients = {}, [], [], [], []
         for kind, (pos, target, orient) in index.groups.items():
             if kind in CONSTRAINT_NETWORK_KINDS:
@@ -535,8 +540,10 @@ class _ColumnLayout:
                    ConstraintIndex(tuple(index.ids[m] for m in local_pos),
                                    local),
                    np.concatenate([[0], 1 + local_pos]), tuple(network),
-                   1 + network_pos, np.concatenate([[], *orients]), column,
-                   sign, geometric_weights(gamma, horizon))
+                   1 + network_pos, np.concatenate([[], *orients]),
+                   np.concatenate([[0], 1 + of_row]),
+                   np.concatenate([[1.0], orientation]), column, sign,
+                   geometric_weights(gamma, horizon))
 
     @property
     def n_columns(self) -> int:         # K
@@ -588,8 +595,7 @@ class _BatchEval:
     (_evaluate_draws) that chain() needs.  Per agent, over draws s with
     action-space columns dj_s (6T, L+1) of the reward and the local
     quantities and level-set covariance factors u_s (cov_chain_factor),
-    the sums of dj_s, of u_s * dj_s and of w_s w_s^T for the reward
-    column w_s = [dj_s; u_s * dj_s][:, 0].  Over draws s with network
+    the sums of dj_s and of u_s * dj_s.  Over draws s with network
     columns n_s (T, K, X), the sum of n_s and, per control c, the sum of
     u_s[c, t] * n_s[t, column[c]] (T, C, X): the one per-control
     gather, on one draw's block.  Draws are added one at a time, so the
@@ -599,19 +605,14 @@ class _BatchEval:
 
     def __init__(self, evals, layout: _ColumnLayout, size: int):
         self.layout = layout
-        index, of_row, orientation = layout.quantities
         self.mu = np.stack([ev.mu for ev in evals])            # (N, 6T)
         self.sigma2 = np.stack([ev.sigma2 for ev in evals])
         n, width = self.mu.shape
-        # chain()'s column 0 is the reward's, column 1 + m row m's
-        self.take = np.concatenate([[0], 1 + of_row])
-        self.sign = np.concatenate([[1.0], orientation])
         self.dj, self.udj = np.zeros((2, n, width, layout.local.n_rows + 1))
         horizon, count = layout.weights.size, layout.network_at.size
         self.net = np.zeros((horizon, layout.n_columns, count))
         self.unet = np.zeros((horizon, layout.column.size, count))
-        self.ww = np.zeros((n, 2 * width, 2 * width))
-        self.returns = np.empty((size, of_row.size))
+        self.returns = np.empty((size, layout.row_at.size - 1))   # (S, M)
         self.draw_rewards = np.empty((size, n))
         self.count = self.discards = 0
 
@@ -631,8 +632,6 @@ class _BatchEval:
         for u_s, dj_s, un_s, n_s in zip(u, local, u_net, network):
             self.dj += dj_s
             self.udj += u_s[:, :, None] * dj_s
-            w = np.concatenate([dj_s[:, :, 0], u_s * dj_s[:, :, 0]], axis=1)
-            self.ww += w[:, :, None] * w[:, None, :]
             self.net += n_s
             per_control = n_s[:, column]
             per_control *= un_s
@@ -647,12 +646,11 @@ class _BatchEval:
     def rewards(self) -> np.ndarray:                # (N,) batch means
         return self.draw_rewards[:self.count].mean(axis=0)
 
-    def chain(self):
+    def chain(self) -> np.ndarray:
         """Per agent, C = [sqrt(sigma^2/2) * mean dj_s; sqrt(2) sigma^2 *
-        mean u_s dj_s] (2 * 6T, M+1), the reward then the table's rows, so
-        that F^T C is the parameter-space chain of every column (F:
-        PolicyEval.fisher_factor), and the mean of c_s c_s^T over the
-        draws' reward columns c_s of C.  A network quantity's dj_s at
+        mean u_s dj_s] (N, 2 * 6T, M+1), the reward then the table's rows,
+        so that F^T C is the parameter-space chain of every column (F:
+        PolicyEval.fisher_factor).  A network quantity's dj_s at
         step t of control c is weights[t] * sign[c] times its
         sensitivity on column[c].  A row's column is its orientation
         times its quantity's; negation is exact, so it equals the mean of
@@ -668,19 +666,9 @@ class _BatchEval:
         scale = np.concatenate([np.sqrt(self.sigma2 / 2.0),
                                 math.sqrt(2.0) * self.sigma2], axis=1)
         c = scale[:, :, None] * cols
-        cc = scale[:, :, None] * self.ww * scale[:, None, :]
         # + 0.0 turns the -0.0 of a negated zero into the +0.0 that a sum
         # of the row's own columns, started at +0.0, gives
-        c = (c / self.count)[:, :, self.take] * self.sign + 0.0
-        return c, cc / self.count
-
-    def reward_se(self, a: int, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Standard error (k,) of agent a's reduced reward gradient
-        s * (u^T C[:, 0]), for the (u, s) of _gram_eigen."""
-        c, cc = (x[a] for x in self.chain())
-        us = u * s
-        var = np.einsum("dk,de,ek->k", us, cc, us) - (us.T @ c[:, 0]) ** 2
-        return np.sqrt(np.maximum(var, 0.0) / self.count)
+        return (c / self.count)[:, :, layout.row_at] * layout.row_orient + 0.0
 
 
 def _evaluate_batch(world: World, evals, sample_tag, irr_truth, load_truth,
@@ -824,7 +812,7 @@ def _inner_loop(world: World, thetas0, lambdas0, batch: _BatchEval, factors,
     d_global = d_vec[layout.global_idx]
     j0_global = batch.j_values[layout.global_idx]
     back, metrics, g, b_glob, rows, rows_c = [], [], [], [], [], []
-    chain, _ = batch.chain()
+    chain = batch.chain()
     for a, li in enumerate(layout.local_idx):
         u, s = _gram_eigen(factors[a])
         us, c = u * s, chain[a]

@@ -720,6 +720,17 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="1..9"):
             brute_force_opf(world, grid_points={"p_dg": 12})
 
+    def test_evaluation_cap(self, monkeypatch):
+        # the default grid has 972 candidates: a cap of 972 runs them,
+        # one less refuses before any power flow is solved
+        world = self.world()
+        monkeypatch.setattr(cli, "_ORACLE_MAX_EVALUATIONS", 972)
+        assert brute_force_opf(world).n_evaluated == 972
+        monkeypatch.setattr(cli, "_ORACLE_MAX_EVALUATIONS", 971)
+        monkeypatch.setattr(cli, "evaluate_window", None)
+        with pytest.raises(ValueError, match="exceed the evaluation cap"):
+            brute_force_opf(world)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("exc", [

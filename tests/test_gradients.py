@@ -424,7 +424,7 @@ class TestWindowRowGradients:
         base_jc, sols = evaluate(actions)
         sens = [compute_step_sensitivities(grid, s, [spec]) for s in sols]
         grads = constraint_action_gradients(table, sens, actions, [spec],
-                                            gamma, prev_dg=[0.0])
+                                            gamma)
         h = 0.01
         for i in range(6 * T):
             up = actions.copy(); up[0, i] += h
@@ -512,7 +512,7 @@ class TestBundleEndToEnd:
         assert res.accepted.all()
         batch = _BatchEval([ev0], world.column_layout, len(eps))
         batch.add(res, cols)
-        c, _ = batch.chain()
+        c = batch.chain()
         full = ev0.fisher_factor().T @ c[0]
         g = full[:p_mu, 0]
         b = full[:p_mu, 1 + m_row]
@@ -639,7 +639,7 @@ class TestLocality:
         sens = [compute_step_sensitivities(grid, s, specs) for s in sols]
         table = build_constraint_table(grid, specs)
         grads = constraint_action_gradients(table, sens, actions, specs,
-                                            0.99, prev_dg=[0.0, 0.0])
+                                            0.99)
         from smaspl.microgrid import CONSTRAINT_NETWORK_KINDS
         for m, row in enumerate(table):
             if row.scope != "local" or row.kind in CONSTRAINT_NETWORK_KINDS:

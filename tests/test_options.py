@@ -7,12 +7,14 @@ so adding one means editing this census.
 
 import dataclasses
 import inspect
+import types
 
+import numpy as np
 import pytest
 
 import smaspl
-from smaspl import (gradients, grid, microgrid, policy, scenario, training,
-                    verify)
+from smaspl import (cli, gradients, grid, microgrid, policy, scenario,
+                    training, verify)
 
 CENSUS = [
     (training.train, {"agents", "mode", "removed_tokens"}),
@@ -25,6 +27,7 @@ CENSUS = [
     (grid.power_flow_system_matrix, set()),
     (grid.solve_unit_columns, set()),
     (gradients.control_columns, set()),
+    (gradients.constraint_action_gradients, set()),
     (policy.cov_chain_factor, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
     (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),
@@ -34,6 +37,7 @@ CENSUS = [
     (verify.audit_chain_factors, {"trials", "dump"}),
     (verify.audit_dnn_jacobian, {"trials", "dump"}),
     (verify.audit_local_row_gradients, {"trials", "dump"}),
+    (cli.brute_force_opf, {"window_start", "grid_points"}),
 ]
 
 
@@ -67,3 +71,11 @@ def test_deleted_names_stay_deleted():
         assert not hasattr(policy, name)
     assert not hasattr(policy.GaussianPolicy, "pdf")
     assert not hasattr(verify, "audit_pdf_gradients")
+    # the batch folds the chain alone: no reward second moment, no
+    # standard error from it
+    assert not hasattr(training._BatchEval, "reward_se")
+    world = training.build_world(
+        scenario.load_scenario("scenarios/tiny_oracle.yaml"))
+    ev = types.SimpleNamespace(mu=np.zeros(6), sigma2=np.ones(6))
+    batch = training._BatchEval([ev], world.column_layout, 1)
+    assert not hasattr(batch, "ww")

@@ -68,13 +68,13 @@ def first_update(name, seed=None):
     cols[..., columns.network_at] = columns.per_action(
         network[..., columns.column, :])
     draws = (evals, np.concatenate([a for a, _ in seen]),
-             cols[..., batch.take] * batch.sign)
+             cols[..., columns.row_at] * columns.row_orient)
     return world, thetas0, batch, factors, dec.layout, draws
 
 
 def parameter_gradients(batch, factors):
     """Per agent F^T C (P, M+1): the reward gradient, then every row's."""
-    return [f.T @ c for f, c in zip(factors, batch.chain()[0])]
+    return [f.T @ c for f, c in zip(factors, batch.chain())]
 
 
 def span_of(factor):
