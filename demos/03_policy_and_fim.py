@@ -24,7 +24,7 @@ scaling = ActionScaling(
     sigma_floor=0.01, state_offset=np.zeros(2 * T),
     state_scale=np.concatenate([np.ones(T), np.full(T, 25.0)]),
 )
-policy = GaussianPolicy.initialize(2 * T, D, scaling, rng)
+policy = GaussianPolicy.initialize(2 * T, D, scaling, rng, [10, 10, 10])
 state = np.concatenate([np.full(T, 0.6), np.full(T, 18.0)])
 
 mu = policy.forward_mean(state)

@@ -26,7 +26,6 @@ from .microgrid import (
     PVSpec,
     build_constraint_table,
     constraint_returns,
-    fuel_consumption,
     reward_return,
     soc_trajectory,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "solve_power_flow", "solve_power_flow_stack",
     "BusMap", "ConstraintSpec", "DGSpec", "ESSSpec", "MicrogridSpec",
     "PCCSpec", "PVSpec", "build_constraint_table", "constraint_returns",
-    "fuel_consumption", "reward_return", "soc_trajectory",
+    "reward_return", "soc_trajectory",
     "ActionScaling", "FeedforwardNet", "GaussianPolicy",
     "load_checkpoint", "save_checkpoint",
     "ForecastErrorParams", "ProfileSeries", "Scenario", "load_grid_file",

@@ -32,14 +32,13 @@ import numpy as np
 import yaml
 
 from .gradients import SensitivityError
-from .grid import GridError
 from .microgrid import CONTROLS, window_bounds, write_constraint_report
 # one-sample views the window evaluation replaced; the benchmark's tracer
 # (perfbench/tracing.py) still looks them up on this module
 from .grid import solve_power_flow  # noqa: F401
 from .microgrid import actions_to_injections, reward_return  # noqa: F401
 from .policy import load_checkpoint, save_checkpoint
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 from .training import (
     EpisodeAborted,
     EpisodeRecord,
@@ -70,8 +69,9 @@ EXIT_NUMERICAL = 2
 # exception classes `main` maps to each nonzero exit code
 NUMERICAL_FAILURES = (EpisodeAborted, ProjectionInfeasible, SensitivityError,
                       np.linalg.LinAlgError)
-VALIDATION_FAILURES = (ScenarioError, GridError, FileNotFoundError,
-                       ValueError, yaml.YAMLError)
+# (ScenarioError and GridError are ValueErrors; OSError covers a path
+# that is missing, a directory or a file where the other is expected)
+VALIDATION_FAILURES = (ValueError, OSError, yaml.YAMLError)
 
 # serialized field order of one episodes.jsonl record: EpisodeRecord's
 # fields but the wall clock, which goes to the timings sidecar

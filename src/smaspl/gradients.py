@@ -67,7 +67,7 @@ class SensitivityError(RuntimeError):
 _fact_count = 0
 
 
-def _count_factorization(points: int = 1):
+def _count_factorization(points: int):
     global _fact_count
     _fact_count += points
 

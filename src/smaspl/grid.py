@@ -204,9 +204,8 @@ def _tree_schedule(slack: int, f: np.ndarray, t: np.ndarray, y: np.ndarray,
 
 @dataclass(frozen=True)
 class GridModel:
-    """Immutable network: buses, branches and per-unit bases.
+    """Immutable network: buses, branches and the per-unit power base.
 
-    base_kv holds the voltage base of each bus's zone (ones when None);
     base_power_kva is the common power base.  The remaining attributes
     are topology facts derived once from the branch list: the slack bus
     index and the non-slack ones, the branch-bus incidence as
@@ -220,7 +219,6 @@ class GridModel:
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     base_power_kva: float = 100.0
-    base_kv: np.ndarray | None = None
     slack: int = field(init=False, repr=False, compare=False)
     nonslack: np.ndarray = field(init=False, repr=False, compare=False)
     branch_from: np.ndarray = field(init=False, repr=False, compare=False)
@@ -233,10 +231,8 @@ class GridModel:
 
     def __post_init__(self):
         n = len(self.buses)
-        base_kv = np.ones(n) if self.base_kv is None else self.base_kv
         self._set(buses=tuple(self.buses), branches=tuple(self.branches),
-                  base_power_kva=float(self.base_power_kva),
-                  base_kv=np.asarray(base_kv, dtype=float))
+                  base_power_kva=float(self.base_power_kva))
         buses, branches = self.buses, self.branches
         slack = [b.id for b in buses if b.kind == "slack"]
         if len(slack) != 1:
@@ -245,8 +241,6 @@ class GridModel:
             raise GridError("bus ids must be 0..n-1 without gaps")
         if self.base_power_kva <= 0:
             raise GridError("base_power_kva must be positive")
-        if len(self.base_kv) != n:
-            raise GridError("base_kv must have one entry per bus")
         f = np.array([br.from_bus for br in branches], dtype=int)
         t = np.array([br.to_bus for br in branches], dtype=int)
         ends = np.stack([f, t], axis=1).ravel()

@@ -44,7 +44,6 @@ __all__ = [
     "window_bounds",
     "make_state_vector",
     "check_action_vector",
-    "fuel_consumption",
     "reward_return",
     "reward_return_stack",
     "soc_trajectory",
@@ -228,14 +227,6 @@ def spec_column(specs, path: str) -> np.ndarray:
 # Costs and storage dynamics
 # ---------------------------------------------------------------------------
 
-def fuel_consumption(p_dg: float, spec: MicrogridSpec) -> float:
-    """Quadratic fuel curve a_f*p^2 + b_f*p + c_f in liters; p_dg >= 0."""
-    if p_dg < 0:
-        raise ValueError("DG power must be nonnegative")
-    d = spec.dg
-    return d.a_f * p_dg ** 2 + d.b_f * p_dg + d.c_f
-
-
 def reward_return(actions: np.ndarray, pcc_power_kw, spec: MicrogridSpec,
                   gamma: float) -> float:
     """Discounted net operating income over the window for one microgrid.
@@ -368,8 +359,11 @@ class ConstraintIndex:
         return ConstraintIndex(tuple(ids), groups), of_row, orientation
 
 
-def build_constraint_table(grid: GridModel, specs, *,
-                           eps_complementarity: float = 1e-3) -> list[ConstraintSpec]:
+# per-step bound of the comp_hi/comp_lo rows on the ESS's charge*discharge
+_COMPLEMENTARITY_BOUND = 1e-3
+
+
+def build_constraint_table(grid: GridModel, specs) -> list[ConstraintSpec]:
     """All global (voltage, branch current) and per-MG local rows."""
     rows: list[ConstraintSpec] = []
     for bus in grid.buses:
@@ -407,8 +401,8 @@ def build_constraint_table(grid: GridModel, specs, *,
         L("ess_dis_lo", "ess-dis", -1, 0.0)
         L("ess_q_hi", "ess-q", +1, spec.ess.q_max_kvar)
         L("ess_q_lo", "ess-q", -1, spec.ess.q_max_kvar)
-        L("comp_hi", "ess-complementarity", +1, eps_complementarity)
-        L("comp_lo", "ess-complementarity", -1, eps_complementarity)
+        L("comp_hi", "ess-complementarity", +1, _COMPLEMENTARITY_BOUND)
+        L("comp_lo", "ess-complementarity", -1, _COMPLEMENTARITY_BOUND)
     return rows
 
 

@@ -236,8 +236,7 @@ class GaussianPolicy:
 
     @classmethod
     def initialize(cls, state_dim: int, action_dim: int,
-                   scaling: ActionScaling, rng: np.random.Generator,
-                   hidden=(10, 10, 10)):
+                   scaling: ActionScaling, rng: np.random.Generator, hidden):
         sizes = [state_dim, *hidden, action_dim]
         mean_net = FeedforwardNet.init_uniform(sizes, 0.0, 0.2, rng)
         cov_net = FeedforwardNet.init_uniform(sizes, -0.03, 0.03, rng)

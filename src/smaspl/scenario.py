@@ -48,7 +48,6 @@ __all__ = [
     "perturb_network",
     "load_scenario",
     "load_grid_file",
-    "case33_loads",
     "nominal_loads_98",
 ]
 
@@ -310,7 +309,6 @@ class TrainerConfig:
     batch: int = 128
     sigma_floor: float = 0.01
     sigma_span_frac: float = 0.2
-    eps_complementarity: float = 1e-3
     backtrack_rounds: int = 3
     hidden_layers: list = field(default_factory=lambda: [10, 10, 10])
 
@@ -538,8 +536,7 @@ def load_grid_file(path) -> GridModel:
                 r, x = r / z_base, x / z_base
             branches.append(
                 Branch.from_impedance(f, t, r, x, b.get("i_max", 1e9)))
-        return GridModel(buses, branches, data["base_power_kva"],
-                         [kv for _, kv in sorted(base_kv.items())])
+        return GridModel(buses, branches, data["base_power_kva"])
     except GridError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -615,17 +612,16 @@ def load_scenario(path) -> Scenario:
 # Nominal loads of the 98-bus study case
 # ---------------------------------------------------------------------------
 
-def case33_loads():
-    """Nominal feeder loads {bus: (p_kw, q_kvar)} for the 33-bus case."""
-    return {
-        1: (100, 60), 2: (90, 40), 3: (120, 80), 4: (60, 30), 5: (60, 20),
-        6: (200, 100), 7: (200, 100), 8: (60, 20), 9: (60, 20), 10: (45, 30),
-        11: (60, 35), 12: (60, 35), 13: (120, 80), 14: (60, 10), 15: (60, 20),
-        16: (60, 20), 17: (90, 40), 18: (90, 40), 19: (90, 40), 20: (90, 40),
-        21: (90, 40), 22: (90, 50), 23: (420, 200), 24: (420, 200),
-        25: (60, 25), 26: (60, 25), 27: (60, 20), 28: (120, 70),
-        29: (200, 600), 30: (150, 70), 31: (210, 100), 32: (60, 40),
-    }
+# nominal feeder loads {bus: (p_kw, q_kvar)} of the 33-bus case
+_CASE33_LOADS = {
+    1: (100, 60), 2: (90, 40), 3: (120, 80), 4: (60, 30), 5: (60, 20),
+    6: (200, 100), 7: (200, 100), 8: (60, 20), 9: (60, 20), 10: (45, 30),
+    11: (60, 35), 12: (60, 35), 13: (120, 80), 14: (60, 10), 15: (60, 20),
+    16: (60, 20), 17: (90, 40), 18: (90, 40), 19: (90, 40), 20: (90, 40),
+    21: (90, 40), 22: (90, 50), 23: (420, 200), 24: (420, 200),
+    25: (60, 25), 26: (60, 25), 27: (60, 20), 28: (120, 70),
+    29: (200, 600), 30: (150, 70), 31: (210, 100), 32: (60, 40),
+}
 
 
 def nominal_loads_98(grid: GridModel, specs):
@@ -633,7 +629,7 @@ def nominal_loads_98(grid: GridModel, specs):
     grid and microgrids are those of scenarios/paper98.yaml."""
     p = np.zeros(grid.n_bus)
     q = np.zeros(grid.n_bus)
-    for bus, (pk, qk) in case33_loads().items():
+    for bus, (pk, qk) in _CASE33_LOADS.items():
         p[bus] += pk
         q[bus] += qk
     for spec in specs:

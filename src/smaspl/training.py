@@ -334,9 +334,7 @@ class World:
 
 def build_world(scenario: Scenario) -> World:
     cfg = TrainerConfig(**scenario.training)
-    table = build_constraint_table(
-        scenario.grid, scenario.specs,
-        eps_complementarity=cfg.eps_complementarity)
+    table = build_constraint_table(scenario.grid, scenario.specs)
     sens_grid = scenario.grid
     if scenario.network_noise_variance > 0:
         sens_grid = perturb_network(scenario.grid,

@@ -307,6 +307,25 @@ class TestTrainArtifacts:
         assert not (tmp_path / "x").exists()
 
 
+class TestPathMistakes:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--scenario", "scenarios", "--out", "{tmp}/x"],
+        ["train", "--scenario", TINY, "--out", "{tmp}/file"],
+        ["report", "--log", "{tmp}", "--scenario", TINY, "--out", "{tmp}/x"],
+        ["dispatch", "--scenario", TINY, "--checkpoints", "{tmp}/file",
+         "--out", "{tmp}/x.csv"],
+    ], ids=["train-scenario-is-a-directory", "train-out-is-a-file",
+            "report-log-is-a-directory", "dispatch-checkpoints-is-a-file"])
+    def test_path_mistake_is_validation_failure(self, tmp_path, capsys,
+                                                argv):
+        (tmp_path / "file").write_text("")
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize("argv, message", [
         (["train", "--network-noise", "-0.5"],
@@ -670,8 +689,7 @@ class TestBruteForce:
         from smaspl.grid import Bus, GridModel
         buses = [Bus(b.id, b.kind, 1.02, 1.03, b.mg_owner)
                  if b.kind != "slack" else b for b in sc.grid.buses]
-        sc.grid = GridModel(buses, sc.grid.branches, sc.grid.base_power_kva,
-                            sc.grid.base_kv)
+        sc.grid = GridModel(buses, sc.grid.branches, sc.grid.base_power_kva)
         world = build_world(sc)
         res = brute_force_opf(world, grid_points={"p_dg": 3})
         assert not res.feasible

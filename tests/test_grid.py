@@ -22,6 +22,10 @@ from smaspl.scenario import (ScenarioError, load_grid_file, load_scenario,
                              nominal_loads_98)
 
 
+GRID_FILES = ["five_mg_binding.yaml", "five_mg_feasible.yaml",
+              "networked_98.yaml", "tiny.yaml", "two_mg.yaml"]
+
+
 def two_bus(r=0.01, x=0.01):
     buses = [Bus(0, "slack"), Bus(1, "load")]
     branches = [Branch.from_impedance(0, 1, r, x, 10.0)]
@@ -150,15 +154,12 @@ class TestGridModel:
             GridModel([Bus(0, "slack"), Bus(2)], br)
         with pytest.raises(GridError, match="base_power_kva"):
             GridModel([Bus(0, "slack"), Bus(1)], br, 0.0)
-        with pytest.raises(GridError, match="base_kv"):
-            GridModel([Bus(0, "slack"), Bus(1)], br, 100.0, [1.0])
 
     def test_defaults_and_derived_facts(self):
         g = GridModel([Bus(0), Bus(1, "slack")],
                       [Branch.from_impedance(0, 1, 0.01, 0.01, 10.0)])
         assert isinstance(g.buses, tuple) and isinstance(g.branches, tuple)
         assert g.base_power_kva == 100.0
-        assert np.array_equal(g.base_kv, [1.0, 1.0])
         assert g.slack == 1 and g.nonslack.tolist() == [0]
         # replacing the branches re-derives every topology fact
         h = replace(g, branches=[Branch(1, 0, 2.0, -1.0, 10.0)])
@@ -311,6 +312,15 @@ branches: [{from: 0, to: 1, r: 1, x: 1, units: furlong}]
 """)
         with pytest.raises(ScenarioError, match=r"branches\[0\]\.units"):
             load_grid_file(path)
+
+
+    @pytest.mark.parametrize("name", GRID_FILES)
+    def test_grid_is_a_value(self, name):
+        # equality and hash read the buses, branches and power base alone
+        g, h = (load_grid_file(f"scenarios/grids/{name}") for _ in range(2))
+        assert g is not h
+        assert g == h and hash(g) == hash(h)
+        assert replace(g) == g
 
 
 class TestSparsePaths:

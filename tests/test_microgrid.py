@@ -18,7 +18,6 @@ from smaspl.microgrid import (
     actions_to_injections,
     build_constraint_table,
     constraint_returns,
-    fuel_consumption,
     geometric_weights,
     make_state_vector,
     network_observables,
@@ -61,21 +60,25 @@ def zero_actions(n_mg=1):
 
 
 class TestFuel:
-    def test_idle_curve_value(self):
-        assert fuel_consumption(0.0, make_spec()) == pytest.approx(14.67)
+    """The fuel curve F(p) = a_f*p^2 + b_f*p + c_f, read off a one-step
+    charge: gamma 0 and zero export leave -fuel_price*F(p)*dt."""
+
+    @staticmethod
+    def fuel_charge(p, spec):
+        a = zero_actions()[0]
+        a[action_index("p_dg", 0, T)] = p
+        return reward_return(a, np.zeros(T), spec, gamma=0.0)
 
     def test_quadratic_at_60(self):
         # 0.0001773*3600 + 0.1709*60 + 14.67, evaluated by hand
-        assert fuel_consumption(60.0, make_spec()) == pytest.approx(25.56228)
+        assert self.fuel_charge(60.0, make_spec()) == pytest.approx(
+            -0.57 * 25.56228 * 0.25)
 
     def test_degenerate_constant(self):
         spec = make_spec(dg=DGSpec(60, 30, 30, 0.57, 0.0, 0.0, 14.67))
-        for p in (0.0, 17.3, 60.0):
-            assert fuel_consumption(p, spec) == pytest.approx(14.67)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            fuel_consumption(-1.0, make_spec())
+        for p in (17.3, 60.0):
+            assert self.fuel_charge(p, spec) == pytest.approx(
+                -0.57 * 14.67 * 0.25)
 
 
 class TestReward:

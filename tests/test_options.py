@@ -28,8 +28,11 @@ CENSUS = [
     (grid.solve_unit_columns, set()),
     (gradients.control_columns, set()),
     (gradients.constraint_action_gradients, set()),
+    (gradients._count_factorization, set()),
     (policy.cov_chain_factor, set()),
+    (policy.GaussianPolicy.initialize, set()),
     (microgrid.constraint_returns, {"prev_dg"}),
+    (microgrid.build_constraint_table, set()),
     (scenario.synth_profiles, {"load_base_kw", "load_peak_kw"}),
     (scenario.constant_profiles, set()),
     (verify.audit_injection_jacobian, {"trials", "fault", "dump"}),
@@ -48,6 +51,16 @@ def test_keyword_parameters(fn, expected):
     assert {p.name for p in params if p.default is not p.empty} == expected
 
 
+def test_config_object_fields():
+    # each field of a config object is a setting, counted like a keyword
+    assert [f.name for f in dataclasses.fields(scenario.TrainerConfig)] == [
+        "gamma", "delta", "kmax", "rho1", "rho2", "dtheta", "tau", "batch",
+        "sigma_floor", "sigma_span_frac", "backtrack_rounds",
+        "hidden_layers"]
+    assert [f.name for f in dataclasses.fields(grid.GridModel)
+            if f.init] == ["buses", "branches", "base_power_kva"]
+
+
 def test_deleted_names_stay_deleted():
     for name in ("LambdaMessage", "LambdaBus", "AgentChannelGraph",
                  "consensus_average"):
@@ -55,6 +68,13 @@ def test_deleted_names_stay_deleted():
     assert not hasattr(smaspl, "AgentChannelGraph")
     assert "AgentChannelGraph" not in smaspl.__all__
     assert not hasattr(gradients, "reset_factorization_count")
+    # helpers and settings no program path read
+    assert not hasattr(microgrid, "fuel_consumption")
+    assert not hasattr(smaspl, "fuel_consumption")
+    assert not hasattr(scenario, "case33_loads")
+    assert "base_kv" not in {f.name for f in dataclasses.fields(grid.GridModel)}
+    assert "eps_complementarity" not in {
+        f.name for f in dataclasses.fields(scenario.TrainerConfig)}
     for name in ("_system_template", "power_flow_system_values",
                  "system_block_diagonal", "_splu", "_solve_superlu"):
         assert not hasattr(grid, name)
